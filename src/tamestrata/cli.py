@@ -18,7 +18,9 @@ import sys
 from fractions import Fraction
 
 from . import corpus, minimal, oracle, strata, tame, translate, verifysuite
-from .errors import INPUT_ERRORS, TameStrataError, VerificationError
+from .errors import (
+    INPUT_ERRORS, BadPrecision, TameStrataError, VerificationError,
+)
 from .ffq import FqField
 
 SCHEMA_VERSION = "1"
@@ -224,10 +226,8 @@ def _load_tower(args) -> tame.Tower:
     else:
         with open(name) as fh:
             tower = parse_tower(json.load(fh))
-    prec = _apply_prec(args)
-    if prec is not None:
-        tower.default_prec_k = int(prec * tower.e)
-    return tower
+    prec_k = _prec_k(args, tower)
+    return tower if prec_k is None else tower.with_default_prec(prec_k)
 
 
 def _load_element(tower, text) -> tame.TameSeries:
@@ -237,11 +237,22 @@ def _load_element(tower, text) -> tame.TameSeries:
     return parse_series(tower, {"level": 0, "terms": data, "prec": None})
 
 
-def _apply_prec(args):
+def _prec_k(args, tower):
+    """--prec or TAMESTRATA_PREC in s-exponent units, or None if unset."""
     prec = getattr(args, "prec", None)
     if prec is None:
         prec = os.environ.get("TAMESTRATA_PREC")
-    return None if prec is None else Fraction(prec)
+    if prec is None:
+        return None
+    try:
+        prec_k = Fraction(prec) * tower.e
+    except (ValueError, ZeroDivisionError):
+        raise BadPrecision(f"precision {prec!r} is not a rational number") \
+            from None
+    if prec_k.denominator != 1 or prec_k <= 0:
+        raise BadPrecision(f"precision {prec} times e={tower.e} is not a "
+                           "positive integer")
+    return int(prec_k)
 
 
 def cmd_check_minimal(args):
@@ -328,7 +339,8 @@ def cmd_tables(args):
         yu = parse_yu(doc)
         bk = translate.yu_to_bk(yu)
     model = None
-    if args.oracle in ("on", "check") and bk.order.N <= 8 and bk.kind == "a":
+    if (args.oracle in ("on", "check") and bk.order.N <= oracle._MAX_N
+            and bk.kind == "a"):
         model = oracle.model_build(bk.order)
     payload = {"bk": {}, "yu": {}, "comparisons": {}}
     if bk.kind == "a":
@@ -355,7 +367,7 @@ def cmd_ledger(args):
         yu = parse_yu(doc)
         bk = translate.yu_to_bk(yu)
     model = None
-    if args.oracle in ("on", "check") and bk.order.N <= 8:
+    if args.oracle in ("on", "check") and bk.order.N <= oracle._MAX_N:
         model = oracle.model_build(bk.order)
     entries, verdicts = translate.ledger_indices(bk, yu, model)
     ok = all(v for v in verdicts.values() if v is not None)
@@ -398,7 +410,7 @@ def _verify_user_corpus(path, oracle_mode):
         detail = "round trip"
         if bk.kind == "a":
             model = None
-            if oracle_mode != "off" and bk.order.N <= 8:
+            if oracle_mode != "off" and bk.order.N <= oracle._MAX_N:
                 model = oracle.model_build(bk.order)
             tabs = translate.h_group_table(bk.seq)
             ytabs = translate.yu_group_table(yu)

@@ -180,7 +180,8 @@ def datum_corpus(min_count: int = 50):
     t5 = desk_tower_5()
     orders.append(("desk5x2", make_order(t5, 2 * t5.level_degree(0))))
     data = datum_corpus_for_orders(orders)
-    assert len(data) >= min_count, f"corpus too small: {len(data)}"
+    if len(data) < min_count:
+        raise VerificationFailed(f"corpus too small: {len(data)}")
     return data
 
 

@@ -85,6 +85,10 @@ class TooLarge(TameStrataError):
     pass
 
 
+class BadPrecision(TameStrataError):
+    pass
+
+
 # --- verification outcomes --------------------------------------------------
 
 class VerificationError(TameStrataError):
@@ -119,5 +123,5 @@ INPUT_ERRORS = (
     NotPrime, ReducibleModulus, DivisionByZero, FieldMismatch, BadDegree,
     NotTame, RootOfUnityMissing, NotASubgroup, BadChain, TowerMismatch,
     NotInLevel, ZeroToPrecision, PrecisionExhausted, NotSplitForm, BadLevel,
-    OrderMismatch, OracleRequired, TooLarge,
+    OrderMismatch, OracleRequired, TooLarge, BadPrecision,
 )

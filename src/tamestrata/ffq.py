@@ -9,7 +9,10 @@ pure Python integer arithmetic; nothing here is approximate.
 
 from __future__ import annotations
 
-from .errors import BadDegree, DivisionByZero, FieldMismatch, NotPrime, ReducibleModulus
+from .errors import (
+    BadDegree, DivisionByZero, FieldMismatch, NotPrime, ReducibleModulus,
+    VerificationFailed,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -388,7 +391,8 @@ class FqElem:
         for ell in primes:
             while order % ell == 0 and self ** (order // ell) == one:
                 order //= ell
-        assert self ** order == one
+        if self ** order != one:
+            raise VerificationFailed(f"{self!r} ** {order} is not one")
         return order
 
     def __eq__(self, other):

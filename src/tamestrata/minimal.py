@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotInLevel, ZeroToPrecision
+from .errors import NotInLevel, VerificationFailed, ZeroToPrecision
 from .tame import TameSeries, Tower, series_equal, stabilizer_within
 
 
@@ -87,13 +87,15 @@ def _routes(tw: Tower, c: TameSeries, H_low, H_up, lower_level=None) -> Minimali
     f_rel = deg_prime // e_rel
 
     nu_prime = c.ord() * e_prime
-    assert nu_prime.denominator == 1
+    if nu_prime.denominator != 1:
+        raise VerificationFailed(f"valuation {nu_prime} in E' is not integral")
     nu_prime = int(nu_prime)
     cond_gcd = gcd(nu_prime, e_rel) == 1
 
     pi_low = _uniformizer_for(tw, H_low, lower_level)
     x = (pi_low ** (-nu_prime)) * (c ** e_rel)
-    assert x.ord() == 0
+    if x.ord() != 0:
+        raise VerificationFailed(f"unit part has order {x.ord()}, not 0")
     residue = x.leading()[1]
     deg_klow = tw.base.f * f_low
     cond_residue = _orbit_size(residue, deg_klow) == f_rel

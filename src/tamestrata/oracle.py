@@ -9,18 +9,29 @@ to F_p row spaces of the finite quotient A/P^M, computed by Gaussian
 elimination; no code is shared with the closed-form paths, so agreement is
 evidence.
 
-Centralisers are computed as commutants of generating matrices, with the
+Every kernel the oracle solves goes through one routine, ``_kernel_image``:
+the image in a target quotient of {x : ad_g(x) = 0 on block valuations
+[lo, hi) for every generator g}.  ``ad_g`` of an elementary matrix
+theta_F^i t^w e_rc is read off column r and row c of g, with no matrix
+product.  Centralisers are commutants of generating matrices, with the
 solution space re-projected at increasing internal precision until it
-stabilises.
+stabilises.  Each model keeps, per level, the commutant at the largest M
+stabilised so far; a smaller M is its projection, which drops the
+coordinates of block valuation >= M.  Cached subspaces are shared, so
+callers must not mutate them.  ``S ∩ P^k`` is cut directly from the rows
+of S (``_Quotient.radical_cut``); ``Subspace.intersect`` stays as the
+general reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    NotNested, PrecisionExhausted, TooLarge, ZeroToPrecision,
+    NotNested, PrecisionExhausted, TooLarge, VerificationFailed,
+    ZeroToPrecision,
 )
 from .strata import DefiningSeq, OrderDesc
 from .tame import TameSeries
@@ -33,7 +44,10 @@ _MAX_N = 8
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """Row space over F_p in reduced row echelon form."""
+    """Row space over F_p in reduced row echelon form.
+
+    A row list is never changed in place, so subspaces may share rows.
+    """
 
     def __init__(self, p, width, rows=()):
         self.p = p
@@ -42,6 +56,14 @@ class Subspace:
         self.pivots = []
         for r in rows:
             self.add(r)
+
+    @classmethod
+    def _from_rref(cls, p, width, rows, pivots) -> "Subspace":
+        """Wrap rows already in reduced row echelon form (not copied)."""
+        out = cls(p, width)
+        out.rows = rows
+        out.pivots = pivots
+        return out
 
     @property
     def dim(self):
@@ -53,26 +75,30 @@ class Subspace:
         for row, piv in zip(self.rows, self.pivots):
             c = vec[piv] % p
             if c:
-                for i in range(piv, self.width):
-                    vec[i] = (vec[i] - c * row[i]) % p
+                vec[piv:] = [(a - c * b) % p
+                             for a, b in zip(vec[piv:], row[piv:])]
         return vec
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the space."""
+        p = self.p
         vec = self._reduce(vec)
-        piv = next((i for i, c in enumerate(vec) if c % self.p), None)
-        if piv is None:
+        for piv, c in enumerate(vec):
+            if c % p:
+                break
+        else:
             return False
-        inv = pow(vec[piv], self.p - 2, self.p)
-        vec = [(c * inv) % self.p for c in vec]
-        # back-substitute into existing rows
-        for k, (row, rpiv) in enumerate(zip(self.rows, self.pivots)):
+        inv = pow(vec[piv], p - 2, p)
+        tail = [(c * inv) % p for c in vec[piv:]]
+        idx = bisect_right(self.pivots, piv)
+        # back-substitute into the rows above; those below are zero at piv
+        for k in range(idx):
+            row = self.rows[k]
             c = row[piv]
             if c:
-                self.rows[k] = [(a - c * b) % self.p for a, b in zip(row, vec)]
-        idx = next((k for k, rp in enumerate(self.pivots) if rp > piv),
-                   len(self.pivots))
-        self.rows.insert(idx, vec)
+                self.rows[k] = row[:piv] + [(a - c * b) % p
+                                            for a, b in zip(row[piv:], tail)]
+        self.rows.insert(idx, [0] * piv + tail)
         self.pivots.insert(idx, piv)
         return True
 
@@ -83,7 +109,8 @@ class Subspace:
         return all(self.contains(r) for r in other.rows)
 
     def sum(self, other) -> "Subspace":
-        out = Subspace(self.p, self.width, self.rows)
+        out = Subspace._from_rref(self.p, self.width, list(self.rows),
+                                  list(self.pivots))
         for r in other.rows:
             out.add(r)
         return out
@@ -241,7 +268,11 @@ class MatrixModel:
         self._kF_solver = self._make_kf_solver()
         # residue coordinates of k_{E_0} over k_F in the theta^b basis
         self._theta_solver = self._make_theta_solver()
-        self._commutant_cache = {}
+        self._commutants = {}      # level -> (M, B_level ∩ A in A/P^M)
+        self._projections = {}     # (level, M) -> projection of the above
+        self._quotients = {}
+        self._windows = {}
+        self._ad_terms_cache = {}  # matrix -> its terms by column and by row
         self._matrix_cache = {}
 
     # -- coefficient coordinate helpers -----------------------------------
@@ -331,7 +362,9 @@ class MatrixModel:
             gamma_ser = tower.monomial(c, Fraction(k, tower.e)) \
                 * (self.pi ** a).inverse() * (tower.pi_F() ** w).inverse()
             (kg, gamma), = gamma_ser.terms
-            assert kg == 0
+            if kg != 0:
+                raise VerificationFailed(
+                    f"residue of a model term has valuation {kg}, not 0")
             coords = self.residue_coords(gamma)
             coeffs = []
             for b2 in range(self.f0):
@@ -343,91 +376,112 @@ class MatrixModel:
 
     # -- quotient coordinates ----------------------------------------------
 
-    def coords_of_quotient(self, M: int):
-        """Coordinate index list for A/P^M: (row, col, w, i)."""
-        coords = []
-        for r in range(self.N):
-            for c in range(self.N):
-                delta = self.block_of(r) - self.block_of(c)
-                w = -(delta // self.e_A)            # ceil(-delta/e_A)
-                while self.e_A * w + delta < M:
-                    for i in range(self.deg_F):
-                        coords.append((r, c, w, i))
-                    w += 1
-        return coords
+    def quotient_context(self, M: int):
+        if M not in self._quotients:
+            self._quotients[M] = _Quotient(self, M)
+        return self._quotients[M]
 
-    def flatten(self, mat: SeriesMatrix, coords, coord_index) -> list:
-        vec = [0] * len(coords)
-        for (r, c), ser in mat.entries.items():
-            delta = self.block_of(r) - self.block_of(c)
+    def window(self, lo: int, hi: int):
+        """Position of each (row, col, w) with block valuation in [lo, hi),
+        deg_F coordinates apart, and the width of the window."""
+        key = (lo, hi)
+        if key not in self._windows:
+            index = {}
+            for r in range(self.N):
+                for c in range(self.N):
+                    delta = self.block_of(r) - self.block_of(c)
+                    w = -(-(lo - delta) // self.e_A)     # ceil
+                    while self.e_A * w + delta < hi:
+                        index[(r, c, w)] = len(index) * self.deg_F
+                        w += 1
+            self._windows[key] = (index, len(index) * self.deg_F)
+        return self._windows[key]
+
+    # -- ad kernels ----------------------------------------------------------
+
+    def _ad_terms(self, g: SeriesMatrix):
+        """Terms of g by column and by row: col -> [(row, w, coords)] and
+        row -> [(col, w, coords)], coords[i] the k_F coordinates of the
+        entry times theta_F^i."""
+        if g in self._ad_terms_cache:
+            return self._ad_terms_cache[g]
+        by_col, by_row = {}, {}
+        for (a, b), ser in g.entries.items():
             for w, coeff in ser.items():
-                if self.e_A * w + delta < 0:
-                    raise NotNested("matrix is not integral for the order")
-                key = (r, c, w)
-                if key not in coord_index:
-                    continue   # beyond the window: quotient by P^M
-                base = coord_index[key]
-                for i, x in enumerate(self.kF_coords(coeff)):
-                    if x % self.p:
-                        vec[base + i] = x % self.p
-        return vec
+                vecs = [self.kF_coords(coeff * basis)
+                        for basis in self._kF_basis]
+                by_col.setdefault(b, []).append((a, w, vecs))
+                by_row.setdefault(a, []).append((b, w, vecs))
+        self._ad_terms_cache[g] = by_col, by_row
+        return by_col, by_row
 
-    def unflatten_basis(self, coord) -> SeriesMatrix:
-        r, c, w, i = coord
-        coeff = self._kF_basis[i]
-        return SeriesMatrix(self, {(r, c): {w: coeff}})
+    def ad_vectors(self, g: SeriesMatrix, coords, lo: int, hi: int):
+        """Coordinates over block valuations [lo, hi) of ad_g(x) = gx - xg
+        for each elementary x = theta_F^i t^w e_rc in coords, as sparse
+        {position: value} dicts (values not yet reduced mod p).
 
-    @staticmethod
-    def coord_index_map(coords):
-        out = {}
-        for pos, (r, c, w, i) in enumerate(coords):
-            if i == 0:
-                out[(r, c, w)] = pos
+        gx has column c equal to column r of g times theta_F^i t^w, and xg
+        has row r equal to row c of g times theta_F^i t^w, so no matrix
+        product is formed.
+        """
+        index, _ = self.window(lo, hi)
+        by_col, by_row = self._ad_terms(g)
+        out = []
+        for r, c, w, i in coords:
+            vec = {}
+            for a, w2, vecs in by_col.get(r, ()):
+                self._ad_accumulate(vec, index, lo, (a, c, w + w2),
+                                    vecs[i], 1)
+            for b, w2, vecs in by_row.get(c, ()):
+                self._ad_accumulate(vec, index, lo, (r, b, w + w2),
+                                    vecs[i], -1)
+            out.append(vec)
         return out
+
+    def _ad_accumulate(self, vec, index, lo, key, coords, sign):
+        base = index.get(key)
+        if base is None:
+            r, c, w = key
+            if self.e_A * w + self.block_of(r) - self.block_of(c) < lo:
+                raise NotNested("entry below the window floor")
+            return          # beyond the window: quotient by P^hi
+        for t, x in enumerate(coords):
+            if x:
+                vec[base + t] = vec.get(base + t, 0) + sign * x
 
     # -- lattice subspaces ---------------------------------------------------
 
-    def quotient_context(self, M: int):
-        coords = self.coords_of_quotient(M)
-        return _Quotient(self, M, coords, self.coord_index_map(coords))
-
     def commutant_in_quotient(self, level: int, quot) -> Subspace:
-        """Image of B_level ∩ A in A/P^M, stabilised over internal slack."""
-        key = (level, quot.M)
-        if key in self._commutant_cache:
-            return self._commutant_cache[key]
+        """Image of B_level ∩ A in A/P^M, stabilised over internal slack.
+
+        Solved once per level at the largest M asked for so far; a smaller
+        M is the projection of that solution.
+        """
+        held = self._commutants.get(level)
+        if held is not None and held[0] >= quot.M:
+            M_held, space = held
+            if M_held == quot.M:
+                return space
+            key = (level, quot.M)
+            if key not in self._projections:
+                self._projections[key] = quot.project(
+                    space.rows, self.quotient_context(M_held))
+            return self._projections[key]
         tower = self.tower
         gens = [tower.monomial(tower.residue_generator(level), 0),
                 tower.uniformizer(level)]
         gen_mats = [self.elt_to_matrix(g.at_level(0)) for g in gens]
         prev = None
         for slack in range(0, 4 * self.e_A + 1, self.e_A):
-            space = self._commutant_once(gen_mats, quot, quot.M + slack)
+            # the generators are integral, so ad(x) is determined mod P^M_big
+            M_big = quot.M + slack
+            space = _kernel_image(self, gen_mats, self.quotient_context(M_big),
+                                  0, M_big, quot)
             if prev is not None and prev == space:
-                self._commutant_cache[key] = space
+                self._commutants[level] = (quot.M, space)
                 return space
             prev = space
         raise PrecisionExhausted("commutant projection did not stabilise")
-
-    def _commutant_once(self, gen_mats, quot, M_big) -> Subspace:
-        # the generators are integral, so ad(x) is determined mod P^{M_big}
-        big = self.quotient_context(M_big)
-        rows = []
-        for coord in big.coords:
-            x = self.unflatten_basis(coord)
-            row = []
-            for g in gen_mats:
-                ad = g.mul(x).sub(x.mul(g))
-                row.extend(_flatten_window(self, ad, 0, M_big))
-            rows.append(row)
-        width = len(rows[0]) if rows else 0
-        matrix = [[rows[j][i] for j in range(len(rows))] for i in range(width)]
-        kernel = nullspace(matrix, len(big.coords), self.p)
-        out = Subspace(self.p, len(quot.coords))
-        for vec in kernel:
-            mat = self._vec_to_matrix(vec, big.coords)
-            out.add(self.flatten(mat, quot.coords, quot.index))
-        return out
 
     def _vec_to_matrix(self, vec, coords) -> SeriesMatrix:
         entries = {}
@@ -444,30 +498,87 @@ class MatrixModel:
 
 
 class _Quotient:
-    __slots__ = ("model", "M", "coords", "index")
+    """A/P^M, laid out as the window [0, M): its coordinates (row, col, w,
+    i), the position of each (row, col, w) and the block valuation of each
+    coordinate."""
 
-    def __init__(self, model, M, coords, index):
+    __slots__ = ("model", "M", "coords", "index", "vals")
+
+    def __init__(self, model, M):
         self.model = model
         self.M = M
-        self.coords = coords
-        self.index = index
+        self.index, _ = model.window(0, M)
+        self.coords = [(r, c, w, i) for r, c, w in self.index
+                       for i in range(model.deg_F)]
+        self.vals = [model.e_A * w + model.block_of(r) - model.block_of(c)
+                     for r, c, w, _ in self.coords]
 
     def radical_power(self, k: int) -> Subspace:
-        out = Subspace(self.model.p, len(self.coords))
-        for pos, (r, c, w, i) in enumerate(self.coords):
-            delta = self.model.block_of(r) - self.model.block_of(c)
-            if self.model.e_A * w + delta >= k:
-                vec = [0] * len(self.coords)
-                vec[pos] = 1
-                out.add(vec)
-        return out
+        n = len(self.coords)
+        pivots = [pos for pos, v in enumerate(self.vals) if v >= k]
+        rows = []
+        for pos in pivots:
+            vec = [0] * n
+            vec[pos] = 1
+            rows.append(vec)
+        return Subspace._from_rref(self.model.p, n, rows, pivots)
+
+    def radical_cut(self, space: Subspace, k: int) -> Subspace:
+        """space ∩ P^k, by row-reducing the rows of space with the
+        coordinates of block valuation below k in front.
+
+        A vector of space is the combination of the RREF rows given by its
+        pivot entries, so rows with a pivot below k cannot take part.  The
+        reduced rows whose pivot falls behind the low coordinates span the
+        intersection and are already its RREF in the original order.
+        """
+        low = [pos for pos, v in enumerate(self.vals) if v < k]
+        if not low:
+            return space
+        order = low + [pos for pos, v in enumerate(self.vals) if v >= k]
+        p, n = self.model.p, len(order)
+        front = Subspace(p, n, [[row[q] for q in order]
+                                for row, piv in zip(space.rows, space.pivots)
+                                if self.vals[piv] >= k])
+        rows, pivots = [], []
+        for row, piv in zip(front.rows, front.pivots):
+            if piv >= len(low):
+                vec = [0] * n
+                for x, q in zip(row, order):
+                    vec[q] = x
+                rows.append(vec)
+                pivots.append(order[piv])
+        return Subspace._from_rref(p, n, rows, pivots)
+
+    def project(self, rows, src: "_Quotient") -> Subspace:
+        """Span in this quotient of the images of rows of the finer
+        quotient src: the coordinates of block valuation >= M drop out."""
+        positions = [src.index[(r, c, w)] + i for r, c, w, i in self.coords]
+        return Subspace(self.model.p, len(positions),
+                        [[row[q] for q in positions] for row in rows])
 
     def order_level(self, level: int, k: int = 0) -> Subspace:
         """Image of P^k ∩ B_level = Q_level^k in this quotient."""
         comm = self.model.commutant_in_quotient(level, self)
         if k <= 0:
             return comm
-        return comm.intersect(self.radical_power(k))
+        return self.radical_cut(comm, k)
+
+
+def _kernel_image(model, mats, big, lo, hi, target) -> Subspace:
+    """Image in target of {x in big : ad_g(x) = 0 on block valuations
+    [lo, hi) for every g in mats}; target must be no finer than big."""
+    p = model.p
+    _, width = model.window(lo, hi)
+    ncols = len(big.coords)
+    rows = [[0] * ncols for _ in range(len(mats) * width)]
+    for n, g in enumerate(mats):
+        off = n * width
+        for j, vec in enumerate(model.ad_vectors(g, big.coords, lo, hi)):
+            for pos, x in vec.items():
+                rows[off + pos][j] = x % p
+    kernel = nullspace([row for row in rows if any(row)], ncols, p)
+    return target.project(kernel, big)
 
 
 class _LinearSolver:
@@ -544,7 +655,8 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
     bp = _b_plus_p_image(model, bmat, res, J)
     k = -n
     while k <= n + 2 * e_A:
-        sol = _nk_image(model, bmat, big, res, k)
+        # x mod P^J with ad_beta(x) in P^k
+        sol = _kernel_image(model, [bmat], big, -n, k, res)
         if bp.contains_space(sol):
             return k - 1 if k > -n else None
         k += 1
@@ -567,81 +679,18 @@ def _lies_in_F(model, bmat):
     return True
 
 
-def _nk_image(model, bmat, big, res, k):
-    """Image in A/P of the solution space of ad_beta(x) in P^k."""
-    shift = bmat.block_val()
-    rows = []
-    for coord in big.coords:
-        x = model.unflatten_basis(coord)
-        ad = bmat.mul(x).sub(x.mul(bmat))
-        # flatten ad over window [shift, k): use quotient at k, coords with
-        # val >= shift are all representable; entries below shift impossible
-        row = _flatten_window(model, ad, shift, k)
-        rows.append(row)
-    width = len(rows[0]) if rows else 0
-    matrix = [[rows[j][i] for j in range(len(rows))] for i in range(width)]
-    kernel = nullspace(matrix, len(big.coords), model.p)
-    out = Subspace(model.p, len(res.coords))
-    for vec in kernel:
-        mat = model._vec_to_matrix(vec, big.coords)
-        out.add(model.flatten(mat, res.coords, res.index))
-    return out
-
-
-def _flatten_window(model, mat, lo, hi):
-    """Coordinates of a matrix over block valuations in [lo, hi)."""
-    coords = []
-    for r in range(model.N):
-        for c in range(model.N):
-            delta = model.block_of(r) - model.block_of(c)
-            w = -(-(lo - delta) // model.e_A)     # ceil
-            while model.e_A * w + delta < hi:
-                coords.append((r, c, w))
-                w += 1
-    index = {key: i * model.deg_F for i, key in enumerate(coords)}
-    vec = [0] * (len(coords) * model.deg_F)
-    for (r, c), ser in mat.entries.items():
-        for w, coeff in ser.items():
-            key = (r, c, w)
-            if key not in index:
-                delta = model.block_of(r) - model.block_of(c)
-                if model.e_A * w + delta < lo:
-                    raise NotNested("entry below the window floor")
-                continue
-            base = index[key]
-            for i, x in enumerate(model.kF_coords(coeff)):
-                vec[base + i] = x % model.p
-    return vec
-
-
 def _b_plus_p_image(model, bmat, res, J):
     """Image of (commutant of beta) + P in A/P, stabilised over slack."""
+    shift = bmat.block_val()
     prev = None
     for slack in range(0, 4 * model.e_A + 1, model.e_A):
         big = model.quotient_context(J + slack)
-        space = _commutant_image(model, bmat, big, res)
+        space = _kernel_image(model, [bmat], big, shift, big.M + shift, res)
         space = space.sum(res.radical_power(1))
         if prev is not None and prev == space:
             return space
         prev = space
     raise PrecisionExhausted("commutant image did not stabilise")
-
-
-def _commutant_image(model, bmat, big, res):
-    shift = bmat.block_val()
-    rows = []
-    for coord in big.coords:
-        x = model.unflatten_basis(coord)
-        ad = bmat.mul(x).sub(x.mul(bmat))
-        rows.append(_flatten_window(model, ad, shift, big.M + shift))
-    width = len(rows[0]) if rows else 0
-    matrix = [[rows[j][i] for j in range(len(rows))] for i in range(width)]
-    kernel = nullspace(matrix, len(big.coords), model.p)
-    out = Subspace(model.p, len(res.coords))
-    for vec in kernel:
-        mat = model._vec_to_matrix(vec, big.coords)
-        out.add(model.flatten(mat, res.coords, res.index))
-    return out
 
 
 def oracle_hj(model: MatrixModel, seq: DefiningSeq):
@@ -658,8 +707,8 @@ def oracle_hj(model: MatrixModel, seq: DefiningSeq):
     for i in range(s - 1, -1, -1):
         r_next = seq.entries[i + 1].r
         b_i = quot.order_level(seq.entries[i].level, 0)
-        h = b_i.sum(h.intersect(quot.radical_power(r_next // 2 + 1)))
-        j = b_i.sum(j.intersect(quot.radical_power((r_next + 1) // 2)))
+        h = b_i.sum(quot.radical_cut(h, r_next // 2 + 1))
+        j = b_i.sum(quot.radical_cut(j, (r_next + 1) // 2))
     return {"h": LatticeHandle(h, M), "j": LatticeHandle(j, M),
             "quotient": quot}
 

@@ -18,12 +18,13 @@ exponents are stored as integers in units of 1/e ("s-exponents").
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     BadChain, BadLevel, NotASubgroup, NotInLevel, NotTame, PrecisionExhausted,
-    RootOfUnityMissing, TowerMismatch, ZeroToPrecision,
+    RootOfUnityMissing, TowerMismatch, VerificationFailed, ZeroToPrecision,
 )
 from .ffq import FqElem, FqField
 
@@ -249,6 +250,18 @@ class Tower:
     def galois_sorted(self, subset=None):
         return sorted(self.group if subset is None else subset,
                       key=GaloisElement.sort_key)
+
+    def with_default_prec(self, prec_k: int) -> "Tower":
+        """The same tower with another default series precision.
+
+        A new object, so a shared (cached) tower is never changed.  The
+        uniformizer cache starts empty because its series point back at
+        their tower; the other caches hold no series and are shared.
+        """
+        out = copy.copy(self)
+        out.default_prec_k = prec_k
+        out._uniformizers = {}
+        return out
 
     def equivalent(self, other) -> bool:
         """Same tower data; deserialized copies interoperate with originals."""
@@ -614,7 +627,9 @@ def ord_and_nu(a: TameSeries, level: int):
         raise NotInLevel(f"element does not lie in level {level}")
     o = a.ord()
     nu = o * tw.level_e(level)
-    assert nu.denominator == 1
+    if nu.denominator != 1:
+        raise VerificationFailed(
+            f"valuation {nu} in level {level} is not integral")
     return o, int(nu)
 
 
@@ -694,7 +709,8 @@ def trace_norm(which: str, a: TameSeries, from_level: int, to_level: int) -> Tam
             out = out * c
     else:
         raise ValueError(f"unknown map {which!r}")
-    assert all(is_fixed_by(out, g) for g in H_j), "result not fixed by target level"
+    if not all(is_fixed_by(out, g) for g in H_j):
+        raise VerificationFailed(f"{which} result not fixed by level {j}")
     return _make_series(tw, j, out._dict(), out.prec_k)
 
 

@@ -365,7 +365,8 @@ def single_index_log(order: OrderDesc, level: int, a: int, b: int) -> int:
     e_B = order.e_B(level)
     deg = tower.level_residue_degree(level)
     num = deg * (b - a) * m_i * m_i
-    assert num % e_B == 0
+    if num % e_B:
+        raise VerificationFailed(f"index exponent {num}/{e_B} is not integral")
     return num // e_B
 
 
@@ -423,9 +424,8 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
 
     hj = oracle_hj(model, bk.seq)
     quot = hj["quotient"]
-    p1 = quot.radical_power(1)
-    j1 = LatticeHandle(hj["j"].space.intersect(p1), hj["j"].M)
-    h1 = LatticeHandle(hj["h"].space.intersect(p1), hj["h"].M)
+    j1 = LatticeHandle(quot.radical_cut(hj["j"].space, 1), hj["j"].M)
+    h1 = LatticeHandle(quot.radical_cut(hj["h"].space, 1), hj["h"].M)
     log_j1h1 = oracle_index(model, j1, h1)
     entries.append(LogIndex("[J1:H1]", log_j1h1, "oracle"))
     if log_j1h1 % 2:

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from . import corpus, minimal, oracle, strata, tame, translate
+from .errors import VerificationFailed
 
 ORD_RANGE = (-6, -1)
 
@@ -133,7 +134,7 @@ def _models_for(data, bound=4):
 def suite_filtration_equalities(use_oracle=True):
     """H1 = Kd+ and J0 = oKd on every corpus datum."""
     data = [(l, bk) for l, bk in corpus.datum_corpus() if bk.kind == "a"]
-    models = _models_for(data, bound=6) if use_oracle else {}
+    models = _models_for(data, bound=oracle._MAX_N) if use_oracle else {}
     cases = failures = 0
     for label, bk in data:
         yu = translate.bk_to_yu(bk)
@@ -169,7 +170,7 @@ def suite_index_identity():
 def suite_character_depth(use_oracle=True):
     """psi_c trivial one step above its depth, nontrivial at it."""
     data = [(l, bk) for l, bk in corpus.datum_corpus() if bk.kind == "a"]
-    models = _models_for(data, bound=6) if use_oracle else {}
+    models = _models_for(data, bound=oracle._MAX_N) if use_oracle else {}
     cases = failures = 0
     for label, bk in data:
         model = models.get(bk.order.key())
@@ -227,7 +228,9 @@ def suite_monomial_group():
             roots = [c for c in tower.residue_subfield(level) if not c.is_zero()]
             e_i = tower.level_e(level)
             unifs = [m for m in monos if m.ord() == Fraction(1, e_i)]
-            assert unifs, "no monomial uniformizer in the window"
+            if not unifs:
+                raise VerificationFailed(
+                    f"no monomial uniformizer of level {level} in the window")
             for pi in unifs:
                 generated = set()
                 for a in range(-6 * e_i, 6 * e_i + 1):

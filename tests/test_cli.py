@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import tamestrata
 from tamestrata import cli, corpus, translate
 
 
@@ -145,10 +147,15 @@ def test_serialization_round_trip_fixtures(tmp_path):
 
 
 def test_entry_point_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(tamestrata.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     out = subprocess.run(
         [sys.executable, "-m", "tamestrata.cli", "sr", "--tower", "desk5",
          "--element", '[[[-1,2],[0,1]]]'],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["payload"]["exponent"] == [-1, 2]
@@ -158,6 +165,30 @@ def test_env_precision_override(monkeypatch):
     monkeypatch.setenv("TAMESTRATA_PREC", "3")
     tower = cli._load_tower(type("A", (), {"tower": "desk5", "prec": None})())
     assert tower.default_prec_k == 6
+    assert tower is not corpus.desk_tower_5()
+    assert corpus.desk_tower_5().default_prec_k == 16
+
+
+def test_precision_override_leaves_builtin_tower():
+    code, doc = run_cli(["sr", "--tower", "desk5", "--prec", "1",
+                         "--element", '[[[-1,2],[0,1]]]'])
+    assert code == 0
+    assert doc["payload"]["exponent"] == [-1, 2]
+    assert corpus.desk_tower_5().default_prec_k == 16
+
+
+def test_precision_must_be_whole_in_s_units(monkeypatch):
+    # desk5 has e = 2: 1/3 * 2 is not an integer, 0 and -1 are not positive
+    for prec in ("1/3", "0", "-1", "x", "1/0"):
+        code, doc = run_cli(["sr", "--tower", "desk5", "--prec", prec,
+                             "--element", '[[[-1,2],[0,1]]]'])
+        assert code == 3, prec
+        assert doc["payload"]["error"] == "BadPrecision"
+    monkeypatch.setenv("TAMESTRATA_PREC", "1/3")
+    code, doc = run_cli(["sr", "--tower", "desk5",
+                         "--element", '[[[-1,2],[0,1]]]'])
+    assert code == 3 and doc["payload"]["error"] == "BadPrecision"
+    assert corpus.desk_tower_5().default_prec_k == 16
 
 
 def test_verify_single_suite():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamestrata import corpus, oracle, strata, translate
+from tamestrata import corpus, oracle, strata, tame, translate
 from tamestrata.errors import NotNested, TooLarge
 from tamestrata.oracle import LatticeHandle, Subspace
 
@@ -158,3 +158,98 @@ def test_block_model_with_m0_two(desk):
     assert oracle.oracle_nu(model8, desk.monomial(w, -1)) == -2
     beta = desk.series(0, [(-1, w), (Fraction(-1, 2), 1)])
     assert oracle.oracle_k0(model8, beta) == strata.k0_closed(order8, beta) == -1
+
+
+# -- the direct routes against their references ------------------------------
+
+def _equivalence_model(name):
+    if name == "std3e2f1":
+        tower = next(t for t in corpus.standard_towers()
+                     if (t.base.p, t.e, t.f) == (3, 2, 1))
+        N = 2
+    elif name == "q9e2f2":
+        # k_F = F_9, so each matrix entry has two F_p coordinates
+        tower, N = tame.make_tower(3, 2, 2, base_f=2), 4
+    else:
+        tower, N = corpus.named_tower(name), {"desk5": 4, "desk2": 6}[name]
+    return oracle.model_build(strata.make_order(tower, N))
+
+
+EQUIVALENCE_ORDERS = ("std3e2f1", "desk5", "desk2", "q9e2f2")
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_radical_cut_equals_intersection(name):
+    model = _equivalence_model(name)
+    quot = model.quotient_context(2 * model.e_A + 1)
+    for level in range(model.tower.d + 1):
+        comm = quot.order_level(level, 0)
+        for k in range(quot.M + 1):
+            cut = quot.radical_cut(comm, k)
+            assert cut == comm.intersect(quot.radical_power(k)), (level, k)
+            assert cut.pivots == sorted(cut.pivots)
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_projected_commutant_equals_fresh_solve(name):
+    model = _equivalence_model(name)
+    M_max = 2 * model.e_A + 1
+    levels = range(model.tower.d + 1)
+    for level in levels:
+        model.commutant_in_quotient(level, model.quotient_context(M_max))
+    for M in range(1, M_max):
+        fresh = _equivalence_model(name)
+        for level in levels:
+            projected = model.commutant_in_quotient(
+                level, model.quotient_context(M))
+            solved = fresh.commutant_in_quotient(
+                level, fresh.quotient_context(M))
+            assert projected == solved, (level, M)
+            _assert_commutes_mod(model, level, projected, M)
+    assert all(model._commutants[level][0] == M_max for level in levels)
+
+
+def _assert_commutes_mod(model, level, space, M):
+    # each row truncates an element of B_level, and the generators are
+    # integral, so the row commutes with them modulo P^M
+    tower = model.tower
+    gens = [tower.monomial(tower.residue_generator(level), 0),
+            tower.uniformizer(level)]
+    coords = model.quotient_context(M).coords
+    for row in space.rows:
+        x = model._vec_to_matrix(row, coords)
+        for g in gens:
+            g = model.elt_to_matrix(g.at_level(0))
+            ad = g.mul(x).sub(x.mul(g))
+            assert ad.block_val() is None or ad.block_val() >= M
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_direct_ad_equals_matrix_products(name):
+    model = _equivalence_model(name)
+    tower = model.tower
+    quot = model.quotient_context(model.e_A + 1)
+    elements = [tower.uniformizer(0) ** -1]
+    for level in range(tower.d + 1):
+        elements += [tower.monomial(tower.residue_generator(level), 0),
+                     tower.uniformizer(level)]
+    for x in elements:
+        g = model.elt_to_matrix(x.at_level(0))
+        lo = min(0, g.block_val())
+        hi = lo + quot.M
+        index, width = model.window(lo, hi)
+        direct = model.ad_vectors(g, quot.coords, lo, hi)
+        for (r, c, w, i), vec in zip(quot.coords, direct):
+            e = oracle.SeriesMatrix(model, {(r, c): {w: model._kF_basis[i]}})
+            ad = g.mul(e).sub(e.mul(g))
+            want = [0] * width
+            for (a, b), ser in ad.entries.items():
+                for w2, coeff in ser.items():
+                    if (a, b, w2) in index:
+                        base = index[(a, b, w2)]
+                        for t, y in enumerate(model.kF_coords(coeff)):
+                            want[base + t] = y % model.p
+            got = [0] * width
+            for pos, y in vec.items():
+                got[pos] = y % model.p
+            assert got == want, (x, (r, c, w, i))
