@@ -9,9 +9,10 @@ pure Python integer arithmetic; nothing here is approximate.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import (
     BadDegree, DivisionByZero, FieldMismatch, NotPrime, ReducibleModulus,
-    VerificationFailed,
 )
 
 
@@ -196,7 +197,7 @@ class FqField:
     only used for construction and for additive operations.
     """
 
-    __slots__ = ("p", "f", "modulus", "_log", "_exp")
+    __slots__ = ("p", "f", "modulus", "_log", "_exp", "_hash")
 
     def __init__(self, p: int, f: int, modulus=None):
         if not is_prime(p):
@@ -215,6 +216,7 @@ class FqField:
         self.modulus = tuple(modulus)
         self._log = None
         self._exp = None
+        self._hash = hash((p, f, self.modulus))
 
     def _tables(self):
         if self._log is None:
@@ -252,6 +254,10 @@ class FqField:
             coeffs = coeffs + [0] * (self.f - len(coeffs))
         return FqElem(self, tuple(coeffs))
 
+    def from_log(self, i: int) -> "FqElem":
+        """The element g^i for the generator g of the log tables."""
+        return FqElem(self, self._tables()[1][i % (self.order - 1)])
+
     def zero(self) -> "FqElem":
         return self.elem(0)
 
@@ -287,11 +293,12 @@ class FqField:
         return [a for a in self.elements() if a ** q == a]
 
     def __eq__(self, other):
-        return (isinstance(other, FqField) and self.p == other.p
-                and self.f == other.f and self.modulus == other.modulus)
+        return self is other or (
+            isinstance(other, FqField) and self.p == other.p
+            and self.f == other.f and self.modulus == other.modulus)
 
     def __hash__(self):
-        return hash((self.p, self.f, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FqField({self.p}, {self.f})"
@@ -372,28 +379,33 @@ class FqElem:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def log(self) -> int:
+        """Discrete log to the generator of the field's log tables."""
+        if not any(self.coeffs):
+            raise DivisionByZero("zero has no discrete log")
+        return self.field._tables()[0][self.coeffs]
+
     def multiplicative_order(self) -> int:
         if self.is_zero():
             raise DivisionByZero("zero has no multiplicative order")
         n = self.field.order - 1
-        primes = []
-        m, d = n, 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.append(m)
-        order = n
-        one = self.field.one()
-        for ell in primes:
-            while order % ell == 0 and self ** (order // ell) == one:
-                order //= ell
-        if self ** order != one:
-            raise VerificationFailed(f"{self!r} ** {order} is not one")
-        return order
+        return n // gcd(self.log(), n)
+
+    def orbit_size(self, base_degree: int = 1) -> int:
+        """Size of the Frobenius orbit over the degree-base_degree subfield.
+
+        The least m >= 1 with a^(q^m) = a, q = p^base_degree; a generates
+        the field over that subfield iff this is f / base_degree.
+        """
+        if self.field.f % base_degree:
+            raise BadDegree(f"{base_degree} does not divide {self.field.f}")
+        if self.is_zero():
+            return 1
+        order, q = self.multiplicative_order(), self.field.p ** base_degree
+        m = 1
+        while pow(q, m, order) != 1 % order:
+            m += 1
+        return m
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -406,47 +418,3 @@ class FqElem:
 
     def __repr__(self):
         return f"Fq{self.field.order}{list(self.coeffs)}"
-
-
-# ---------------------------------------------------------------------------
-# operation names used by the wire format and the CLI
-# ---------------------------------------------------------------------------
-
-def ff_make_field(p: int, f: int, modulus=None) -> FqField:
-    return FqField(p, f, modulus)
-
-
-def ff_arith(op: str, a: FqElem, b=None) -> FqElem:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def ff_frobenius(a: FqElem, base_degree: int, k: int = 1) -> FqElem:
-    return a.frobenius(base_degree, k)
-
-
-def ff_generates(a: FqElem, base_degree: int) -> bool:
-    """True iff a generates the field over its degree-base_degree subfield.
-
-    Equivalently the Frobenius orbit of a over that subfield is as large as
-    the relative degree.
-    """
-    f = a.field.f
-    if f % base_degree:
-        raise BadDegree(f"{base_degree} does not divide {f}")
-    rel = f // base_degree
-    orbit = 1
-    b = a.frobenius(base_degree, 1)
-    while b != a:
-        orbit += 1
-        b = b.frobenius(base_degree, 1)
-    return orbit == rel

@@ -50,10 +50,6 @@ class Ge1Report:
     passed: bool
 
 
-def _coset_reps(tower: Tower, H_small, H_big):
-    return tower.coset_reps(H_small, H_big)
-
-
 def is_minimal(c: TameSeries, upper: int, lower: int) -> MinimalityReport:
     """Decide minimality of c relative to E_upper/E_lower by all routes."""
     tw = c.tower
@@ -98,14 +94,14 @@ def _routes(tw: Tower, c: TameSeries, H_low, H_up, lower_level=None) -> Minimali
         raise VerificationFailed(f"unit part has order {x.ord()}, not 0")
     residue = x.leading()[1]
     deg_klow = tw.base.f * f_low
-    cond_residue = _orbit_size(residue, deg_klow) == f_rel
+    cond_residue = residue.orbit_size(deg_klow) == f_rel
 
     k0, c0 = c.leading()
     sr_series = tw.monomial(c0, Fraction(k0, tw.e))
     via_sr = (stabilizer_within(sr_series, H_low) & H_low) == H_up
 
     via_galois = True
-    reps = _coset_reps(tw, H_up, H_low)
+    reps = tw.coset_reps(H_up, H_low)
     for a in range(len(reps)):
         for b in range(a + 1, len(reps)):
             diff = c.apply(reps[a]) - c.apply(reps[b])
@@ -138,15 +134,6 @@ def _uniformizer_for(tw: Tower, H_low, lower_level):
         if all(ser.term_fixed_by(m, cand, g) for g in H_low):
             return ser
     raise AssertionError("no monomial uniformizer for subgroup")
-
-
-def _orbit_size(a, base_degree: int) -> int:
-    orbit = 1
-    b = a.frobenius(base_degree, 1) if base_degree else a
-    while b != a:
-        orbit += 1
-        b = b.frobenius(base_degree, 1)
-    return orbit
 
 
 def minimal_over(c: TameSeries, H_low) -> bool:
@@ -182,8 +169,8 @@ def ge1_check(c: TameSeries, level_i: int, level_iplus1: int) -> Ge1Report:
     H_i, H_i1 = tw.chain[i], tw.chain[i1]
     pairs = []
     passed = True
-    outer = _coset_reps(tw, H_i1, tw.group)
-    inner = _coset_reps(tw, H_i, H_i1)
+    outer = tw.coset_reps(H_i1, tw.group)
+    inner = tw.coset_reps(H_i, H_i1)
     for g0 in outer:
         sector = [tw.compose(g0, h) for h in inner]
         for a in range(len(sector)):

@@ -209,22 +209,6 @@ class SeriesMatrix:
                 best = v if best is None or v < best else best
         return best
 
-    def trace_min_ord(self):
-        """Min t-valuation of the trace, or None if the trace vanishes."""
-        acc = {}
-        for i in range(self.model.N):
-            ser = self.entries.get((i, i))
-            if not ser:
-                continue
-            for w, c in ser.items():
-                v = acc.get(w)
-                v = c if v is None else v + c
-                if v.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = v
-        return min(acc) if acc else None
-
 
 def _clean(entries):
     return {k: v for k, v in entries.items() if v}
@@ -737,7 +721,11 @@ def oracle_table_lattice(model: MatrixModel, factors, M: int) -> LatticeHandle:
 
 def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
                                level: int, exponent: int):
-    """Min ord over F of Tr(c * Q_level^exponent), by spanning probes."""
+    """Min ord over F of Tr(c * Q_level^exponent), by spanning probes.
+
+    Tr(c X) = sum_ab c_ab X_ba is summed from the entries of c and of each
+    probe X directly; no matrix product is formed.
+    """
     cmat = model.elt_to_matrix(c.at_level(0))
     nu_c = cmat.block_val()
     M = exponent + abs(nu_c) + 3 * model.e_A
@@ -745,8 +733,16 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
     sub = quot.order_level(level, exponent)
     best = None
     for row in sub.rows:
-        mat = model._vec_to_matrix(row, quot.coords)
-        tr = cmat.mul(mat).trace_min_ord()
+        acc = {}
+        for x, (r, col, w, i) in zip(row, quot.coords):
+            ser = cmat.entries.get((col, r))
+            if x % model.p == 0 or not ser:
+                continue
+            scale = model._kF_basis[i] * x
+            for w2, c2 in ser.items():
+                key, v = w + w2, c2 * scale
+                acc[key] = acc[key] + v if key in acc else v
+        tr = min((w for w, v in acc.items() if not v.is_zero()), default=None)
         if tr is not None and (best is None or tr < best):
             best = tr
     tail_bound = -(-(M + nu_c) // model.e_A)

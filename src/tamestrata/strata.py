@@ -110,17 +110,13 @@ def k0_closed(order: OrderDesc, beta: TameSeries) -> Optional[int]:
     tw = order.tower
     if beta.is_zero_to_prec() or beta.in_level(tw.d):
         result = None
-    elif _minimal_over_F(tw, beta):
+    elif minimal_over(beta, tw.group):
         result = nu_A(order, beta)
     else:
         blocks = decompose_split_form(order, beta)
         result = nu_A(order, blocks[0][1])
     _K0_CACHE[key] = result
     return result
-
-
-def _minimal_over_F(tw: Tower, beta: TameSeries) -> bool:
-    return minimal_over(beta, tw.group)
 
 
 def stratum_classify(st: Stratum) -> str:
@@ -302,7 +298,7 @@ def verify_defining_sequence(seq: DefiningSeq) -> VerifyReport:
             beta_s = entries[s].beta
             if beta_s.in_level(tw.d):
                 return None
-            if _minimal_over_F(tw, beta_s):
+            if minimal_over(beta_s, tw.group):
                 return nu_A(order, beta_s)
             return 0  # forces failure of (a)/(e)
         return -entries[i + 1].r

@@ -14,6 +14,18 @@ list plus a precision bound is always exact information, never a float.
 
 Valuations are normalised so ord(t) = 1, hence ord(s) = 1/e.  Internally
 exponents are stored as integers in units of 1/e ("s-exponents").
+
+In discrete logs (n = |k_L^x|, b = [k_F : F_p]) g acts on a term by one
+affine map mod n, tabulated once per tower:
+
+    log c  ->  mult_g * log c + k * log u        mult_g = p^(b*j) mod n
+
+so g fixes c * s^k iff (mult_g - 1) * log c + k * log u = 0 (mod n), and
+fixedness, levels and stabilisers are integer congruences.  apply tags
+g(a), a in E_level, with the largest i such that H_i <= g H_level g^-1
+(g(a) is fixed by that conjugate, so it lies in E_i): possibly deeper than
+the natural level, always sound.  If no H_i fits (a non-normal H_0),
+apply falls back to natural_level.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     BadChain, BadLevel, NotASubgroup, NotInLevel, NotTame, PrecisionExhausted,
@@ -74,12 +87,13 @@ class Tower:
         self.zeta = spec.zeta
         self.q = base.order
         self.spec = spec
-        self.group = self._build_group()
+        self.group = _build_group(base, self.e, self.f, k, self.zeta)
         self.identity = GaloisElement(0, k.one())
         self.inertia = frozenset(g for g in self.group if g.frob_power == 0)
         self.chain = self._validate_chain(spec.levels)
         self.d = len(self.chain) - 1
         self._level_data = [self._level_invariants(H) for H in self.chain]
+        self._build_action()
         # default series precision, in s-exponent units
         self.default_prec_k = max(8, 4 * self.e) * self.e
         self._uniformizers = {}
@@ -89,20 +103,15 @@ class Tower:
 
     # -- group construction ---------------------------------------------
 
-    def _frob(self, a: FqElem, j: int) -> FqElem:
-        return a.frobenius(self.base.f, j)
-
-    def _build_group(self):
-        return _build_group(self.base, self.e, self.f, self.k, self.zeta)
-
     def compose(self, g: GaloisElement, h: GaloisElement) -> GaloisElement:
         """g after h."""
         j = (g.frob_power + h.frob_power) % self.f
-        return GaloisElement(j, g.twist * self._frob(h.twist, g.frob_power))
+        return GaloisElement(
+            j, g.twist * h.twist.frobenius(self.base.f, g.frob_power))
 
     def invert(self, g: GaloisElement) -> GaloisElement:
         j = (-g.frob_power) % self.f
-        return GaloisElement(j, self._frob(g.twist.inverse(), j))
+        return GaloisElement(j, g.twist.inverse().frobenius(self.base.f, j))
 
     def is_subgroup(self, subset) -> bool:
         s = frozenset(subset)
@@ -135,6 +144,42 @@ class Tower:
         if chain[-1] != self.group:
             raise BadChain("last subgroup must be the full Galois group")
         return chain
+
+    def _build_action(self):
+        """Tabulate the action on discrete logs (see the module docstring).
+
+        Each g is handled as its pair (mult_g, log u_g), which determines
+        it.  _level_action[i] holds the pairs of the non-identity elements
+        of H_i; _image_level[pair][i] is the level tag of g applied to an
+        element of E_i, or None.  Never mutated, so towers derived by
+        with_default_prec share them.
+        """
+        n = self._n = self.k.order - 1
+        self._mults = tuple(pow(self.base.p, self.base.f * j, n)
+                            for j in range(self.f))
+        self._identity_action = self.action(self.identity)
+        chain = [frozenset(map(self.action, H)) for H in self.chain]
+        self._level_action = tuple(tuple(H - {self._identity_action})
+                                   for H in chain)
+
+        def compose(a, b):          # a after b
+            return a[0] * b[0] % n, (a[1] + a[0] * b[1]) % n
+
+        image = {}
+        for x in chain[-1]:
+            m_inv = pow(x[0], self.f - 1, n)        # mult_g^f = 1 (mod n)
+            x_inv = (m_inv, -m_inv * x[1] % n)
+            tags = []
+            for H in chain:
+                conj = {compose(compose(x, h), x_inv) for h in H}
+                tags.append(next((i for i in range(self.d, -1, -1)
+                                  if chain[i] <= conj), None))
+            image[x] = tuple(tags)
+        self._image_level = MappingProxyType(image)
+
+    def action(self, g: GaloisElement):
+        """(mult_g, log u_g): g maps log c in c*s^k to mult_g*log c + k*log u_g."""
+        return self._mults[g.frob_power % self.f], g.twist.log()
 
     def _level_invariants(self, H):
         ram = len(H & self.inertia)
@@ -177,7 +222,7 @@ class Tower:
         if i not in self._theta_cache:
             deg = self.level_residue_degree(i)
             for a in self.residue_subfield(i):
-                if not a.is_zero() and _fp_degree(a) == deg:
+                if not a.is_zero() and a.orbit_size() == deg:
                     self._theta_cache[i] = a
                     break
             else:
@@ -236,11 +281,10 @@ class Tower:
         i = self.check_level(i)
         if i not in self._uniformizers:
             m = self.e // self.level_e(i)
-            H = self.chain[i]
             for c in self.k.elements():
                 if c.is_zero():
                     continue
-                if all((self._frob(c, g.frob_power) * g.twist ** m) == c for g in H):
+                if _fixes(self._level_action[i], self._n, ((m, c.log()),)):
                     self._uniformizers[i] = _make_series(self, i, {m: c}, None)
                     break
             else:
@@ -256,7 +300,8 @@ class Tower:
 
         A new object, so a shared (cached) tower is never changed.  The
         uniformizer cache starts empty because its series point back at
-        their tower; the other caches hold no series and are shared.
+        their tower; the other caches and the action tables hold no series
+        and are shared.
         """
         out = copy.copy(self)
         out.default_prec_k = prec_k
@@ -285,14 +330,14 @@ class Tower:
                 f"levels={[self.level_degree(i) for i in range(self.d + 1)]})")
 
 
-def _fp_degree(a: FqElem) -> int:
-    """Degree of F_p(a) over F_p (Frobenius orbit size)."""
-    orbit = 1
-    b = a.frobenius(1, 1)
-    while b != a:
-        orbit += 1
-        b = b.frobenius(1, 1)
-    return orbit
+def _fixes(pairs, n, logs) -> bool:
+    """True iff every (mult, log u) in pairs fixes every term c*s^k,
+    given as (k, log c) in logs."""
+    for k, lc in logs:
+        for mult, lu in pairs:
+            if ((mult - 1) * lc + k * lu) % n:
+                return False
+    return True
 
 
 def _to_int(x: Fraction, what: str) -> int:
@@ -401,8 +446,11 @@ class TameSeries:
             return other
         if isinstance(other, (int, FqElem)):
             c = self.tower.k.elem(other)
-            return _make_series(self.tower, self.tower.d,
-                                {} if c.is_zero() else {0: c}, None)
+            const = _make_series(self.tower, self.tower.d,
+                                 {} if c.is_zero() else {0: c}, None)
+            if not const.in_level(self.tower.d):     # c outside k_F
+                const.level = const.natural_level()
+            return const
         return NotImplemented
 
     def __add__(self, other):
@@ -522,23 +570,36 @@ class TameSeries:
 
     def apply(self, g: GaloisElement) -> "TameSeries":
         tw = self.tower
-        acc = {}
-        for k, c in self.terms:
-            acc[k] = tw._frob(c, g.frob_power) * g.twist ** k
-        out = _make_series(tw, 0, acc, self.prec_k)
-        return _make_series(tw, out.natural_level(), acc, self.prec_k)
+        act = tw.action(g)
+        mult, lu = act
+        k_L = tw.k
+        # g keeps each exponent and maps units to units: terms stay sorted
+        terms = tuple((k, k_L.from_log(mult * c.log() + k * lu))
+                      for k, c in self.terms)
+        tags = tw._image_level.get(act)
+        level = None if tags is None else tags[self.level]
+        out = TameSeries(tw, level, terms, self.prec_k)
+        if level is None:
+            out.level = out.natural_level()
+        return out
 
     def term_fixed_by(self, k, c, g) -> bool:
         tw = self.tower
-        return (tw._frob(c, g.frob_power) * g.twist ** k) == c
+        return c.is_zero() or _fixes((tw.action(g),), tw._n, ((k, c.log()),))
+
+    def _logs(self):
+        return [(k, c.log()) for k, c in self.terms]
 
     def in_level(self, i) -> bool:
-        H = self.tower.chain[self.tower.check_level(i)]
-        return all(self.term_fixed_by(k, c, g) for k, c in self.terms for g in H)
+        tw = self.tower
+        pairs = tw._level_action[tw.check_level(i)]
+        return not pairs or _fixes(pairs, tw._n, self._logs())
 
     def natural_level(self) -> int:
-        for i in range(self.tower.d, -1, -1):
-            if self.in_level(i):
+        tw = self.tower
+        logs = self._logs()
+        for i in range(tw.d, -1, -1):
+            if _fixes(tw._level_action[i], tw._n, logs):
                 return i
         raise NotInLevel("series lies in no chain level")
 
@@ -549,11 +610,12 @@ class TameSeries:
         return _make_series(self.tower, i, self._dict(), self.prec_k)
 
     def __eq__(self, other):
-        return (isinstance(other, TameSeries) and self.tower is other.tower
+        return (isinstance(other, TameSeries)
+                and self.tower.equivalent(other.tower)
                 and self.terms == other.terms and self.prec_k == other.prec_k)
 
     def __hash__(self):
-        return hash((id(self.tower), self.terms, self.prec_k))
+        return hash((self.terms, self.prec_k))
 
     def __repr__(self):
         if not self.terms:
@@ -590,31 +652,18 @@ def series_equal(a: TameSeries, b: TameSeries) -> bool:
         return False
     if d.prec_k is None:
         return True
-    raise PrecisionExhausted(
-        f"difference vanishes below precision s^{Fraction(d.prec_k, a.tower.e)}")
+    raise _vanishes_below(d)
+
+
+def _vanishes_below(d: TameSeries) -> PrecisionExhausted:
+    return PrecisionExhausted(
+        f"difference vanishes below precision s^{Fraction(d.prec_k, d.tower.e)}")
 
 
 def is_fixed_by(a: TameSeries, g: GaloisElement) -> bool:
     """Termwise fixedness; exact, never precision-limited."""
-    return all(a.term_fixed_by(k, c, g) for k, c in a.terms)
-
-
-# ---------------------------------------------------------------------------
-# named operations
-# ---------------------------------------------------------------------------
-
-def series_arith(op: str, a: TameSeries, b: TameSeries = None) -> TameSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown operation {op!r}")
+    tw = a.tower
+    return _fixes((tw.action(g),), tw._n, a._logs())
 
 
 def ord_and_nu(a: TameSeries, level: int):
@@ -631,15 +680,6 @@ def ord_and_nu(a: TameSeries, level: int):
         raise VerificationFailed(
             f"valuation {nu} in level {level} is not integral")
     return o, int(nu)
-
-
-def galois_elements(tower: Tower, fix_level: int):
-    """All automorphisms of L fixing E_fix_level, i.e. the subgroup H_i."""
-    return tower.galois_sorted(tower.chain[tower.check_level(fix_level)])
-
-
-def galois_apply(g: GaloisElement, a: TameSeries) -> TameSeries:
-    return a.apply(g)
 
 
 def stabilizer_field(a: TameSeries):
@@ -660,11 +700,23 @@ def stabilizer_field(a: TameSeries):
 
 
 def stabilizer_within(a: TameSeries, H) -> frozenset:
-    identity = a.tower.identity
+    """The g in H with g(a) = a, decided termwise by the log congruence.
+
+    A non-identity g fixing every visible term of a truncated a makes
+    g(a) - a vanish to precision only, so this raises PrecisionExhausted
+    as series_equal(a.apply(g), a) does.
+    """
+    tw = a.tower
+    logs = a._logs()
     out = set()
     for g in H:
-        if g == identity or series_equal(a.apply(g), a):
-            out.add(g)
+        act = tw.action(g)
+        if act != tw._identity_action:
+            if not _fixes((act,), tw._n, logs):
+                continue
+            if a.prec_k is not None:
+                raise _vanishes_below(a)
+        out.add(g)
     return frozenset(out)
 
 
@@ -721,15 +773,13 @@ def monomials_in_level(tower: Tower, level: int, ord_lo, ord_hi):
     lo, hi = Fraction(ord_lo) * tower.e, Fraction(ord_hi) * tower.e
     k_lo = -((-lo.numerator) // lo.denominator)
     k_hi = hi.numerator // hi.denominator
-    H = tower.chain[level]
+    pairs = tower._level_action[level]
+    units = [(c, c.log()) for c in tower.k.elements() if not c.is_zero()]
     out = []
     for k in range(k_lo, k_hi + 1):
         if k % m:
             continue
-        for c in tower.k.elements():
-            if c.is_zero():
-                continue
-            ser = _make_series(tower, level, {k: c}, None)
-            if all(ser.term_fixed_by(k, c, g) for g in H):
-                out.append(ser)
+        for c, lc in units:
+            if _fixes(pairs, tower._n, ((k, lc),)):
+                out.append(_make_series(tower, level, {k: c}, None))
     return out

@@ -8,11 +8,11 @@ from tamestrata.errors import (
 
 @pytest.fixture
 def F25():
-    return ffq.ff_make_field(5, 2, [2, 4, 1])   # x^2 - x - 3
+    return ffq.FqField(5, 2, [2, 4, 1])   # x^2 - x - 3
 
 
 def test_make_prime_field():
-    F5 = ffq.ff_make_field(5, 1, [0, 1])
+    F5 = ffq.FqField(5, 1, [0, 1])
     assert F5.order == 5
     assert F5.elem(7) == F5.elem(2)
 
@@ -21,37 +21,40 @@ def test_make_field_validates_modulus(F25):
     w = F25.gen()
     assert w * w == w + 3
     with pytest.raises(ReducibleModulus):
-        ffq.ff_make_field(5, 2, [4, 0, 1])      # x^2 - 1 = (x-1)(x+1)
+        ffq.FqField(5, 2, [4, 0, 1])      # x^2 - 1 = (x-1)(x+1)
     with pytest.raises(NotPrime):
-        ffq.ff_make_field(6, 1, [0, 1])
+        ffq.FqField(6, 1, [0, 1])
 
 
 def test_arith(F25):
     w = F25.gen()
-    assert ffq.ff_arith("add", w, -w) == F25.zero()
-    assert ffq.ff_arith("mul", w, w) == w + 3
-    assert ffq.ff_arith("pow", w, 24) == F25.one()
-    assert ffq.ff_arith("inv", w) * w == F25.one()
+    assert w + (-w) == F25.zero()
+    assert w * w == w + 3
+    assert w ** 24 == F25.one()
+    assert w.inverse() * w == F25.one()
     with pytest.raises(DivisionByZero):
-        ffq.ff_arith("inv", F25.zero())
+        F25.zero().inverse()
     with pytest.raises(FieldMismatch):
-        w + ffq.ff_make_field(3, 1).one()
+        w + ffq.FqField(3, 1).one()
 
 
 def test_frobenius(F25):
     w = F25.gen()
-    assert ffq.ff_frobenius(w, 1, 1) == w ** 5
-    assert ffq.ff_frobenius(w, 1, 2) == w
-    assert ffq.ff_frobenius(F25.elem(3), 1, 1) == F25.elem(3)
+    assert w.frobenius(1, 1) == w ** 5
+    assert w.frobenius(1, 2) == w
+    assert F25.elem(3).frobenius(1, 1) == F25.elem(3)
     with pytest.raises(BadDegree):
-        ffq.ff_frobenius(w, 3, 1)
+        w.frobenius(3, 1)
 
 
 def test_generates(F25):
     w = F25.gen()
-    assert ffq.ff_generates(w, 1)
-    assert not ffq.ff_generates(F25.one(), 1)
-    assert ffq.ff_generates(w * w, 1)           # w + 3: orbit size 2
+    assert w.orbit_size(1) == 2
+    assert F25.one().orbit_size(1) == 1
+    assert (w * w).orbit_size(1) == 2           # w + 3: orbit size 2
+    assert F25.zero().orbit_size(1) == 1
+    with pytest.raises(BadDegree):
+        w.orbit_size(3)
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (5, 1), (2, 4)])
@@ -104,12 +107,13 @@ def _rank(rows, p):
 
 @pytest.mark.parametrize("p,f", [(5, 2), (3, 3), (2, 4)])
 def test_generates_matches_minimal_polynomial(p, f):
-    # F_25, F_27, F_16: ff_generates agrees with minimal-polynomial degree
+    # F_25, F_27, F_16: the Frobenius orbit size over F_p is the degree of
+    # the minimal polynomial, so a generates iff it equals f
     field = ffq.FqField(p, f)
     for a in field.elements():
         if a.is_zero():
             continue
-        assert ffq.ff_generates(a, 1) == (_min_poly_degree(a) == f)
+        assert a.orbit_size(1) == _min_poly_degree(a)
 
 
 def test_default_modulus_deterministic():
@@ -117,3 +121,33 @@ def test_default_modulus_deterministic():
     m = ffq.default_modulus(2, 11)      # p^f <= 3125 range
     f = ffq.FqField(2, 11, m)
     assert f.order == 2048
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 2), (5, 2), (2, 6)])
+def test_order_and_orbit_match_repeated_arithmetic(p, f):
+    # references: the first power that is one, the first Frobenius power
+    # over the degree-b subfield that returns to the element
+    field = ffq.FqField(p, f)
+    one = field.one()
+    for a in field.elements():
+        if a.is_zero():
+            with pytest.raises(DivisionByZero):
+                a.multiplicative_order()
+            continue
+        order, x = 1, a
+        while x != one:
+            order, x = order + 1, x * a
+        assert a.multiplicative_order() == order
+        assert field.from_log(a.log()) == a
+        for b in (d for d in range(1, f + 1) if f % d == 0):
+            orbit, y = 1, a.frobenius(b, 1)
+            while y != a:
+                orbit, y = orbit + 1, y.frobenius(b, 1)
+            assert a.orbit_size(b) == orbit
+
+
+def test_field_equality_and_hash_are_structural():
+    a, b = ffq.FqField(5, 2), ffq.FqField(5, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ffq.FqField(5, 2, [3, 0, 1]) and a != ffq.FqField(5, 1)
+    assert hash(a.gen()) == hash(b.gen())

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tamestrata import corpus, oracle, strata, tame, translate
-from tamestrata.errors import NotNested, TooLarge
+from tamestrata.errors import NotNested, PrecisionExhausted, TooLarge
 from tamestrata.oracle import LatticeHandle, Subspace
 
 
@@ -253,3 +253,47 @@ def test_direct_ad_equals_matrix_products(name):
             for pos, y in vec.items():
                 got[pos] = y % model.p
             assert got == want, (x, (r, c, w, i))
+
+
+def _char_module_min_ord_by_products(model, c, level, exponent):
+    # reference: the full product c * X for each probe X, then its trace
+    cmat = model.elt_to_matrix(c.at_level(0))
+    nu_c = cmat.block_val()
+    M = exponent + abs(nu_c) + 3 * model.e_A
+    quot = model.quotient_context(M)
+    best = None
+    for row in quot.order_level(level, exponent).rows:
+        prod = cmat.mul(model._vec_to_matrix(row, quot.coords))
+        trace = {}
+        for i in range(model.N):
+            for w, x in prod.entries.get((i, i), {}).items():
+                trace[w] = trace[w] + x if w in trace else x
+        tr = min((w for w, x in trace.items() if not x.is_zero()), default=None)
+        if tr is not None and (best is None or tr < best):
+            best = tr
+    if best is None or best >= -(-(M + nu_c) // model.e_A):
+        return PrecisionExhausted
+    return best
+
+
+@pytest.mark.parametrize("name", ["std3e2f1", "desk5"])
+def test_char_module_min_ord_equals_product_route(name):
+    model = _equivalence_model(name)
+    tower, order = model.tower, model.order
+    for level in range(tower.d + 1):
+        pi = tower.uniformizer(level)
+        theta = tower.monomial(tower.residue_generator(level), 0, level=level)
+        for c in (pi.inverse(), theta * pi ** -2 + pi.inverse()):
+            for step in (0, 1):
+                exponent = -strata.nu_A(order, c) + step
+                try:
+                    got = oracle.oracle_char_module_min_ord(
+                        model, c, level, exponent)
+                except PrecisionExhausted:
+                    got = PrecisionExhausted
+                want = _char_module_min_ord_by_products(
+                    model, c, level, exponent)
+                assert got == want, (level, c, step)
+                if got is not PrecisionExhausted:
+                    assert got == translate.char_module_valuation(
+                        c, (level, exponent), order)
