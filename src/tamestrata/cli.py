@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 verification failure, 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,7 +179,13 @@ def _payload(doc, kind):
 # human rendering
 # ---------------------------------------------------------------------------
 
-def _human_series(tower, payload) -> str:
+def _is_series(obj) -> bool:
+    return isinstance(obj, dict) and "terms" in obj
+
+
+def _human_series(payload) -> str:
+    """(c)*s^e terms, w the residue-field generator, then O(s^prec) and
+    the level tag @E_level when the payload has them."""
     bits = []
     for exp, coeffs in payload["terms"]:
         e = _unfrac(exp)
@@ -188,6 +195,8 @@ def _human_series(tower, payload) -> str:
     out = " + ".join(bits) if bits else "0"
     if payload.get("prec") is not None:
         out += f" + O(s^{_unfrac(payload['prec'])})"
+    if payload.get("level") is not None:
+        out += f" @E{payload['level']}"
     return out
 
 
@@ -200,14 +209,20 @@ def _render_human(doc) -> str:
             for k, v in obj.items():
                 if k == "tower":
                     lines.append(f"{pad}tower: p={v['p']} e={v['e']} f={v['f']}")
-                elif isinstance(v, (dict, list)) and k != "terms":
+                elif k == "terms":          # the payload is itself a series
+                    lines.append(f"{pad}terms: {_human_series({'terms': v})}")
+                elif _is_series(v):
+                    lines.append(f"{pad}{k}: {_human_series(v)}")
+                elif isinstance(v, (dict, list)):
                     lines.append(f"{pad}{k}:")
                     walk(v, indent + 1)
                 else:
                     lines.append(f"{pad}{k}: {v}")
         elif isinstance(obj, list):
             for v in obj:
-                if isinstance(v, (dict, list)):
+                if _is_series(v):
+                    lines.append(f"{pad}- {_human_series(v)}")
+                elif isinstance(v, (dict, list)):
                     walk(v, indent)
                 else:
                     lines.append(f"{pad}- {v}")
@@ -430,7 +445,10 @@ def _verify_user_corpus(path, oracle_mode):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every run shares it."""
     parser = argparse.ArgumentParser(
         prog="tamestrata",
         description="exact arithmetic for tame towers of local fields")

@@ -311,15 +311,22 @@ class FqElem:
         self.field = field
         self.coeffs = coeffs
 
-    def _check(self, other) -> "FqElem":
+    def _check(self, other):
+        """other as an element of this field; NotImplemented for an operand
+        that is neither an int nor an FqElem (a series, say), so Python tries
+        its reflected operator."""
         if isinstance(other, int):
             return self.field.elem(other)
-        if not isinstance(other, FqElem) or other.field != self.field:
+        if not isinstance(other, FqElem):
+            return NotImplemented
+        if other.field != self.field:
             raise FieldMismatch("operands live in different fields")
         return other
 
     def __add__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         p = self.field.p
         return FqElem(self.field, tuple((a + b) % p for a, b in
                                         zip(self.coeffs, other.coeffs)))
@@ -331,13 +338,21 @@ class FqElem:
         return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._check(other) - self
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         fld = self.field
         if not any(self.coeffs) or not any(other.coeffs):
             return fld.zero()
@@ -355,7 +370,10 @@ class FqElem:
         return FqElem(self.field, exp[(-log[self.coeffs]) % n])
 
     def __truediv__(self, other):
-        return self * self._check(other).inverse()
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
 
     def __pow__(self, e: int):
         fld = self.field

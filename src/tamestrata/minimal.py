@@ -13,6 +13,14 @@ Three equivalent routes decide this:
 GE1 is the same separation condition phrased over pairs of embeddings of
 E_i that agree on E_{i+1}; its equivalence with minimality is one of the
 acceptance properties of this package.
+
+Nothing is built only to read its first term.  The residue comes from
+leading terms: valuation is multiplicative, so pi^-nu c^e has the leading
+term c_pi^-nu * c_0^e at s-exponent e*k_0 - nu*k_pi, and the normalising
+exponent check is that this is 0.  Each conjugate g(c) is computed once
+and ord(g(c) - h(c)) is read off the merged term tuples by
+tame.first_difference, which raises PrecisionExhausted exactly where
+series_equal would.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotInLevel, VerificationFailed, ZeroToPrecision
-from .tame import TameSeries, Tower, series_equal, stabilizer_within
+from .tame import TameSeries, Tower, first_difference, stabilizer_within
 
 
 @dataclass(frozen=True)
@@ -88,34 +96,51 @@ def _routes(tw: Tower, c: TameSeries, H_low, H_up, lower_level=None) -> Minimali
     nu_prime = int(nu_prime)
     cond_gcd = gcd(nu_prime, e_rel) == 1
 
+    k0, c0 = c.leading()
     pi_low = _uniformizer_for(tw, H_low, lower_level)
-    x = (pi_low ** (-nu_prime)) * (c ** e_rel)
-    if x.ord() != 0:
-        raise VerificationFailed(f"unit part has order {x.ord()}, not 0")
-    residue = x.leading()[1]
+    residue = _unit_residue(tw, k0, c0, pi_low.leading(), nu_prime, e_rel)
     deg_klow = tw.base.f * f_low
     cond_residue = residue.orbit_size(deg_klow) == f_rel
 
-    k0, c0 = c.leading()
     sr_series = tw.monomial(c0, Fraction(k0, tw.e))
     via_sr = (stabilizer_within(sr_series, H_low) & H_low) == H_up
 
-    via_galois = True
-    reps = tw.coset_reps(H_up, H_low)
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            diff = c.apply(reps[a]) - c.apply(reps[b])
-            if diff.is_zero_to_prec():
-                if diff.prec_k is None:
-                    via_galois = False
-                else:
-                    # genuinely undecidable: defer to series_equal to raise
-                    series_equal(c.apply(reps[a]), c.apply(reps[b]))
-            elif diff.ord() != -r:
-                via_galois = False
+    # every pair is scanned (a list, not a short-circuit), so an undecidable
+    # pair raises even after a failing one; an exact agreement (None) fails
+    via_galois = all([o == c.ord_k() for _, _, o in
+                      _pair_orders(c, tw.coset_reps(H_up, H_low))])
 
     return MinimalityReport(cond_generates, cond_gcd, cond_residue,
                             via_sr, via_galois, r)
+
+
+def _unit_residue(tw: Tower, k0, c0, pi_lead, nu, e_rel):
+    """Residue of the unit pi^-nu * c^e_rel from leading terms.
+
+    (k0, c0) is the leading term of c and pi_lead = (k_pi, c_pi) that of
+    the monomial uniformizer pi; the unit's leading term is
+    c_pi^-nu * c0^e_rel at s-exponent e_rel*k0 - nu*k_pi, which must be 0.
+    """
+    k_pi, c_pi = pi_lead
+    unit_k = e_rel * k0 - nu * k_pi
+    if unit_k != 0:
+        raise VerificationFailed(
+            f"unit part has order {Fraction(unit_k, tw.e)}, not 0")
+    return c_pi ** (-nu) * c0 ** e_rel
+
+
+def _pair_orders(c: TameSeries, elems):
+    """(g, h, ord_k(g(c) - h(c)) or None) for each pair g before h of elems.
+
+    Each conjugate is computed once, when first needed, so the applies and
+    any PrecisionExhausted come in the order of a pair-by-pair scan.
+    """
+    conj = []
+    for a in range(len(elems)):
+        for b in range(a + 1, len(elems)):
+            while len(conj) <= b:
+                conj.append(c.apply(elems[len(conj)]))
+            yield elems[a], elems[b], first_difference(conj[a], conj[b])
 
 
 def _uniformizer_for(tw: Tower, H_low, lower_level):
@@ -173,18 +198,8 @@ def ge1_check(c: TameSeries, level_i: int, level_iplus1: int) -> Ge1Report:
     inner = tw.coset_reps(H_i, H_i1)
     for g0 in outer:
         sector = [tw.compose(g0, h) for h in inner]
-        for a in range(len(sector)):
-            for b in range(a + 1, len(sector)):
-                g, h = sector[a], sector[b]
-                diff = c.apply(g) - c.apply(h)
-                if diff.is_zero_to_prec():
-                    if diff.prec_k is not None:
-                        series_equal(c.apply(g), c.apply(h))  # raises
-                    pairs.append((g, h, None))
-                    passed = False
-                else:
-                    o = diff.ord()
-                    pairs.append((g, h, o))
-                    if o != -r:
-                        passed = False
+        for g, h, o in _pair_orders(c, sector):
+            pairs.append((g, h, None if o is None else Fraction(o, tw.e)))
+            if o != c.ord_k():
+                passed = False
     return Ge1Report(r, tuple(pairs), passed)

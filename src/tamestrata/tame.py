@@ -26,6 +26,16 @@ g(a), a in E_level, with the largest i such that H_i <= g H_level g^-1
 (g(a) is fixed by that conjugate, so it lies in E_i): possibly deeper than
 the natural level, always sound.  If no H_i fits (a non-normal H_0),
 apply falls back to natural_level.
+
+The group and subgroup checks run on the same pairs: the twists of the
+Frobenius power j solve e * log u = (1 - p^(b*j)) * log zeta (mod n), a
+chain entry is a subgroup iff its pairs are closed under composition, and
+coset representatives are found by testing r^-1 * g on pairs, with
+
+    (m, l) after (m', l') = (m*m', l + m*l')      (m, l)^-1 = (m^-1, -m^-1*l)
+
+Tower.compose and Tower.invert work on GaloisElements, for callers that
+need the elements themselves.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 
 from .errors import (
@@ -87,6 +98,8 @@ class Tower:
         self.zeta = spec.zeta
         self.q = base.order
         self.spec = spec
+        self._n = k.order - 1
+        self._mults = _frobenius_mults(base, self.f, self._n)
         self.group = _build_group(base, self.e, self.f, k, self.zeta)
         self.identity = GaloisElement(0, k.one())
         self.inertia = frozenset(g for g in self.group if g.frob_power == 0)
@@ -114,10 +127,14 @@ class Tower:
         return GaloisElement(j, g.twist.inverse().frobenius(self.base.f, j))
 
     def is_subgroup(self, subset) -> bool:
+        """Closure under composition, tested on the (mult, log u) pairs; a
+        finite subset with 1 that is closed under products is a subgroup."""
         s = frozenset(subset)
         if self.identity not in s or not s <= self.group:
             return False
-        return all(self.compose(a, self.invert(b)) in s for a in s for b in s)
+        n = self._n
+        pairs = set(map(self.action, s))
+        return all(_pair_compose(a, b, n) in pairs for a in pairs for b in pairs)
 
     def closure(self, generators) -> frozenset:
         s = {self.identity}
@@ -154,24 +171,19 @@ class Tower:
         element of E_i, or None.  Never mutated, so towers derived by
         with_default_prec share them.
         """
-        n = self._n = self.k.order - 1
-        self._mults = tuple(pow(self.base.p, self.base.f * j, n)
-                            for j in range(self.f))
+        n = self._n
         self._identity_action = self.action(self.identity)
         chain = [frozenset(map(self.action, H)) for H in self.chain]
         self._level_action = tuple(tuple(H - {self._identity_action})
                                    for H in chain)
 
-        def compose(a, b):          # a after b
-            return a[0] * b[0] % n, (a[1] + a[0] * b[1]) % n
-
         image = {}
         for x in chain[-1]:
-            m_inv = pow(x[0], self.f - 1, n)        # mult_g^f = 1 (mod n)
-            x_inv = (m_inv, -m_inv * x[1] % n)
+            x_inv = _pair_invert(x, n, self.f)
             tags = []
             for H in chain:
-                conj = {compose(compose(x, h), x_inv) for h in H}
+                conj = {_pair_compose(_pair_compose(x, h, n), x_inv, n)
+                        for h in H}
                 tags.append(next((i for i in range(self.d, -1, -1)
                                   if chain[i] <= conj), None))
             image[x] = tuple(tags)
@@ -314,20 +326,41 @@ class Tower:
                                  and self.spec == other.spec)
 
     def coset_reps(self, H_small, H_big):
-        """Left coset representatives of H_small in H_big (cached)."""
+        """Left coset representatives of H_small in H_big (cached): the
+        first element of each coset in galois_sorted order, where g joins
+        the coset of r iff r^-1 g lies in H_small, tested on log pairs."""
         key = (frozenset(H_small), frozenset(H_big))
         if key not in self._coset_cache:
-            reps = []
+            n = self._n
+            small = set(map(self.action, key[0]))
+            reps, rep_inverses = [], []
             for g in self.galois_sorted(H_big):
-                if not any(self.compose(self.invert(r), g) in H_small
-                           for r in reps):
+                x = self.action(g)
+                if not any(_pair_compose(r_inv, x, n) in small
+                           for r_inv in rep_inverses):
                     reps.append(g)
+                    rep_inverses.append(_pair_invert(x, n, self.f))
             self._coset_cache[key] = tuple(reps)
         return self._coset_cache[key]
 
     def __repr__(self):
         return (f"Tower(p={self.base.p}, q={self.q}, e={self.e}, f={self.f}, "
                 f"levels={[self.level_degree(i) for i in range(self.d + 1)]})")
+
+
+def _pair_compose(a, b, n):
+    """a after b, on (mult, log u) pairs."""
+    return a[0] * b[0] % n, (a[1] + a[0] * b[1]) % n
+
+
+def _pair_invert(x, n, f):
+    m_inv = pow(x[0], f - 1, n)             # mult^f = 1 (mod n)
+    return m_inv, -m_inv * x[1] % n
+
+
+def _frobenius_mults(base, f, n):
+    """mult_j = p^(b*j) mod n: the j-th Frobenius power on discrete logs."""
+    return tuple(pow(base.p, base.f * j, n) for j in range(f))
 
 
 def _fixes(pairs, n, logs) -> bool:
@@ -347,16 +380,29 @@ def _to_int(x: Fraction, what: str) -> int:
 
 
 def _build_group(base, e, f, residue, zeta):
+    """All (j, u) with g(t) = t, i.e. u^e = zeta / frob^j(zeta).
+
+    Solved on discrete logs: e * log u = (1 - p^(b*j)) * log zeta (mod n)
+    has gcd(e, n) solutions spaced n / gcd(e, n) apart when gcd(e, n)
+    divides the right-hand side, and none otherwise.
+    """
+    n = residue.order - 1
+    d = gcd(e, n)
+    step = n // d
+    e_inv = pow(e // d, -1, step)
+    lz = zeta.log()
     elements = []
-    units = [a for a in residue.elements() if not a.is_zero()]
-    for j in range(f):
-        # g(t) = t forces twist^e = zeta / frob^j(zeta)
-        target = zeta * zeta.frobenius(base.f, j).inverse()
-        sols = [u for u in units if u ** e == target]
-        if not sols:
+    for j, mult in enumerate(_frobenius_mults(base, f, n)):
+        rhs = (1 - mult) * lz % n
+        if rhs % d:
             raise RootOfUnityMissing(
                 f"no twist with u^{e} = zeta^(1-q^{j}); "
                 "zeta is incompatible with the Frobenius")
+        l0 = rhs // d * e_inv % step
+        sols = [residue.from_log(l0 + t * step) for t in range(d)]
+        # residue.elements() order: it fixes the group's iteration order,
+        # which corpus.desk_tower_2b reads through next(...)
+        sols.sort(key=lambda u: u.coeffs[::-1])
         elements.extend(GaloisElement(j, u) for u in sols)
     group = frozenset(elements)
     if len(group) != e * f:
@@ -652,12 +698,37 @@ def series_equal(a: TameSeries, b: TameSeries) -> bool:
         return False
     if d.prec_k is None:
         return True
-    raise _vanishes_below(d)
+    raise _vanishes_below(d.tower, d.prec_k)
 
 
-def _vanishes_below(d: TameSeries) -> PrecisionExhausted:
+def first_difference(a: TameSeries, b: TameSeries):
+    """ord_k(a - b): the s-exponent of the lowest term of a - b, or None
+    when a = b exactly.
+
+    Merges the two term tuples instead of building a - b, and raises
+    PrecisionExhausted where series_equal(a, b) does: when a and b agree
+    on every term below the precision of a - b.  Both series must lie
+    over the same tower.
+    """
+    prec = _min_prec(a.prec_k, b.prec_k)
+    for (ka, ca), (kb, cb) in zip(a.terms, b.terms):
+        if ka != kb or ca.coeffs != cb.coeffs:
+            k = min(ka, kb)
+            break
+    else:
+        common = min(len(a.terms), len(b.terms))
+        rest = a.terms[common:] or b.terms[common:]
+        k = rest[0][0] if rest else None
+    if k is not None and (prec is None or k < prec):
+        return k
+    if prec is None:
+        return None
+    raise _vanishes_below(a.tower, prec)
+
+
+def _vanishes_below(tower, prec_k) -> PrecisionExhausted:
     return PrecisionExhausted(
-        f"difference vanishes below precision s^{Fraction(d.prec_k, d.tower.e)}")
+        f"difference vanishes below precision s^{Fraction(prec_k, tower.e)}")
 
 
 def is_fixed_by(a: TameSeries, g: GaloisElement) -> bool:
@@ -715,7 +786,7 @@ def stabilizer_within(a: TameSeries, H) -> frozenset:
             if not _fixes((act,), tw._n, logs):
                 continue
             if a.prec_k is not None:
-                raise _vanishes_below(a)
+                raise _vanishes_below(tw, a.prec_k)
         out.add(g)
     return frozenset(out)
 

@@ -12,6 +12,16 @@ def run_cli(args):
     return code, doc
 
 
+def _subprocess_env():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(tamestrata.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    env.pop("TAMESTRATA_PREC", None)
+    return env
+
+
 def test_check_minimal_desk():
     code, doc = run_cli(["check-minimal", "--tower", "desk5",
                          "--element", '[[[-1,2],[0,1]]]',
@@ -147,15 +157,10 @@ def test_serialization_round_trip_fixtures(tmp_path):
 
 
 def test_entry_point_subprocess():
-    # the child imports the same package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(tamestrata.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     out = subprocess.run(
         [sys.executable, "-m", "tamestrata.cli", "sr", "--tower", "desk5",
          "--element", '[[[-1,2],[0,1]]]'],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_subprocess_env())
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["payload"]["exponent"] == [-1, 2]
@@ -224,3 +229,66 @@ def test_tower_file_default_moduli(tmp_path):
                          "--element", '[[[-1,2],[1,0]]]',
                          "--upper", "0", "--lower", "1"])
     assert code == 0 and out["payload"]["passed"] is True
+
+
+def test_shared_parser_keeps_no_state_between_runs(monkeypatch):
+    # in-process runs share one parser; each must give the document of the
+    # same call in a fresh interpreter, so no option leaks into the next run
+    monkeypatch.delenv("TAMESTRATA_PREC", raising=False)
+    element = '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'
+    calls = [
+        ["sr", "--tower", "desk5", "--prec", "1/3",
+         "--element", '[[[-1,2],[0,1]]]'],                        # exit 3
+        ["sr", "--tower", "desk5", "--element", '[[[-1,2],[0,1]]]'],
+        ["check-minimal", "--tower", "desk5", "--prec", "3",
+         "--element", '[[[-1,2],[0,1]]]', "--upper", "0", "--lower", "2"],
+        ["defseq", "--tower", "desk5", "--N", "4", "--element", element],
+        ["--human", "ge1", "--tower", "desk3", "--element", '[[[-1,2],[1,0]]]',
+         "--upper", "0", "--lower", "1"],
+        ["check-minimal", "--tower", "desk5",
+         "--element", '[[[-1,2],[0,1]]]', "--upper", "0", "--lower", "2"],
+    ]
+    codes = []
+    for args in calls:
+        code, doc = cli.run(args)
+        out = subprocess.run([sys.executable, "-m", "tamestrata.cli", *args],
+                             capture_output=True, text=True,
+                             env=_subprocess_env())
+        if "--human" not in args:
+            assert out.stdout.strip() == json.dumps(
+                doc, sort_keys=True, separators=(",", ":")), args
+        assert out.returncode == code, args
+        codes.append(code)
+    assert codes == [3, 0, 0, 0, 0, 0]
+
+
+def test_human_check_minimal_shows_series(capsys):
+    code = cli.main(["--human", "check-minimal", "--tower", "desk5",
+                     "--element", '[[[-1,2],[0,1]],[[1,2],[1,0]]]',
+                     "--upper", "0", "--lower", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "kind: report"
+    assert "element: (1w^1)*s^-1/2 + (1)*s^1/2 @E0" in out
+    assert "minimal: True" in out
+    assert not any("terms" in line for line in out)
+
+
+def test_human_defseq_shows_blocks(capsys):
+    code = cli.main(["--human", "defseq", "--tower", "desk5", "--N", "4",
+                     "--element", '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[:2] == ["kind: bk_datum", "tower: p=5 e=2 f=2"]
+    assert "  - (1)*s^-1/2 @E0" in out and "  - (1w^1)*s^-1 @E1" in out
+    assert "  c: (1)*s^-1/2 @E0" in out       # theta factor of block 0
+    assert not any("terms" in line for line in out)
+
+
+def test_human_element_document_shows_terms(capsys):
+    code = cli.main(["--human", "sr", "--tower", "desk5", "--prec", "4",
+                     "--element", '{"level": 0, "terms": [[[-1,2],[0,1]]], '
+                                  '"prec": [3,1]}'])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "terms: (1w^1)*s^-1/2" in out

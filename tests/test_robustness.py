@@ -1,7 +1,10 @@
 """Properties of the source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import tamestrata
 
@@ -16,3 +19,34 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_documents_identical_under_optimize_flag():
+    # the checks must not live in asserts: a run under `python -O` gives
+    # byte-identical documents
+    src = os.path.dirname(os.path.dirname(tamestrata.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    env.pop("TAMESTRATA_PREC", None)
+    calls = [
+        ["check-minimal", "--tower", "desk5", "--element",
+         '[[[-1,2],[0,1]],[[1,2],[1,0]]]', "--upper", "0", "--lower", "2"],
+        ["check-minimal", "--tower", "deep5", "--element",
+         '{"level": 0, "terms": [[[-1,8],[0,1]]], "prec": [1,1]}',
+         "--upper", "0", "--lower", "3"],
+        ["check-minimal", "--tower", "deep5", "--element",
+         '{"level": 0, "terms": [[[-1,8],[0,1]],[[1,4],[1,0]]], '
+         '"prec": [1,1]}', "--upper", "0", "--lower", "1"],
+        ["defseq", "--tower", "desk5", "--N", "4",
+         "--element", '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'],
+        ["defseq", "--tower", "desk5", "--N", "4",
+         "--element", '[[[-3,2],[1,0]],[[-1,1],[1,0]]]'],       # exit 2
+    ]
+    for args in calls:
+        runs = [subprocess.run([sys.executable, *flags, "-m", "tamestrata.cli",
+                                *args], capture_output=True, env=env)
+                for flags in ([], ["-O"])]
+        assert runs[0].stdout == runs[1].stdout, args
+        assert runs[0].returncode == runs[1].returncode, args
+        assert runs[0].stdout.startswith(b'{"kind":'), args

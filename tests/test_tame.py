@@ -5,7 +5,7 @@ import pytest
 
 from tamestrata import cli, corpus, tame
 from tamestrata.errors import (
-    BadChain, NotInLevel, NotTame, PrecisionExhausted, RootOfUnityMissing,
+    BadChain, FieldMismatch, NotInLevel, NotTame, PrecisionExhausted, RootOfUnityMissing,
     ZeroToPrecision,
 )
 from tamestrata.ffq import FqField
@@ -375,6 +375,19 @@ def test_constants_outside_k_F_get_a_sound_level(desk):
     tw = tame.make_tower(2, 3, 2, levels=(base.closure([lift]), base.group))
     with pytest.raises(NotInLevel):
         tw.one() + tw.k.gen()           # F_4 \ F_2 lies in no chain field
+
+
+def test_residue_constant_on_the_left(desk):
+    # FqElem defers to the series' reflected operators
+    w = desk.k.gen()
+    t = desk.pi_F()
+    assert w * t == t * w and (w * t).terms == ((desk.e, w * desk.zeta),)
+    assert w + t == t + w
+    assert w - t == -(t - w) and (w - t).terms != (t - w).terms
+    with pytest.raises(FieldMismatch):
+        FqField(3, 1).one() * t
+    with pytest.raises(FieldMismatch):
+        FqField(3, 1).one() + w
 
 
 def test_trivial_unit_group():
