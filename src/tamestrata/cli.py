@@ -6,7 +6,11 @@ denominator] pairs, residue-field elements are coefficient vectors over
 F_p.  Pretty unicode rendering is opt-in via --human and never part of the
 wire format.
 
-Exit codes: 0 success, 2 verification failure, 3 input error.
+Exit codes: 0 success; 2 when a VerificationError is raised (a
+constructed object fails a check it must satisfy, or a suite fails); 3 for
+any other TameStrataError and for OSError, KeyError, ValueError or
+TypeError (bad input).  Both failure codes come with an error document
+naming the exception class and its message.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus, minimal, oracle, strata, tame, translate, verifysuite
-from .errors import (
-    INPUT_ERRORS, BadPrecision, TameStrataError, VerificationError,
-)
+from .errors import BadPrecision, TameStrataError, VerificationError
 from .ffq import FqField
 
 SCHEMA_VERSION = "1"
@@ -41,6 +43,8 @@ def _frac(x) -> list:
 
 
 def _unfrac(pair) -> Fraction:
+    if pair[1] == 0:
+        raise ValueError(f"rational {list(pair)} has a zero denominator")
     return Fraction(pair[0], pair[1])
 
 
@@ -74,8 +78,8 @@ def parse_tower(doc) -> tame.Tower:
         frozenset(tame.GaloisElement(j, residue.elem(coeffs))
                   for j, coeffs in H)
         for H in payload["levels"])
-    return tame.tower_make(tame.TowerSpec(base, payload["e"], payload["f"],
-                                          residue, zeta, levels))
+    return tame.Tower(tame.TowerSpec(base, payload["e"], payload["f"],
+                                     residue, zeta, levels))
 
 
 def emit_series(a: tame.TameSeries) -> dict:
@@ -234,13 +238,17 @@ def _render_human(doc) -> str:
 # command implementations
 # ---------------------------------------------------------------------------
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_tower(args) -> tame.Tower:
     name = args.tower
-    if name in ("desk5", "desk3", "desk2", "desk2b", "deep5"):
+    if name in corpus.BUILTIN_TOWERS:
         tower = corpus.named_tower(name)
     else:
-        with open(name) as fh:
-            tower = parse_tower(json.load(fh))
+        tower = parse_tower(_read_json(name))
     prec_k = _prec_k(args, tower)
     return tower if prec_k is None else tower.with_default_prec(prec_k)
 
@@ -333,57 +341,53 @@ def cmd_defseq(args):
 
 
 def cmd_bk2yu(args):
-    with open(args.datum) as fh:
-        bk = parse_bk(json.load(fh))
+    bk = parse_bk(_read_json(args.datum))
     return EXIT_OK, emit_yu(translate.bk_to_yu(bk))
 
 
 def cmd_yu2bk(args):
-    with open(args.datum) as fh:
-        yu = parse_yu(json.load(fh))
+    yu = parse_yu(_read_json(args.datum))
     return EXIT_OK, emit_bk(translate.yu_to_bk(yu))
 
 
-def cmd_tables(args):
-    with open(args.datum) as fh:
-        doc = json.load(fh)
+def _load_datum(doc):
+    """(bk, yu) from a bk_datum document or, failing that, a yu_datum one."""
     if doc.get("kind") == "bk_datum":
         bk = parse_bk(doc)
-        yu = translate.bk_to_yu(bk)
-    else:
-        yu = parse_yu(doc)
-        bk = translate.yu_to_bk(yu)
-    model = None
-    if (args.oracle in ("on", "check") and bk.order.N <= oracle._MAX_N
-            and bk.kind == "a"):
-        model = oracle.model_build(bk.order)
+        return bk, translate.bk_to_yu(bk)
+    yu = parse_yu(doc)
+    return translate.yu_to_bk(yu), yu
+
+
+def _oracle_model(bk, mode):
+    """A matrix model for a type (a) datum within the oracle bound, unless
+    the oracle is off; None otherwise."""
+    if mode == "off" or bk.kind != "a" or bk.order.N > oracle._MAX_N:
+        return None
+    return oracle.model_build(bk.order)
+
+
+def cmd_tables(args):
+    bk, yu = _load_datum(_read_json(args.datum))
     payload = {"bk": {}, "yu": {}, "comparisons": {}}
     if bk.kind == "a":
         tabs = translate.h_group_table(bk.seq)
         ytabs = translate.yu_group_table(yu)
         payload["bk"] = {k: emit_table(t) for k, t in tabs.items()}
         payload["yu"] = {k: emit_table(t) for k, t in ytabs.items()}
-        use = model if args.oracle == "check" else None
+        mode = args.oracle     # the tables read a model only under "check"
+        model = _oracle_model(bk, mode) if mode == "check" else None
         payload["comparisons"] = {
-            "H1=Kd+": translate.table_compare(tabs["H1"], ytabs["Kd+"], use),
-            "J0=oKd": translate.table_compare(tabs["J0"], ytabs["oKd"], use),
+            "H1=Kd+": translate.table_compare(tabs["H1"], ytabs["Kd+"], model),
+            "J0=oKd": translate.table_compare(tabs["J0"], ytabs["oKd"], model),
         }
     code = EXIT_OK if all(payload["comparisons"].values()) else EXIT_VERIFICATION
     return code, document("table", payload)
 
 
 def cmd_ledger(args):
-    with open(args.datum) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") == "bk_datum":
-        bk = parse_bk(doc)
-        yu = translate.bk_to_yu(bk)
-    else:
-        yu = parse_yu(doc)
-        bk = translate.yu_to_bk(yu)
-    model = None
-    if args.oracle in ("on", "check") and bk.order.N <= oracle._MAX_N:
-        model = oracle.model_build(bk.order)
+    bk, yu = _load_datum(_read_json(args.datum))
+    model = _oracle_model(bk, args.oracle)
     entries, verdicts = translate.ledger_indices(bk, yu, model)
     ok = all(v for v in verdicts.values() if v is not None)
     return (EXIT_OK if ok else EXIT_VERIFICATION), document("ledger", {
@@ -409,24 +413,15 @@ def cmd_verify(args):
 
 def _verify_user_corpus(path, oracle_mode):
     """Datum-level checks over a user-supplied list of datum documents."""
-    with open(path) as fh:
-        docs = json.load(fh)
     results = []
-    for idx, doc in enumerate(docs):
-        if doc.get("kind") == "bk_datum":
-            bk = parse_bk(doc)
-            yu = translate.bk_to_yu(bk)
-        else:
-            yu = parse_yu(doc)
-            bk = translate.yu_to_bk(yu)
+    for idx, doc in enumerate(_read_json(path)):
+        bk, yu = _load_datum(doc)
         name = f"corpus[{idx}]"
         ok = translate.skeletons_agree(bk, translate.yu_to_bk(yu)) and \
             translate.skeletons_agree(yu, translate.bk_to_yu(bk))
         detail = "round trip"
         if bk.kind == "a":
-            model = None
-            if oracle_mode != "off" and bk.order.N <= oracle._MAX_N:
-                model = oracle.model_build(bk.order)
+            model = _oracle_model(bk, oracle_mode)
             tabs = translate.h_group_table(bk.seq)
             ytabs = translate.yu_group_table(yu)
             use = model if oracle_mode == "check" else None
@@ -463,7 +458,8 @@ def _build_parser():
 
     def tower_opts(p, element=True):
         p.add_argument("--tower", required=True,
-                       help="tower file or builtin name (desk5/desk3/desk2/deep5)")
+                       help="tower file or builtin name ("
+                            + "/".join(corpus.BUILTIN_TOWERS) + ")")
         p.add_argument("--prec", default=None, help="precision override")
         if element:
             p.add_argument("--element", required=True,
@@ -520,17 +516,11 @@ def run(argv=None):
     try:
         return args.fn(args)
     except VerificationError as exc:
-        return EXIT_VERIFICATION, document("error", {
-            "error": type(exc).__name__, "message": str(exc)})
-    except INPUT_ERRORS as exc:
-        return EXIT_INPUT, document("error", {
-            "error": type(exc).__name__, "message": str(exc)})
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        return EXIT_INPUT, document("error", {
-            "error": type(exc).__name__, "message": str(exc)})
-    except TameStrataError as exc:
-        return EXIT_INPUT, document("error", {
-            "error": type(exc).__name__, "message": str(exc)})
+        code, err = EXIT_VERIFICATION, exc
+    except (TameStrataError, OSError, KeyError, ValueError, TypeError) as exc:
+        code, err = EXIT_INPUT, exc
+    return code, document("error", {
+        "error": type(err).__name__, "message": str(err)})
 
 
 def main(argv=None) -> int:

@@ -89,13 +89,16 @@ def standard_towers():
     return combos
 
 
+BUILTIN_TOWERS = {"desk5": desk_tower_5, "desk3": desk_tower_3,
+                  "desk2": desk_tower_2, "desk2b": desk_tower_2b,
+                  "deep5": deep_tower_5}
+
+
 def named_tower(name: str) -> Tower:
-    table = {"desk5": desk_tower_5, "desk3": desk_tower_3,
-             "desk2": desk_tower_2, "desk2b": desk_tower_2b,
-             "deep5": deep_tower_5}
-    if name not in table:
-        raise KeyError(f"unknown tower {name!r}; choose from {sorted(table)}")
-    return table[name]()
+    if name not in BUILTIN_TOWERS:
+        raise KeyError(f"unknown tower {name!r}; "
+                       f"choose from {sorted(BUILTIN_TOWERS)}")
+    return BUILTIN_TOWERS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +175,8 @@ def datum_corpus_for_orders(named_orders):
 def datum_corpus(min_count: int = 50):
     """BK skeletons spanning Cases A and B and d in {0,1,2,3}."""
     orders = []
-    for name, factory in (("desk5", desk_tower_5), ("desk3", desk_tower_3),
-                          ("desk2", desk_tower_2), ("desk2b", desk_tower_2b),
-                          ("deep5", deep_tower_5)):
-        tower = factory()
+    for name in BUILTIN_TOWERS:
+        tower = named_tower(name)
         orders.append((name, make_order(tower, tower.level_degree(0))))
     t5 = desk_tower_5()
     orders.append(("desk5x2", make_order(t5, 2 * t5.level_degree(0))))
@@ -190,12 +191,9 @@ def small_oracle_corpus():
     """(label, order, beta) strata with N <= 4 for the matrix oracle."""
     out = []
     named = []
-    for name, factory in (("desk5", desk_tower_5), ("desk3", desk_tower_3),
-                          ("desk2", desk_tower_2)):
-        tower = factory()
-        order = make_order(tower, tower.level_degree(0))
-        if order.N <= 4:
-            named.append((name, order))
+    for name in ("desk5", "desk3"):     # N = [E_0 : F] = 4; desk2 has 6
+        tower = named_tower(name)
+        named.append((name, make_order(tower, tower.level_degree(0))))
     for label, bk in datum_corpus_for_orders(named):
         if bk.kind != "a":
             continue

@@ -117,11 +117,3 @@ class NotNested(VerificationError):
 
 class DepthMismatch(VerificationError):
     pass
-
-
-INPUT_ERRORS = (
-    NotPrime, ReducibleModulus, DivisionByZero, FieldMismatch, BadDegree,
-    NotTame, RootOfUnityMissing, NotASubgroup, BadChain, TowerMismatch,
-    NotInLevel, ZeroToPrecision, PrecisionExhausted, NotSplitForm, BadLevel,
-    OrderMismatch, OracleRequired, TooLarge, BadPrecision,
-)

@@ -68,15 +68,18 @@ def is_minimal(c: TameSeries, upper: int, lower: int) -> MinimalityReport:
         raise ZeroToPrecision("minimality of a series with no visible terms")
     if not c.in_level(upper):
         raise NotInLevel(f"element does not lie in level {upper}")
-    return _routes(tw, c, tw.chain[lower], tw.chain[upper], lower)
+    return _routes(c, lower, tw.chain[upper])
 
 
-def _routes(tw: Tower, c: TameSeries, H_low, H_up, lower_level=None) -> MinimalityReport:
-    """All three minimality criteria for c, target subgroup H_up over H_low.
+def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
+    """All three minimality criteria for c, target subgroup H_up over the
+    chain subgroup H_low of level lower.
 
     H_up = stab(c) & H_low turns the target into the generated field itself,
     which is how "minimal over the base" is phrased.
     """
+    tw = c.tower
+    H_low = tw.chain[lower]
     r = -c.ord()
     stab = stabilizer_within(c, H_low) & H_low
 
@@ -97,7 +100,7 @@ def _routes(tw: Tower, c: TameSeries, H_low, H_up, lower_level=None) -> Minimali
     cond_gcd = gcd(nu_prime, e_rel) == 1
 
     k0, c0 = c.leading()
-    pi_low = _uniformizer_for(tw, H_low, lower_level)
+    pi_low = tw.uniformizer(lower)
     residue = _unit_residue(tw, k0, c0, pi_low.leading(), nu_prime, e_rel)
     deg_klow = tw.base.f * f_low
     cond_residue = residue.orbit_size(deg_klow) == f_rel
@@ -143,34 +146,11 @@ def _pair_orders(c: TameSeries, elems):
             yield elems[a], elems[b], first_difference(conj[a], conj[b])
 
 
-def _uniformizer_for(tw: Tower, H_low, lower_level):
-    if lower_level is not None:
-        return tw.uniformizer(lower_level)
-    # H_low given as a bare subgroup: find its chain index or search directly
-    for i, H in enumerate(tw.chain):
-        if H == H_low:
-            return tw.uniformizer(i)
-    e_low = tw.e // len(H_low & tw.inertia)
-    m = tw.e // e_low
-    for cand in tw.k.elements():
-        if cand.is_zero():
-            continue
-        ser = tw.monomial(cand, Fraction(m, tw.e))
-        if all(ser.term_fixed_by(m, cand, g) for g in H_low):
-            return ser
-    raise AssertionError("no monomial uniformizer for subgroup")
-
-
-def minimal_over(c: TameSeries, H_low) -> bool:
-    """Minimality of c relative to E_lower[c]/E_lower for a bare subgroup."""
-    tw = c.tower
+def minimal_over(c: TameSeries, lower: int) -> bool:
+    """Minimality of c relative to E_lower[c]/E_lower."""
+    H_low = c.tower.chain[lower]
     stab = stabilizer_within(c, H_low) & H_low
-    return _routes(tw, c, H_low, stab).minimal
-
-
-def minimal_equiv_check(c: TameSeries, upper: int, lower: int) -> bool:
-    """True iff the three minimality routes agree (property harness hook)."""
-    return is_minimal(c, upper, lower).consistent
+    return _routes(c, lower, stab).minimal
 
 
 def ge1_check(c: TameSeries, level_i: int, level_iplus1: int) -> Ge1Report:

@@ -6,7 +6,10 @@ truncated t-series with coefficients in k_F.  The order \\mathfrak{A} is the
 chain order of {p_{E_0}^k}; membership in radical powers reads off block
 valuations e_A*val_t(entry) + a_row - a_col.  All lattice questions reduce
 to F_p row spaces of the finite quotient A/P^M, computed by Gaussian
-elimination; no code is shared with the closed-form paths, so agreement is
+elimination in ``Subspace``, the only elimination routine here.  The F_p
+coordinates of a residue-field coefficient (over k_F, and of k_{E_0} over
+k_F) are looked up in tables each model enumerates once from k_L
+arithmetic.  No code is shared with the closed-form paths, so agreement is
 evidence.
 
 Every kernel the oracle solves goes through one routine, ``_kernel_image``:
@@ -249,9 +252,11 @@ class MatrixModel:
         # k_F coordinates inside k_L, via the F_p-basis theta_F^i of k_F
         thetaF = tower.residue_generator(tower.d)
         self._kF_basis = [thetaF ** i for i in range(self.deg_F)]
-        self._kF_solver = self._make_kf_solver()
-        # residue coordinates of k_{E_0} over k_F in the theta^b basis
-        self._theta_solver = self._make_theta_solver()
+        self._kF_table = _coordinate_table(tower.k, self._kF_basis, self.p)
+        # residue coordinates of k_{E_0} over k_F: theta^b * theta_F^i
+        self._residue_table = _coordinate_table(
+            tower.k, [(self.theta ** b) * basis for b in range(f0)
+                      for basis in self._kF_basis], self.p)
         self._commutants = {}      # level -> (M, B_level ∩ A in A/P^M)
         self._projections = {}     # (level, M) -> projection of the above
         self._quotients = {}
@@ -261,29 +266,12 @@ class MatrixModel:
 
     # -- coefficient coordinate helpers -----------------------------------
 
-    def _make_kf_solver(self):
-        k = self.tower.k
-        cols = [list(b.coeffs) for b in self._kF_basis]
-        width = k.f
-        rows = [[cols[j][i] for j in range(self.deg_F)] for i in range(width)]
-        return _LinearSolver(self.p, rows)
-
-    def _make_theta_solver(self):
-        # basis of k_{E_0} over k_F: theta^b * theta_F^i
-        k = self.tower.k
-        basis = []
-        for b in range(self.f0):
-            for i in range(self.deg_F):
-                basis.append((self.theta ** b) * self._kF_basis[i])
-        rows = [[list(v.coeffs)[i] for v in basis] for i in range(k.f)]
-        return _LinearSolver(self.p, rows)
-
     def kF_coords(self, c):
         """Coordinates of a k_F element in the theta_F basis."""
-        sol = self._kF_solver.solve(list(c.coeffs))
-        if sol is None:
+        coords = self._kF_table.get(c.coeffs)
+        if coords is None:
             raise PrecisionExhausted("coefficient not in k_F")
-        return sol
+        return coords
 
     def kF_from_coords(self, coords):
         acc = self.tower.k.zero()
@@ -294,10 +282,10 @@ class MatrixModel:
 
     def residue_coords(self, c):
         """(b, i) coordinates of a k_{E_0} element over theta^b theta_F^i."""
-        sol = self._theta_solver.solve(list(c.coeffs))
-        if sol is None:
+        coords = self._residue_table.get(c.coeffs)
+        if coords is None:
             raise PrecisionExhausted("coefficient not in k_{E_0}")
-        return sol
+        return coords
 
     def block_of(self, idx: int) -> int:
         return self.basis[idx][0]
@@ -565,48 +553,21 @@ def _kernel_image(model, mats, big, lo, hi, target) -> Subspace:
     return target.project(kernel, big)
 
 
-class _LinearSolver:
-    """Solve A x = b over F_p for a fixed A, by precomputed elimination."""
+def _coordinate_table(k, basis, p):
+    """Coefficient vector -> F_p coordinates over basis, for every element
+    of the span of basis (elements of k, linearly independent over F_p).
 
-    def __init__(self, p, rows):
-        self.p = p
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        aug = [list(r) + [1 if i == j else 0 for j in range(self.nrows)]
-               for i, r in enumerate(rows)]
-        pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            sel = next((r for r in range(rank, self.nrows)
-                        if aug[r][col] % p), None)
-            if sel is None:
-                continue
-            aug[rank], aug[sel] = aug[sel], aug[rank]
-            inv = pow(aug[rank][col], p - 2, p)
-            aug[rank] = [(x * inv) % p for x in aug[rank]]
-            for r in range(self.nrows):
-                if r != rank and aug[r][col] % p:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[rank])]
-            pivots.append(col)
-            rank += 1
-        self.aug = aug
-        self.pivots = pivots
-        self.rank = rank
-
-    def solve(self, b):
-        p = self.p
-        y = [sum(self.aug[r][self.ncols + i] * b[i] for i in range(self.nrows)) % p
-             for r in range(self.nrows)]
-        x = [0] * self.ncols
-        for r, col in enumerate(self.pivots):
-            x[col] = y[r]
-        # consistency: rows beyond the rank must vanish
-        for r in range(self.rank, self.nrows):
-            if y[r] % p:
-                return None
-        # verify (cheap, dimensions are tiny)
-        return x
+    The span is enumerated, so a lookup replaces a linear solve; a vector
+    outside the span has no entry.
+    """
+    span = {k.zero(): ()}
+    for b in basis:
+        multiples = [b * x for x in range(p)]
+        span = {v + m: coords + (x,) for v, coords in span.items()
+                for x, m in enumerate(multiples)}
+    if len(span) != p ** len(basis):
+        raise VerificationFailed("coordinate basis is linearly dependent")
+    return {v.coeffs: coords for v, coords in span.items()}
 
 
 # ---------------------------------------------------------------------------

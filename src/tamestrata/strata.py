@@ -110,7 +110,7 @@ def k0_closed(order: OrderDesc, beta: TameSeries) -> Optional[int]:
     tw = order.tower
     if beta.is_zero_to_prec() or beta.in_level(tw.d):
         result = None
-    elif minimal_over(beta, tw.group):
+    elif minimal_over(beta, tw.d):
         result = nu_A(order, beta)
     else:
         blocks = decompose_split_form(order, beta)
@@ -269,10 +269,6 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
     return seq
 
 
-def case_of(seq: DefiningSeq) -> str:
-    return "A" if seq.entries[seq.s].level == seq.order.tower.d else "B"
-
-
 def verify_defining_sequence(seq: DefiningSeq) -> VerifyReport:
     """Named checks for a defining sequence.
 
@@ -298,7 +294,7 @@ def verify_defining_sequence(seq: DefiningSeq) -> VerifyReport:
             beta_s = entries[s].beta
             if beta_s.in_level(tw.d):
                 return None
-            if minimal_over(beta_s, tw.group):
+            if minimal_over(beta_s, tw.d):
                 return nu_A(order, beta_s)
             return 0  # forces failure of (a)/(e)
         return -entries[i + 1].r

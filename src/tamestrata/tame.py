@@ -410,10 +410,6 @@ def _build_group(base, e, f, residue, zeta):
     return group
 
 
-def tower_make(spec: TowerSpec) -> Tower:
-    return Tower(spec)
-
-
 def make_tower(p, e, f, base_f=1, base_modulus=None, residue_modulus=None,
                zeta=None, levels=None) -> Tower:
     """Convenience constructor; zeta defaults to 1, chain to [{1}, Gal]."""

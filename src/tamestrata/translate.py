@@ -204,20 +204,15 @@ def normalize_table(table: FiltrationTable) -> tuple:
 def table_compare(a: FiltrationTable, b: FiltrationTable, model=None) -> bool:
     """Equality of the groups two prefix-type tables present.
 
-    Closed-form normalization decides the common cases; with a matrix model
-    the corresponding lattices are compared directly, which also settles
-    any case absorption cannot.
+    With a matrix model the corresponding lattices are compared directly,
+    which also settles any case absorption cannot; without one the
+    closed-form normalizations are compared.
     """
     if a.order is not b.order and a.order != b.order:
         raise OrderMismatch("tables over different orders")
-    na, nb = normalize_table(a), normalize_table(b)
-    if na == nb:
-        if model is not None:
-            return _oracle_tables_equal(model, a, b)
-        return True
     if model is not None:
         return _oracle_tables_equal(model, a, b)
-    return False
+    return normalize_table(a) == normalize_table(b)
 
 
 def _oracle_tables_equal(model, a, b) -> bool:
@@ -245,12 +240,6 @@ def char_factor_from_seq(seq: DefiningSeq, i: int) -> CharFactor:
     depth = Fraction(-nu_A(seq.order, c), seq.order.e_A)
     return CharFactor(seq.entries[i].level, c, depth,
                       tuple(det), tuple(psi))
-
-
-def char_factor(bk: BKDatumSkeleton, i: int) -> CharFactor:
-    if bk.kind != "a":
-        raise BadLevel("type (b) data carry no character factors")
-    return char_factor_from_seq(bk.seq, i)
 
 
 def char_module_valuation(c: TameSeries, factor, order: OrderDesc) -> int:
@@ -391,28 +380,32 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
     from .oracle import oracle_hj, oracle_index, LatticeHandle
 
     levels = [lvl for lvl, _, _ in yu.characters]
-    depths = yu.depths
     d = yu.d
+    # step i: [U^a(B_l) : U^b(B_l)] at l = levels[i-1] and levels[i]
+    vs = [int(yu.depths[i] * order.e_A) for i in range(d)]
+    steps = [((v + 1) // 2, v // 2 + 1) for v in vs]
+    memo = {}
+
+    def oracle_step_index(lvl, a_exp, b_exp):
+        key = (lvl, a_exp, b_exp)
+        if key not in memo:
+            quot = model.quotient_context(b_exp + model.e_A)
+            la = LatticeHandle(quot.order_level(lvl, a_exp), quot.M)
+            lb = LatticeHandle(quot.order_level(lvl, b_exp), quot.M)
+            memo[key] = oracle_index(model, la, lb)
+        return memo[key]
 
     singles_ok = True
-    per_level = {}
-    for i in range(1, d + 1):
-        v = int(depths[i - 1] * order.e_A)
-        a_exp = (v + 1) // 2
-        b_exp = v // 2 + 1
+    for i, (a_exp, b_exp) in enumerate(steps, 1):
         for lvl in (levels[i - 1], levels[i]):
             if a_exp < 1 or a_exp == b_exp:
                 continue
             log = single_index_log(order, lvl, a_exp, b_exp)
             prov = "closed-form"
             if model is not None:
-                quot = model.quotient_context(b_exp + model.e_A)
-                la = LatticeHandle(quot.order_level(lvl, a_exp), quot.M)
-                lb = LatticeHandle(quot.order_level(lvl, b_exp), quot.M)
-                if oracle_index(model, la, lb) != log:
+                if oracle_step_index(lvl, a_exp, b_exp) != log:
                     singles_ok = False
                 prov = "oracle"
-            per_level[(lvl, a_exp, b_exp)] = log
             entries.append(LogIndex(f"[U^{a_exp}(B_{lvl}):U^{b_exp}(B_{lvl})]",
                                     log, prov))
     verdicts["singles_match_oracle"] = singles_ok if model is not None else None
@@ -432,19 +425,9 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
         verdicts["even_exponents"] = False
 
     total = 0
-    for i in range(1, d + 1):
-        v = int(depths[i - 1] * order.e_A)
-        a_exp = (v + 1) // 2
-        b_exp = v // 2 + 1
-        big_quot = model.quotient_context(b_exp + model.e_A)
-        la_i = LatticeHandle(big_quot.order_level(levels[i], a_exp), big_quot.M)
-        lb_i = LatticeHandle(big_quot.order_level(levels[i], b_exp), big_quot.M)
-        la_prev = LatticeHandle(big_quot.order_level(levels[i - 1], a_exp),
-                                big_quot.M)
-        lb_prev = LatticeHandle(big_quot.order_level(levels[i - 1], b_exp),
-                                big_quot.M)
-        log = (oracle_index(model, la_i, lb_i)
-               - oracle_index(model, la_prev, lb_prev))
+    for i, (a_exp, b_exp) in enumerate(steps, 1):
+        log = (oracle_step_index(levels[i], a_exp, b_exp)
+               - oracle_step_index(levels[i - 1], a_exp, b_exp))
         entries.append(LogIndex(f"[J^{i}:J^{i}+]", log, "oracle"))
         if log % 2:
             verdicts["even_exponents"] = False

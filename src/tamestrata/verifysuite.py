@@ -18,8 +18,8 @@ ORD_RANGE = (-6, -1)
 
 
 def _enum_towers():
-    towers = [("desk5", corpus.desk_tower_5()), ("desk3", corpus.desk_tower_3()),
-              ("desk2", corpus.desk_tower_2()), ("desk2b", corpus.desk_tower_2b())]
+    towers = [(name, corpus.named_tower(name))
+              for name in ("desk5", "desk3", "desk2", "desk2b")]
     towers += [(f"std{t.base.p}e{t.e}f{t.f}", t) for t in corpus.standard_towers()]
     return towers
 
@@ -36,7 +36,7 @@ def suite_minimal_equivalence():
         for upper, lower in _level_pairs(tower):
             for mono in tame.monomials_in_level(tower, upper, *ORD_RANGE):
                 cases += 1
-                if not minimal.minimal_equiv_check(mono, upper, lower):
+                if not minimal.is_minimal(mono, upper, lower).consistent:
                     failures += 1
     return ("minimal-equivalence", failures == 0,
             f"{cases} cases, {failures} disagreements")
@@ -219,9 +219,8 @@ def suite_monomial_group():
     the identity on monomials and multiplicative on products.
     """
     failures = checks = 0
-    for name, tower in [("desk5", corpus.desk_tower_5()),
-                        ("desk3", corpus.desk_tower_3()),
-                        ("desk2", corpus.desk_tower_2())]:
+    for name in ("desk5", "desk3", "desk2"):
+        tower = corpus.named_tower(name)
         for level in range(tower.d + 1):
             monos = tame.monomials_in_level(tower, level, -6, 6)
             mono_keys = {m.terms for m in monos}

@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import tamestrata
-from tamestrata import cli, corpus, translate
+from tamestrata import cli, corpus, errors, strata, translate
 
 
 def run_cli(args):
@@ -292,3 +294,110 @@ def test_human_element_document_shows_terms(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert "terms: (1w^1)*s^-1/2" in out
+
+
+def _library_error_classes():
+    """Every TameStrataError subclass defined in errors.py, by walking the
+    __subclasses__() tree."""
+    found, todo = [], [errors.TameStrataError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__ == errors.__name__:
+            found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _library_error_classes(),
+                         ids=lambda cls: cls.__name__)
+def test_exit_rule_for_every_library_error(monkeypatch, cls):
+    # the rule: a VerificationError exits 2, every other library error 3,
+    # both with the same error document
+    def fail(args):
+        raise cls("planted")
+    monkeypatch.setattr(cli, "_load_tower", fail)
+    code, doc = run_cli(["sr", "--tower", "desk5", "--element", "[]"])
+    want = (cli.EXIT_VERIFICATION if issubclass(cls, errors.VerificationError)
+            else cli.EXIT_INPUT)
+    assert code == want
+    assert doc == cli.document("error", {"error": cls.__name__,
+                                         "message": "planted"})
+
+
+def test_exit_rule_covers_both_families():
+    classes = _library_error_classes()
+    verification = [c for c in classes if issubclass(c, errors.VerificationError)]
+    assert errors.VerificationFailed in verification
+    assert errors.PrecisionExhausted in classes
+    assert len(verification) < len(classes)
+
+
+@pytest.mark.parametrize("exc", [OSError, KeyError, ValueError, TypeError,
+                                 json.JSONDecodeError("bad", "x", 0)])
+def test_exit_rule_for_bad_input_builtins(monkeypatch, exc):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "_load_tower", fail)
+    code, doc = run_cli(["sr", "--tower", "desk5", "--element", "[]"])
+    assert code == cli.EXIT_INPUT and doc["kind"] == "error"
+
+
+def test_other_exceptions_are_not_input_errors(monkeypatch):
+    def fail(args):
+        raise RuntimeError("not an input problem")
+    monkeypatch.setattr(cli, "_load_tower", fail)
+    with pytest.raises(RuntimeError):
+        run_cli(["sr", "--tower", "desk5", "--element", "[]"])
+
+
+@pytest.mark.parametrize("element", [
+    '[[[1,0],[1,0]]]',                                      # term exponent
+    '{"level": 0, "terms": [[[-1,2],[1,0]]], "prec": [1,0]}',  # precision
+])
+def test_zero_denominator_is_an_input_error(element):
+    code, doc = run_cli(["check-minimal", "--tower", "desk5",
+                         "--element", element, "--upper", "0", "--lower", "2"])
+    assert code == cli.EXIT_INPUT
+    assert doc["payload"]["error"] == "ValueError"
+    assert "[1, 0]" in doc["payload"]["message"]
+
+
+def test_tower_help_lists_every_builtin(capsys):
+    with pytest.raises(SystemExit):
+        cli.run(["sr", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "/".join(corpus.BUILTIN_TOWERS) in help_text
+
+
+def test_every_builtin_tower_loads_by_name():
+    for name in corpus.BUILTIN_TOWERS:
+        code, doc = run_cli(["sr", "--tower", name,
+                             "--element", '[[[-1,1],[1,0]]]'])
+        assert code == 0, (name, doc)
+    code, doc = run_cli(["check-minimal", "--tower", "desk2b",
+                         "--element", '[[[-1,3],[1,0]]]',
+                         "--upper", "0", "--lower", "1"])
+    assert code == 0 and doc["payload"]["consistent"] is True
+
+
+def test_unknown_tower_name_is_an_input_error():
+    # a name that is not built in is read as a tower file
+    code, doc = run_cli(["sr", "--tower", "desk7", "--element", "[]"])
+    assert code == cli.EXIT_INPUT
+    assert doc["payload"]["error"] == "FileNotFoundError"
+    with pytest.raises(KeyError, match="desk2b"):
+        corpus.named_tower("desk7")
+
+
+def test_ledger_on_type_b_datum_builds_no_model(tmp_path, monkeypatch):
+    order = strata.make_order(corpus.desk_tower_5(), 4)
+    path = tmp_path / "bk_b.json"
+    path.write_text(json.dumps(cli.emit_bk(translate.make_bk_datum_b(order))))
+    _, off = run_cli(["ledger", "--datum", str(path), "--oracle", "off"])
+    built = []
+    monkeypatch.setattr(cli.oracle, "model_build",
+                        lambda *args: built.append(args))
+    for mode in ("on", "check"):
+        code, doc = run_cli(["ledger", "--datum", str(path), "--oracle", mode])
+        assert code == 0 and doc == off
+    assert built == []

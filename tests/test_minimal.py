@@ -43,7 +43,7 @@ def test_gcd_failure_detected(desk):
 def test_non_monomial_routes_agree(desk):
     w = desk.k.gen()
     c = desk.series(0, [(Fraction(-1, 2), w), (Fraction(1, 2), w)])
-    assert minimal.minimal_equiv_check(c, 0, 2)
+    assert minimal.is_minimal(c, 0, 2).consistent
     assert minimal.is_minimal(c, 0, 2).minimal
 
 

@@ -297,3 +297,44 @@ def test_char_module_min_ord_equals_product_route(name):
                 if got is not PrecisionExhausted:
                     assert got == translate.char_module_valuation(
                         c, (level, exponent), order)
+
+
+def _coordinate_towers():
+    desk2 = corpus.desk_tower_2()
+    phi = next(g for g in desk2.group
+               if g.frob_power == 1 and g.twist == desk2.k.one())
+    return {
+        "desk5": corpus.desk_tower_5(),
+        "desk3": corpus.desk_tower_3(),
+        "desk2": desk2,
+        "p3q9e2f2": tame.make_tower(3, 2, 2, base_f=2),
+        # H_0 != 1, so k_{E_0} = F_2 is smaller than k_L = F_4
+        "desk2-fixed-phi": tame.make_tower(
+            2, 3, 2, levels=(desk2.closure([phi]), desk2.group)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_coordinate_towers()))
+def test_coordinate_tables_rebuild_their_fields(name):
+    tower = _coordinate_towers()[name]
+    model = oracle.model_build(strata.make_order(tower, tower.level_degree(0)))
+    k_F = set(tower.residue_subfield(tower.d))
+    k_E0 = set(tower.residue_subfield(0))
+    for c in k_F:
+        assert model.kF_from_coords(model.kF_coords(c)) == c
+    for c in k_E0:
+        coords = model.residue_coords(c)
+        rebuilt = tower.k.zero()
+        for b in range(model.f0):
+            part = coords[b * model.deg_F:(b + 1) * model.deg_F]
+            rebuilt = rebuilt + model.theta ** b * model.kF_from_coords(part)
+        assert rebuilt == c
+    outside = [c for c in tower.k.elements() if c not in k_F]
+    assert outside
+    for c in outside:
+        with pytest.raises(PrecisionExhausted):
+            model.kF_coords(c)
+        if c not in k_E0:
+            with pytest.raises(PrecisionExhausted):
+                model.residue_coords(c)
+    assert (len(k_E0) < tower.k.order) == (name == "desk2-fixed-phi")

@@ -1,10 +1,14 @@
 """Properties of the source itself."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import tamestrata
 
@@ -50,3 +54,27 @@ def test_documents_identical_under_optimize_flag():
         assert runs[0].stdout == runs[1].stdout, args
         assert runs[0].returncode == runs[1].returncode, args
         assert runs[0].stdout.startswith(b'{"kind":'), args
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # perfbench/tracer.py wraps library functions by name and reads
+    # vars(owner)[name]; a rename or deletion must fail here, not in a
+    # benchmark run
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "perfbench" / "tracer.py")
+    if not path.exists():
+        pytest.skip("perfbench/ is not next to the tests")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr, _ in tracer.SPANS + tracer.LEAVES:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
+        *outer, name = attr.split(".")
+        for part in outer:
+            owner = vars(owner).get(part)
+            if owner is None:
+                break
+        if owner is None or name not in vars(owner):
+            missing.append(f"{modname}.{attr}")
+    assert not missing, missing

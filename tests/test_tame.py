@@ -41,7 +41,7 @@ def test_tower_make_rejects_lazy_chain(desk):
     h1 = frozenset([desk.identity, tau])
     spec = TowerSpec(desk.base, 2, 2, desk.k, desk.zeta, (h1, h1, desk.group))
     with pytest.raises(BadChain):
-        tame.tower_make(spec)
+        tame.Tower(spec)
 
 
 def test_series_arith_cancellation(desk):

@@ -60,7 +60,7 @@ def test_minimality_routes_agree_twisted(twisted):
     for upper, lower in [(0, 1), (0, 2), (1, 2)]:
         for mono in tame.monomials_in_level(twisted, upper, -4, -1):
             cases += 1
-            assert minimal.minimal_equiv_check(mono, upper, lower)
+            assert minimal.is_minimal(mono, upper, lower).consistent
             ge1 = minimal.ge1_check(mono, upper, lower).passed
             assert ge1 == minimal.is_minimal(mono, upper, lower).minimal
     assert cases > 100
@@ -89,7 +89,7 @@ def test_mixed_chain_residue_degree_drop():
         [(3, 2), (3, 1), (1, 1)]
     for upper, lower in [(0, 1), (0, 2), (1, 2)]:
         for mono in tame.monomials_in_level(tower, upper, -3, -1):
-            assert minimal.minimal_equiv_check(mono, upper, lower)
+            assert minimal.is_minimal(mono, upper, lower).consistent
 
 
 def test_not_split_form_without_trivial_top():
