@@ -6,11 +6,12 @@ denominator] pairs, residue-field elements are coefficient vectors over
 F_p.  Pretty unicode rendering is opt-in via --human and never part of the
 wire format.
 
-Exit codes: 0 success; 2 when a VerificationError is raised (a
-constructed object fails a check it must satisfy, or a suite fails); 3 for
-any other TameStrataError and for OSError, KeyError, ValueError or
-TypeError (bad input).  Both failure codes come with an error document
-naming the exception class and its message.
+Exit codes: 0 success (and --help); 2 when a VerificationError is raised
+(a constructed object fails a check it must satisfy, or a suite fails); 3
+for a usage error (a missing or unknown option, an invalid choice), any
+other TameStrataError, and OSError, KeyError, ValueError or TypeError (bad
+input).  Both failure codes come with an error document naming the
+exception class and its message.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus, minimal, oracle, strata, tame, translate, verifysuite
-from .errors import BadPrecision, TameStrataError, VerificationError
+from .errors import TameStrataError, UsageError, VerificationError
 from .ffq import FqField
 
 SCHEMA_VERSION = "1"
@@ -172,6 +173,9 @@ def emit_table(table: translate.FiltrationTable) -> dict:
 
 
 def _payload(doc, kind):
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a {kind} document, got a "
+                         + type(doc).__name__)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')}")
     if doc.get("kind") != kind:
@@ -204,33 +208,56 @@ def _human_series(payload) -> str:
     return out
 
 
+def _rat(pair):
+    return None if pair is None else _unfrac(pair)
+
+
+def _rat_last(rows):
+    return [[*row[:-1], _rat(row[-1])] for row in rows]
+
+
+# how the [n, d] rationals held under a key become Fractions for --human
+_RATIONALS = {"depth": _rat, "exponent": _rat, "prec": _rat,
+              "depths": lambda v: list(map(_rat, v)),
+              "characters": _rat_last, "pairs": _rat_last}
+
+
+def _human_inline(obj) -> str:
+    """One line: a series as its terms, a list in brackets."""
+    if _is_series(obj):
+        return _human_series(obj)
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_human_inline, obj)) + "]"
+    return str(obj)
+
+
 def _render_human(doc) -> str:
+    """One line per field; each list entry on its own "- " line, where an
+    object inside a list starts its first field."""
     lines = [f"kind: {doc['kind']}"]
 
-    def walk(obj, indent=0):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if k == "tower":
-                    lines.append(f"{pad}tower: p={v['p']} e={v['e']} f={v['f']}")
-                elif k == "terms":          # the payload is itself a series
-                    lines.append(f"{pad}terms: {_human_series({'terms': v})}")
-                elif _is_series(v):
-                    lines.append(f"{pad}{k}: {_human_series(v)}")
-                elif isinstance(v, (dict, list)):
-                    lines.append(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if _is_series(v):
-                    lines.append(f"{pad}- {_human_series(v)}")
-                elif isinstance(v, (dict, list)):
-                    walk(v, indent)
-                else:
-                    lines.append(f"{pad}- {v}")
-    walk(doc["payload"])
+    def walk(obj, pad):
+        for k, v in obj.items():
+            v = _RATIONALS[k](v) if k in _RATIONALS else v
+            if k == "tower":
+                v = f"p={v['p']} e={v['e']} f={v['f']}"
+            elif k == "terms":          # the payload is itself a series
+                v = {"terms": v}
+            if isinstance(v, dict) and not _is_series(v):
+                lines.append(f"{pad}{k}:")
+                walk(v, pad + "  ")
+            elif isinstance(v, list):
+                lines.append(f"{pad}{k}:")
+                for item in v:
+                    if isinstance(item, dict) and item and not _is_series(item):
+                        start = len(lines)
+                        walk(item, pad + "    ")
+                        lines[start] = f"{pad}  - {lines[start].lstrip()}"
+                    else:
+                        lines.append(f"{pad}  - {_human_inline(item)}")
+            else:
+                lines.append(f"{pad}{k}: {_human_inline(v)}")
+    walk(doc["payload"], "")
     return "\n".join(lines)
 
 
@@ -244,13 +271,15 @@ def _read_json(path):
 
 
 def _load_tower(args) -> tame.Tower:
+    """A built-in name or a tower file; an unknown bare name lists the names."""
     name = args.tower
-    if name in corpus.BUILTIN_TOWERS:
-        tower = corpus.named_tower(name)
-    else:
-        tower = parse_tower(_read_json(name))
-    prec_k = _prec_k(args, tower)
-    return tower if prec_k is None else tower.with_default_prec(prec_k)
+    if name not in corpus.BUILTIN_TOWERS:
+        try:
+            return parse_tower(_read_json(name))
+        except FileNotFoundError:
+            if os.path.dirname(name):
+                raise
+    return corpus.named_tower(name)
 
 
 def _load_element(tower, text) -> tame.TameSeries:
@@ -258,24 +287,6 @@ def _load_element(tower, text) -> tame.TameSeries:
     if isinstance(data, dict):
         return parse_series(tower, data)
     return parse_series(tower, {"level": 0, "terms": data, "prec": None})
-
-
-def _prec_k(args, tower):
-    """--prec or TAMESTRATA_PREC in s-exponent units, or None if unset."""
-    prec = getattr(args, "prec", None)
-    if prec is None:
-        prec = os.environ.get("TAMESTRATA_PREC")
-    if prec is None:
-        return None
-    try:
-        prec_k = Fraction(prec) * tower.e
-    except (ValueError, ZeroDivisionError):
-        raise BadPrecision(f"precision {prec!r} is not a rational number") \
-            from None
-    if prec_k.denominator != 1 or prec_k <= 0:
-        raise BadPrecision(f"precision {prec} times e={tower.e} is not a "
-                           "positive integer")
-    return int(prec_k)
 
 
 def cmd_check_minimal(args):
@@ -352,17 +363,17 @@ def cmd_yu2bk(args):
 
 def _load_datum(doc):
     """(bk, yu) from a bk_datum document or, failing that, a yu_datum one."""
-    if doc.get("kind") == "bk_datum":
+    if isinstance(doc, dict) and doc.get("kind") == "bk_datum":
         bk = parse_bk(doc)
         return bk, translate.bk_to_yu(bk)
     yu = parse_yu(doc)
     return translate.yu_to_bk(yu), yu
 
 
-def _oracle_model(bk, mode):
+def _matrix_model(bk, use_oracle):
     """A matrix model for a type (a) datum within the oracle bound, unless
     the oracle is off; None otherwise."""
-    if mode == "off" or bk.kind != "a" or bk.order.N > oracle._MAX_N:
+    if not use_oracle or bk.kind != "a" or bk.order.N > oracle._MAX_N:
         return None
     return oracle.model_build(bk.order)
 
@@ -375,8 +386,7 @@ def cmd_tables(args):
         ytabs = translate.yu_group_table(yu)
         payload["bk"] = {k: emit_table(t) for k, t in tabs.items()}
         payload["yu"] = {k: emit_table(t) for k, t in ytabs.items()}
-        mode = args.oracle     # the tables read a model only under "check"
-        model = _oracle_model(bk, mode) if mode == "check" else None
+        model = _matrix_model(bk, args.use_oracle)
         payload["comparisons"] = {
             "H1=Kd+": translate.table_compare(tabs["H1"], ytabs["Kd+"], model),
             "J0=oKd": translate.table_compare(tabs["J0"], ytabs["oKd"], model),
@@ -387,7 +397,7 @@ def cmd_tables(args):
 
 def cmd_ledger(args):
     bk, yu = _load_datum(_read_json(args.datum))
-    model = _oracle_model(bk, args.oracle)
+    model = _matrix_model(bk, args.use_oracle)
     entries, verdicts = translate.ledger_indices(bk, yu, model)
     ok = all(v for v in verdicts.values() if v is not None)
     return (EXIT_OK if ok else EXIT_VERIFICATION), document("ledger", {
@@ -399,10 +409,10 @@ def cmd_ledger(args):
 
 def cmd_verify(args):
     if args.corpus:
-        results = _verify_user_corpus(args.corpus, args.oracle)
+        results = _verify_user_corpus(args.corpus, args.use_oracle)
     else:
         names = None if args.suite == "all" else args.suite.split(",")
-        results = verifysuite.run_suites(names, oracle_mode=args.oracle)
+        results = verifysuite.run_suites(names, args.use_oracle)
     ok = all(passed for _, passed, _ in results)
     payload = {"suites": [{"name": n, "passed": p, "detail": d}
                           for n, p, d in results]}
@@ -411,22 +421,25 @@ def cmd_verify(args):
     return (EXIT_OK if ok else EXIT_VERIFICATION), document("report", payload)
 
 
-def _verify_user_corpus(path, oracle_mode):
+def _verify_user_corpus(path, use_oracle):
     """Datum-level checks over a user-supplied list of datum documents."""
+    docs = _read_json(path)
+    if not isinstance(docs, list):
+        raise ValueError("a corpus is a list of documents, not a "
+                         + type(docs).__name__)
     results = []
-    for idx, doc in enumerate(_read_json(path)):
+    for idx, doc in enumerate(docs):
         bk, yu = _load_datum(doc)
         name = f"corpus[{idx}]"
         ok = translate.skeletons_agree(bk, translate.yu_to_bk(yu)) and \
             translate.skeletons_agree(yu, translate.bk_to_yu(bk))
         detail = "round trip"
         if bk.kind == "a":
-            model = _oracle_model(bk, oracle_mode)
+            model = _matrix_model(bk, use_oracle)
             tabs = translate.h_group_table(bk.seq)
             ytabs = translate.yu_group_table(yu)
-            use = model if oracle_mode == "check" else None
-            ok = ok and translate.table_compare(tabs["H1"], ytabs["Kd+"], use)
-            ok = ok and translate.table_compare(tabs["J0"], ytabs["oKd"], use)
+            ok = ok and translate.table_compare(tabs["H1"], ytabs["Kd+"], model)
+            ok = ok and translate.table_compare(tabs["J0"], ytabs["oKd"], model)
             detail += ", tables"
             if model is not None:
                 _, verdicts = translate.ledger_indices(bk, yu, model)
@@ -440,11 +453,20 @@ def _verify_user_corpus(path, oracle_mode):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise UsageError, which exits 3 with an error document,
+    instead of exiting 2, the verification-failure code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process: parse_args keeps no
     state between calls, so every run shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tamestrata",
         description="exact arithmetic for tame towers of local fields")
     parser.add_argument("--human", action="store_true",
@@ -460,7 +482,6 @@ def _build_parser():
         p.add_argument("--tower", required=True,
                        help="tower file or builtin name ("
                             + "/".join(corpus.BUILTIN_TOWERS) + ")")
-        p.add_argument("--prec", default=None, help="precision override")
         if element:
             p.add_argument("--element", required=True,
                            help="JSON term list [[[kn,kd],[coeffs]],...]")
@@ -492,18 +513,23 @@ def _build_parser():
     p = add("yu2bk", cmd_yu2bk, help="translate a Yu skeleton")
     p.add_argument("--datum", required=True)
 
+    def oracle_opt(p, default):
+        p.add_argument("--oracle", choices=["on", "off", "check"], default=default,
+                       help="off skips the oracle; on and check cross-check "
+                            f"wherever N <= {oracle._MAX_N}")
+
     p = add("tables", cmd_tables, help="filtration group tables")
     p.add_argument("--datum", required=True)
-    p.add_argument("--oracle", choices=["on", "off", "check"], default="off")
+    oracle_opt(p, "off")
 
     p = add("ledger", cmd_ledger, help="index ledger")
     p.add_argument("--datum", required=True)
-    p.add_argument("--oracle", choices=["on", "off", "check"], default="on")
+    oracle_opt(p, "on")
 
     p = add("verify", cmd_verify, help="run the property suites")
     p.add_argument("--suite", default="all",
                    help="comma-separated suite names or 'all'")
-    p.add_argument("--oracle", choices=["on", "off", "check"], default="check")
+    oracle_opt(p, "check")
     p.add_argument("--corpus", default=None,
                    help="JSON list of datum documents to check instead of "
                         "the built-in corpus")
@@ -511,9 +537,10 @@ def _build_parser():
 
 
 def run(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        # "on" and "check" are synonyms: the oracle is one on/off switch
+        args.use_oracle = getattr(args, "oracle", "off") != "off"
         return args.fn(args)
     except VerificationError as exc:
         code, err = EXIT_VERIFICATION, exc

@@ -172,8 +172,8 @@ def datum_corpus_for_orders(named_orders):
 
 
 @lru_cache(maxsize=None)
-def datum_corpus(min_count: int = 50):
-    """BK skeletons spanning Cases A and B and d in {0,1,2,3}."""
+def datum_corpus():
+    """At least 50 BK skeletons spanning Cases A and B and d in {0,1,2,3}."""
     orders = []
     for name in BUILTIN_TOWERS:
         tower = named_tower(name)
@@ -181,7 +181,7 @@ def datum_corpus(min_count: int = 50):
     t5 = desk_tower_5()
     orders.append(("desk5x2", make_order(t5, 2 * t5.level_degree(0))))
     data = datum_corpus_for_orders(orders)
-    if len(data) < min_count:
+    if len(data) < 50:
         raise VerificationFailed(f"corpus too small: {len(data)}")
     return data
 

@@ -85,8 +85,8 @@ class TooLarge(TameStrataError):
     pass
 
 
-class BadPrecision(TameStrataError):
-    pass
+class UsageError(TameStrataError):
+    """A command line the parser rejects."""
 
 
 # --- verification outcomes --------------------------------------------------

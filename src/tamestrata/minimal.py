@@ -75,13 +75,13 @@ def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
     """All three minimality criteria for c, target subgroup H_up over the
     chain subgroup H_low of level lower.
 
-    H_up = stab(c) & H_low turns the target into the generated field itself,
-    which is how "minimal over the base" is phrased.
+    H_up = the stabiliser of c in H_low turns the target into the generated
+    field itself, which is how "minimal over the base" is phrased.
     """
     tw = c.tower
     H_low = tw.chain[lower]
     r = -c.ord()
-    stab = stabilizer_within(c, H_low) & H_low
+    stab = stabilizer_within(c, H_low)
 
     cond_generates = stab == H_up
 
@@ -106,7 +106,7 @@ def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
     cond_residue = residue.orbit_size(deg_klow) == f_rel
 
     sr_series = tw.monomial(c0, Fraction(k0, tw.e))
-    via_sr = (stabilizer_within(sr_series, H_low) & H_low) == H_up
+    via_sr = stabilizer_within(sr_series, H_low) == H_up
 
     # every pair is scanned (a list, not a short-circuit), so an undecidable
     # pair raises even after a failing one; an exact agreement (None) fails
@@ -149,8 +149,7 @@ def _pair_orders(c: TameSeries, elems):
 def minimal_over(c: TameSeries, lower: int) -> bool:
     """Minimality of c relative to E_lower[c]/E_lower."""
     H_low = c.tower.chain[lower]
-    stab = stabilizer_within(c, H_low) & H_low
-    return _routes(c, lower, stab).minimal
+    return _routes(c, lower, stabilizer_within(c, H_low)).minimal
 
 
 def ge1_check(c: TameSeries, level_i: int, level_iplus1: int) -> Ge1Report:

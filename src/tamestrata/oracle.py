@@ -574,10 +574,8 @@ def _coordinate_table(k, basis, p):
 # public oracle operations
 # ---------------------------------------------------------------------------
 
-def model_build(order: OrderDesc, prec: int = None) -> MatrixModel:
-    if prec is None:
-        prec = 24
-    return MatrixModel(order, prec)
+def model_build(order: OrderDesc) -> MatrixModel:
+    return MatrixModel(order, 24)
 
 
 def oracle_nu(model: MatrixModel, x: TameSeries) -> int:

@@ -98,25 +98,14 @@ def nu_A(order: OrderDesc, x: TameSeries) -> int:
     return int(v)
 
 
-_K0_CACHE: dict = {}
-
-
 def k0_closed(order: OrderDesc, beta: TameSeries) -> Optional[int]:
     """Critical exponent; None encodes -infinity (central beta)."""
-    # keyed on the order itself so cached towers stay alive
-    key = (order, beta.key())
-    if key in _K0_CACHE:
-        return _K0_CACHE[key]
     tw = order.tower
     if beta.is_zero_to_prec() or beta.in_level(tw.d):
-        result = None
-    elif minimal_over(beta, tw.d):
-        result = nu_A(order, beta)
-    else:
-        blocks = decompose_split_form(order, beta)
-        result = nu_A(order, blocks[0][1])
-    _K0_CACHE[key] = result
-    return result
+        return None
+    if minimal_over(beta, tw.d):
+        return nu_A(order, beta)
+    return nu_A(order, decompose_split_form(order, beta)[0][1])
 
 
 def stratum_classify(st: Stratum) -> str:
@@ -177,7 +166,7 @@ def decompose_split_form(order: OrderDesc, beta: TameSeries):
             if H_prev is None:
                 stab = stabilizer_within(blk, tw.group)
             else:
-                stab = stabilizer_within(blk, H_prev) & H_prev
+                stab = stabilizer_within(blk, H_prev)
             idx = _chain_index(tw, stab)
             if idx is None:
                 return None

@@ -40,7 +40,6 @@ need the elements themselves.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -107,7 +106,7 @@ class Tower:
         self.d = len(self.chain) - 1
         self._level_data = [self._level_invariants(H) for H in self.chain]
         self._build_action()
-        # default series precision, in s-exponent units
+        # precision of the inverse of an exact series, in s-exponent units
         self.default_prec_k = max(8, 4 * self.e) * self.e
         self._uniformizers = {}
         self._subfield_cache = {}
@@ -168,8 +167,7 @@ class Tower:
         Each g is handled as its pair (mult_g, log u_g), which determines
         it.  _level_action[i] holds the pairs of the non-identity elements
         of H_i; _image_level[pair][i] is the level tag of g applied to an
-        element of E_i, or None.  Never mutated, so towers derived by
-        with_default_prec share them.
+        element of E_i, or None.  Never mutated.
         """
         n = self._n
         self._identity_action = self.action(self.identity)
@@ -306,19 +304,6 @@ class Tower:
     def galois_sorted(self, subset=None):
         return sorted(self.group if subset is None else subset,
                       key=GaloisElement.sort_key)
-
-    def with_default_prec(self, prec_k: int) -> "Tower":
-        """The same tower with another default series precision.
-
-        A new object, so a shared (cached) tower is never changed.  The
-        uniformizer cache starts empty because its series point back at
-        their tower; the other caches and the action tables hold no series
-        and are shared.
-        """
-        out = copy.copy(self)
-        out.default_prec_k = prec_k
-        out._uniformizers = {}
-        return out
 
     def equivalent(self, other) -> bool:
         """Same tower data; deserialized copies interoperate with originals."""

@@ -44,7 +44,6 @@ class CharFactor:
     depth: Fraction
     det_domain: tuple          # factors where the piece is phi o det
     psi_domain: tuple          # factors where the piece is psi_c
-    low_unit_values: Optional[dict] = None   # undetermined shallow range
 
 
 @dataclass(frozen=True)

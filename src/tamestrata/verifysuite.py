@@ -72,14 +72,15 @@ def _random_level_element(rng, tower, level):
                                 for k, c in terms.items()])
 
 
-def suite_valuation_lemma(sample=1000, oracle_sample=150):
-    """nu_A * e(E|F) = e_A * nu_E, cross-checked against matrix valuations."""
+def suite_valuation_lemma():
+    """nu_A * e(E|F) = e_A * nu_E on 1000 random elements, 150 of them
+    cross-checked against matrix valuations."""
     rng = random.Random(20240811)
     towers = [(n, t) for n, t in _enum_towers()]
     orders = {}
     checked = oracle_checked = failures = 0
     models = {}
-    while checked < sample:
+    while checked < 1000:
         name, tower = towers[checked % len(towers)]
         level = rng.randint(0, tower.d)
         x = _random_level_element(rng, tower, level)
@@ -93,7 +94,7 @@ def suite_valuation_lemma(sample=1000, oracle_sample=150):
         rhs = order.e_A * nu_E
         if lhs != rhs:
             failures += 1
-        if oracle_checked < oracle_sample and order.N <= 4 and x.in_level(0):
+        if oracle_checked < 150 and order.N <= 4 and x.in_level(0):
             if id(tower) not in models:
                 models[id(tower)] = oracle.model_build(order)
             if oracle.oracle_nu(models[id(tower)], x.at_level(0)) != \
@@ -276,14 +277,14 @@ ALL_SUITES = {
 _ORACLE_ONLY = ("valuation-lemma", "critical-exponent", "index-identity")
 
 
-def run_suites(names=None, oracle_mode="check"):
-    """Run the named suites; oracle_mode in {'on', 'off', 'check'}.
+def run_suites(names=None, use_oracle=True):
+    """Run the named suites.
 
-    'off' drops the oracle cross-checks from the suites that can run
-    without them and skips the suites whose whole point is the oracle.
+    Without the oracle, the suites that can run without it drop their
+    oracle cross-checks and the suites whose whole point is the oracle
+    are skipped.
     """
     results = []
-    use_oracle = oracle_mode != "off"
     for name in (names or list(ALL_SUITES)):
         fn = ALL_SUITES[name]
         if name in ("filtration-equalities", "character-depth"):

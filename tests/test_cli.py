@@ -20,7 +20,6 @@ def _subprocess_env():
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else os.pathsep.join([src, path]))
-    env.pop("TAMESTRATA_PREC", None)
     return env
 
 
@@ -168,36 +167,6 @@ def test_entry_point_subprocess():
     assert doc["payload"]["exponent"] == [-1, 2]
 
 
-def test_env_precision_override(monkeypatch):
-    monkeypatch.setenv("TAMESTRATA_PREC", "3")
-    tower = cli._load_tower(type("A", (), {"tower": "desk5", "prec": None})())
-    assert tower.default_prec_k == 6
-    assert tower is not corpus.desk_tower_5()
-    assert corpus.desk_tower_5().default_prec_k == 16
-
-
-def test_precision_override_leaves_builtin_tower():
-    code, doc = run_cli(["sr", "--tower", "desk5", "--prec", "1",
-                         "--element", '[[[-1,2],[0,1]]]'])
-    assert code == 0
-    assert doc["payload"]["exponent"] == [-1, 2]
-    assert corpus.desk_tower_5().default_prec_k == 16
-
-
-def test_precision_must_be_whole_in_s_units(monkeypatch):
-    # desk5 has e = 2: 1/3 * 2 is not an integer, 0 and -1 are not positive
-    for prec in ("1/3", "0", "-1", "x", "1/0"):
-        code, doc = run_cli(["sr", "--tower", "desk5", "--prec", prec,
-                             "--element", '[[[-1,2],[0,1]]]'])
-        assert code == 3, prec
-        assert doc["payload"]["error"] == "BadPrecision"
-    monkeypatch.setenv("TAMESTRATA_PREC", "1/3")
-    code, doc = run_cli(["sr", "--tower", "desk5",
-                         "--element", '[[[-1,2],[0,1]]]'])
-    assert code == 3 and doc["payload"]["error"] == "BadPrecision"
-    assert corpus.desk_tower_5().default_prec_k == 16
-
-
 def test_verify_single_suite():
     code, doc = run_cli(["verify", "--suite", "monomial-group",
                          "--oracle", "off"])
@@ -233,17 +202,16 @@ def test_tower_file_default_moduli(tmp_path):
     assert code == 0 and out["payload"]["passed"] is True
 
 
-def test_shared_parser_keeps_no_state_between_runs(monkeypatch):
+def test_shared_parser_keeps_no_state_between_runs():
     # in-process runs share one parser; each must give the document of the
     # same call in a fresh interpreter, so no option leaks into the next run
-    monkeypatch.delenv("TAMESTRATA_PREC", raising=False)
     element = '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'
     calls = [
         ["sr", "--tower", "desk5", "--prec", "1/3",
-         "--element", '[[[-1,2],[0,1]]]'],                        # exit 3
+         "--element", '[[[-1,2],[0,1]]]'],                # usage error, exit 3
         ["sr", "--tower", "desk5", "--element", '[[[-1,2],[0,1]]]'],
-        ["check-minimal", "--tower", "desk5", "--prec", "3",
-         "--element", '[[[-1,2],[0,1]]]', "--upper", "0", "--lower", "2"],
+        ["check-minimal", "--tower", "desk5", "--element", '[[[-1,2],[0,1]]]',
+         "--upper", "0", "--lower", "2"],
         ["defseq", "--tower", "desk5", "--N", "4", "--element", element],
         ["--human", "ge1", "--tower", "desk3", "--element", '[[[-1,2],[1,0]]]',
          "--upper", "0", "--lower", "1"],
@@ -277,18 +245,37 @@ def test_human_check_minimal_shows_series(capsys):
 
 
 def test_human_defseq_shows_blocks(capsys):
+    # each theta factor starts its own entry, each [level, series] block and
+    # each domain pair sits on one line, and a depth [n, d] prints as n/d
     code = cli.main(["--human", "defseq", "--tower", "desk5", "--N", "4",
                      "--element", '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'])
-    out = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
     assert code == 0
-    assert out[:2] == ["kind: bk_datum", "tower: p=5 e=2 f=2"]
-    assert "  - (1)*s^-1/2 @E0" in out and "  - (1w^1)*s^-1 @E1" in out
-    assert "  c: (1)*s^-1/2 @E0" in out       # theta factor of block 0
-    assert not any("terms" in line for line in out)
+    assert out.startswith("kind: bk_datum\ntower: p=5 e=2 f=2\n")
+    assert "blocks:\n  - [0, (1)*s^-1/2 @E0]\n  - [1, (1w^1)*s^-1 @E1]\n" in out
+    assert out.endswith("""theta_factors:
+  - level: 0
+    c: (1)*s^-1/2 @E0
+    depth: 1/2
+    det_domain:
+      - [0, 1]
+    psi_domain:
+      - [1, 1]
+      - [2, 2]
+  - level: 1
+    c: (1w^1)*s^-1 @E1
+    depth: 1
+    det_domain:
+      - [0, 1]
+      - [1, 1]
+    psi_domain:
+      - [2, 2]
+""")
+    assert "terms" not in out
 
 
 def test_human_element_document_shows_terms(capsys):
-    code = cli.main(["--human", "sr", "--tower", "desk5", "--prec", "4",
+    code = cli.main(["--human", "sr", "--tower", "desk5",
                      "--element", '{"level": 0, "terms": [[[-1,2],[0,1]]], '
                                   '"prec": [3,1]}'])
     out = capsys.readouterr().out.splitlines()
@@ -381,12 +368,16 @@ def test_every_builtin_tower_loads_by_name():
 
 
 def test_unknown_tower_name_is_an_input_error():
-    # a name that is not built in is read as a tower file
+    # a bare name with no such file is a mistyped built-in name: the error
+    # lists the valid names; a missing path stays a missing file
     code, doc = run_cli(["sr", "--tower", "desk7", "--element", "[]"])
     assert code == cli.EXIT_INPUT
+    assert doc["payload"]["error"] == "KeyError"
+    for name in corpus.BUILTIN_TOWERS:
+        assert repr(name) in doc["payload"]["message"]
+    code, doc = run_cli(["sr", "--tower", "./desk7", "--element", "[]"])
+    assert code == cli.EXIT_INPUT
     assert doc["payload"]["error"] == "FileNotFoundError"
-    with pytest.raises(KeyError, match="desk2b"):
-        corpus.named_tower("desk7")
 
 
 def test_ledger_on_type_b_datum_builds_no_model(tmp_path, monkeypatch):
@@ -401,3 +392,85 @@ def test_ledger_on_type_b_datum_builds_no_model(tmp_path, monkeypatch):
         code, doc = run_cli(["ledger", "--datum", str(path), "--oracle", mode])
         assert code == 0 and doc == off
     assert built == []
+
+
+def _defseq_datum(tmp_path):
+    _, doc = run_cli(["defseq", "--tower", "desk5", "--N", "4",
+                      "--element", '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'])
+    path = tmp_path / "bk.json"
+    path.write_text(json.dumps(doc))
+    return str(path), doc
+
+
+def test_human_yu_depths_are_rationals(tmp_path, capsys):
+    path, _ = _defseq_datum(tmp_path)
+    assert cli.main(["--human", "bk2yu", "--datum", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("depths:")
+    assert out[at + 1:at + 4] == ["  - 1/2", "  - 1", "  - 1"]
+    assert "  - [0, (1)*s^-1/2 @E0, 1/2]" in out
+    assert "  - [2, None, 1]" in out
+
+
+def test_tables_oracle_on_and_check_are_one_setting(tmp_path, monkeypatch):
+    # "off" skips the oracle; "on" and "check" both build the model
+    path, _ = _defseq_datum(tmp_path)
+    built = []
+    build = cli.oracle.model_build
+    monkeypatch.setattr(cli.oracle, "model_build",
+                        lambda order: built.append(order) or build(order))
+    docs, builds = {}, {}
+    for mode in ("off", "on", "check"):
+        code, docs[mode] = run_cli(["tables", "--datum", path, "--oracle", mode])
+        assert code == 0
+        builds[mode] = len(built)
+    assert builds == {"off": 0, "on": 1, "check": 2}
+    assert docs["off"] == docs["on"] == docs["check"]
+
+
+@pytest.mark.parametrize("args", [
+    ["sr", "--tower", "desk5"],
+    ["tables", "--datum", "bk.json", "--oracle", "maybe"],
+    ["sr", "--tower", "desk5", "--prec", "1", "--element", "[]"],
+    ["decompose", "--tower", "desk5", "--N", "four", "--element", "[]"],
+    [],
+], ids=["missing-element", "invalid-oracle", "leftover-prec", "bad-int",
+        "no-subcommand"])
+def test_usage_error_exits_3_with_error_document(args):
+    # exit 2 means a verification failure, so a usage error must not use it
+    code, doc = run_cli(args)
+    assert code == cli.EXIT_INPUT
+    assert doc["kind"] == "error" and doc["payload"]["error"] == "UsageError"
+    out = subprocess.run([sys.executable, "-m", "tamestrata.cli", *args],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert out.returncode == cli.EXIT_INPUT
+    assert json.loads(out.stdout) == doc
+    assert out.stderr.startswith("usage: tamestrata")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", "--help"])
+    assert exc.value.code == 0
+    assert "on and check cross-check" in " ".join(capsys.readouterr().out.split())
+    out = subprocess.run([sys.executable, "-m", "tamestrata.cli", "--help"],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert out.returncode == 0 and out.stdout.startswith("usage: tamestrata")
+
+
+@pytest.mark.parametrize("command, content", [
+    ("verify --corpus", [1]),
+    ("verify --corpus", {}),
+    ("verify --corpus", "bk_datum"),
+    ("verify --corpus", [[1]]),
+    ("tables --datum", [{}]),
+    ("ledger --datum", 1),
+    ("bk2yu --datum", []),
+    ("yu2bk --datum", "yu_datum"),
+], ids=str)
+def test_non_object_documents_are_input_errors(tmp_path, command, content):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(content))
+    code, doc = run_cli([*command.split(), str(path)])
+    assert code == cli.EXIT_INPUT
+    assert doc["kind"] == "error" and doc["payload"]["error"] == "ValueError"

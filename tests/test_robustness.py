@@ -32,7 +32,6 @@ def test_documents_identical_under_optimize_flag():
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src if not path else os.pathsep.join([src, path]))
-    env.pop("TAMESTRATA_PREC", None)
     calls = [
         ["check-minimal", "--tower", "desk5", "--element",
          '[[[-1,2],[0,1]],[[1,2],[1,0]]]', "--upper", "0", "--lower", "2"],
@@ -78,3 +77,25 @@ def test_benchmark_tracer_bindings_resolve():
         if owner is None or name not in vars(owner):
             missing.append(f"{modname}.{attr}")
     assert not missing, missing
+
+
+def _empty_container(node):
+    """An empty dict, list or set: {}, [], dict(), list() or set()."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and not node.args and not node.keywords
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set"))
+
+
+def test_no_module_level_memos():
+    # an empty container bound at module level is a global memo: it lives as
+    # long as the process and keeps every key it was given alive
+    root = pathlib.Path(tamestrata.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None and _empty_container(node.value)]
+    assert not found, found

@@ -400,16 +400,6 @@ def test_trivial_unit_group():
     assert len(tame.monomials_in_level(tw, 0, -1, 1)) == 3
 
 
-def test_action_tables_shared_with_precision_variant(desk):
-    other = desk.with_default_prec(2 * desk.default_prec_k)
-    assert other._level_action is desk._level_action
-    assert other._image_level is desk._image_level
-    w = desk.k.gen()
-    a = other.series(0, [(-1, w), (Fraction(-1, 2), 1)])
-    tau = GaloisElement(0, desk.k.elem(-1))
-    assert a.apply(tau).terms == desk.series(0, [(-1, w), (Fraction(-1, 2), -1)]).terms
-
-
 def test_series_equality_across_deserialised_tower(desk):
     copy = cli.parse_tower(cli.emit_tower(desk))
     assert copy is not desk and copy.equivalent(desk)
