@@ -546,8 +546,11 @@ def run(argv=None):
         code, err = EXIT_VERIFICATION, exc
     except (TameStrataError, OSError, KeyError, ValueError, TypeError) as exc:
         code, err = EXIT_INPUT, exc
+    # str() of a KeyError is the repr of its argument; report the message
+    message = (str(err.args[0]) if isinstance(err, KeyError)
+               and len(err.args) == 1 else str(err))
     return code, document("error", {
-        "error": type(err).__name__, "message": str(err)})
+        "error": type(err).__name__, "message": message})
 
 
 def main(argv=None) -> int:

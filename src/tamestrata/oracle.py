@@ -12,23 +12,31 @@ k_F) are looked up in tables each model enumerates once from k_L
 arithmetic.  No code is shared with the closed-form paths, so agreement is
 evidence.
 
-Every kernel the oracle solves goes through one routine, ``_kernel_image``:
-the image in a target quotient of {x : ad_g(x) = 0 on block valuations
-[lo, hi) for every generator g}.  ``ad_g`` of an elementary matrix
-theta_F^i t^w e_rc is read off column r and row c of g, with no matrix
-product.  Centralisers are commutants of generating matrices, with the
-solution space re-projected at increasing internal precision until it
-stabilises.  Each model keeps, per level, the commutant at the largest M
-stabilised so far; a smaller M is its projection, which drops the
-coordinates of block valuation >= M.  Cached subspaces are shared, so
-callers must not mutate them.  ``S ∩ P^k`` is cut directly from the rows
-of S (``_Quotient.radical_cut``); ``Subspace.intersect`` stays as the
-general reference.
+Rows are sparse {column: x} dicts: at N=16 a row of Q^k has at most 16
+nonzeros, in quotients of up to 832 columns.  ``Subspace`` keeps them in reduced row echelon form with
+two indexes, pivot -> row and column -> pivots of the rows nonzero there,
+so reducing a vector touches only the pivots it hits and a new pivot is
+back-substituted only into the rows that have it (structured elimination,
+after LaMacchia and Odlyzko, CRYPTO '90).
+
+Every kernel the oracle solves has its equations from one routine,
+``_ad_equations``: ad_g(x) = 0 on block valuations [lo, hi) for every
+generator g, one sparse row per window position.  ``ad_g`` of an
+elementary matrix theta_F^i t^w e_rc is read off column r and row c of g,
+with no matrix product.  ``_kernel_image`` projects the solutions to a
+target quotient; the k-scan of ``oracle_k0`` keeps one echelon form and
+adds one block-valuation layer of equations per step.  Centralisers are
+commutants of generating matrices, with the solution space re-projected at
+increasing internal precision until it stabilises.  Each model keeps, per
+level, the commutant at the largest M stabilised so far; a smaller M is
+its projection, which drops the coordinates of block valuation >= M.
+Cached subspaces are shared, so callers must not mutate them.  ``S ∩ P^k``
+is cut directly from the rows of S (``_Quotient.radical_cut``);
+``Subspace.intersect`` stays as the general reference.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +47,7 @@ from .errors import (
 from .strata import DefiningSeq, OrderDesc
 from .tame import TameSeries
 
-_MAX_N = 8
+_MAX_N = 16
 
 
 # ---------------------------------------------------------------------------
@@ -47,112 +55,149 @@ _MAX_N = 8
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """Row space over F_p in reduced row echelon form.
+    """Row space over F_p in reduced row echelon form (RREF), sparse.
 
-    A row list is never changed in place, so subspaces may share rows.
+    A row is a dict {column: x} of its nonzero entries, 0 < x < p, with
+    entry 1 at its pivot (its smallest column).  Two indexes keep the
+    elimination local: ``_rows`` maps each pivot to its row, so reducing a
+    vector touches only the pivots it hits, and ``_occ`` maps each
+    non-pivot column to the pivots of the rows that are nonzero there, so
+    back-substituting a new pivot touches only the rows it changes.
+    ``rows`` and ``pivots`` list them in pivot order.
+
+    A row dict is never changed in place, so subspaces may share rows.
     """
 
     def __init__(self, p, width, rows=()):
         self.p = p
         self.width = width
-        self.rows = []      # RREF rows
-        self.pivots = []
+        self._rows = {}     # pivot -> row
+        self._occ = {}      # non-pivot column -> pivots of rows nonzero there
         for r in rows:
             self.add(r)
 
     @classmethod
-    def _from_rref(cls, p, width, rows, pivots) -> "Subspace":
-        """Wrap rows already in reduced row echelon form (not copied)."""
+    def _from_rref(cls, p, width, rows) -> "Subspace":
+        """Wrap a pivot -> row map already in RREF (rows not copied)."""
         out = cls(p, width)
-        out.rows = rows
-        out.pivots = pivots
+        out._rows = rows
+        occ = out._occ
+        for piv, row in rows.items():
+            for c in row:
+                if c != piv:
+                    occ.setdefault(c, set()).add(piv)
         return out
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    @property
+    def rows(self):
+        rows = self._rows
+        return [rows[q] for q in sorted(rows)]
 
     def _reduce(self, vec):
-        vec = list(vec)
+        """vec minus its combination of rows: zero at every pivot."""
         p = self.p
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv] % p
-            if c:
-                vec[piv:] = [(a - c * b) % p
-                             for a, b in zip(vec[piv:], row[piv:])]
-        return vec
+        rows = self._rows
+        out = {}
+        hits = []
+        for c, x in vec.items():
+            x %= p
+            if x:
+                out[c] = x
+                if c in rows:
+                    hits.append(c)
+        # a row is zero at the other pivots, so each hit is read once
+        for q in hits:
+            a = out[q]
+            for c, y in rows[q].items():
+                v = (out.get(c, 0) - a * y) % p
+                if v:
+                    out[c] = v
+                else:
+                    del out[c]
+        return out
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the space."""
-        p = self.p
         vec = self._reduce(vec)
-        for piv, c in enumerate(vec):
-            if c % p:
-                break
-        else:
+        if not vec:
             return False
+        p = self.p
+        piv = min(vec)
         inv = pow(vec[piv], p - 2, p)
-        tail = [(c * inv) % p for c in vec[piv:]]
-        idx = bisect_right(self.pivots, piv)
-        # back-substitute into the rows above; those below are zero at piv
-        for k in range(idx):
-            row = self.rows[k]
-            c = row[piv]
-            if c:
-                self.rows[k] = row[:piv] + [(a - c * b) % p
-                                            for a, b in zip(row[piv:], tail)]
-        self.rows.insert(idx, [0] * piv + tail)
-        self.pivots.insert(idx, piv)
+        del vec[piv]
+        tail = [(c, (x * inv) % p) for c, x in vec.items()]
+        rows, occ = self._rows, self._occ
+        new = {piv: 1}
+        for c, y in tail:
+            new[c] = y
+            occ.setdefault(c, set()).add(piv)
+        # back-substitute into the rows that are nonzero at piv
+        for q in occ.pop(piv, ()):
+            row = dict(rows[q])
+            a = row.pop(piv)
+            for c, y in tail:
+                v = (row.get(c, 0) - a * y) % p
+                if v:
+                    if c not in row:
+                        occ[c].add(q)
+                    row[c] = v
+                else:
+                    del row[c]
+                    occ[c].discard(q)
+            rows[q] = row
+        rows[piv] = new
         return True
 
+    def kernel(self):
+        """Basis of {x : r . x = 0 for every row r}, one vector per free
+        column f: e_f minus f's entries of the rows, at their pivots."""
+        p, rows, occ = self.p, self._rows, self._occ
+        return [{f: 1, **{q: (-rows[q][f]) % p for q in occ.get(f, ())}}
+                for f in range(self.width) if f not in rows]
+
     def contains(self, vec) -> bool:
-        return not any(c % self.p for c in self._reduce(vec))
+        return not self._reduce(vec)
 
     def contains_space(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other._rows.values())
 
     def sum(self, other) -> "Subspace":
-        out = Subspace._from_rref(self.p, self.width, list(self.rows),
-                                  list(self.pivots))
-        for r in other.rows:
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        out = Subspace(self.p, self.width)
+        out._rows = dict(big._rows)
+        out._occ = {c: set(qs) for c, qs in big._occ.items()}
+        for r in small._rows.values():
             out.add(r)
         return out
 
     def intersect(self, other) -> "Subspace":
-        # Zassenhaus: row-reduce [A|A; B|0], intersection in right half of
-        # rows with zero left half
+        # Zassenhaus: row-reduce [A|A; B|0]; the rows whose pivot lies in
+        # the right half span the intersection there, already in RREF
         w = self.width
-        combined = []
-        for r in self.rows:
-            combined.append(r + r)
-        for r in other.rows:
-            combined.append(r + [0] * w)
+        combined = [{**r, **{c + w: x for c, x in r.items()}}
+                    for r in self._rows.values()]
+        combined += other._rows.values()
         big = Subspace(self.p, 2 * w, combined)
-        out = Subspace(self.p, w)
-        for row in big.rows:
-            if not any(row[:w]):
-                out.add(row[w:])
-        return out
+        return Subspace._from_rref(
+            self.p, w, {piv - w: {c - w: x for c, x in row.items()}
+                        for piv, row in big._rows.items() if piv >= w})
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.p == other.p
-                and self.width == other.width and self.rows == other.rows)
+                and self.width == other.width and self._rows == other._rows)
 
 
 def nullspace(rows, width, p):
-    """Basis of the right nullspace of the given matrix over F_p."""
-    space = Subspace(p, width, rows)
-    pivset = set(space.pivots)
-    basis = []
-    for free in range(width):
-        if free in pivset:
-            continue
-        vec = [0] * width
-        vec[free] = 1
-        for row, piv in zip(space.rows, space.pivots):
-            vec[piv] = (-row[free]) % p
-        basis.append(vec)
-    return basis
+    """Basis of the right nullspace of the given sparse matrix over F_p."""
+    return Subspace(p, width, rows).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +502,8 @@ class MatrixModel:
 
     def _vec_to_matrix(self, vec, coords) -> SeriesMatrix:
         entries = {}
-        for x, coord in zip(vec, coords):
-            if x % self.p == 0:
-                continue
-            r, c, w, i = coord
+        for pos, x in vec.items():
+            r, c, w, i = coords[pos]
             acc = entries.setdefault((r, c), {})
             add = self._kF_basis[i] * x
             acc[w] = acc[w] + add if w in acc else add
@@ -486,14 +529,9 @@ class _Quotient:
                      for r, c, w, _ in self.coords]
 
     def radical_power(self, k: int) -> Subspace:
-        n = len(self.coords)
-        pivots = [pos for pos, v in enumerate(self.vals) if v >= k]
-        rows = []
-        for pos in pivots:
-            vec = [0] * n
-            vec[pos] = 1
-            rows.append(vec)
-        return Subspace._from_rref(self.model.p, n, rows, pivots)
+        return Subspace._from_rref(
+            self.model.p, len(self.coords),
+            {pos: {pos: 1} for pos, v in enumerate(self.vals) if v >= k})
 
     def radical_cut(self, space: Subspace, k: int) -> Subspace:
         """space ∩ P^k, by row-reducing the rows of space with the
@@ -504,30 +542,28 @@ class _Quotient:
         reduced rows whose pivot falls behind the low coordinates span the
         intersection and are already its RREF in the original order.
         """
-        low = [pos for pos, v in enumerate(self.vals) if v < k]
+        vals = self.vals
+        low = [pos for pos, v in enumerate(vals) if v < k]
         if not low:
             return space
-        order = low + [pos for pos, v in enumerate(self.vals) if v >= k]
-        p, n = self.model.p, len(order)
-        front = Subspace(p, n, [[row[q] for q in order]
-                                for row, piv in zip(space.rows, space.pivots)
-                                if self.vals[piv] >= k])
-        rows, pivots = [], []
-        for row, piv in zip(front.rows, front.pivots):
-            if piv >= len(low):
-                vec = [0] * n
-                for x, q in zip(row, order):
-                    vec[q] = x
-                rows.append(vec)
-                pivots.append(order[piv])
-        return Subspace._from_rref(p, n, rows, pivots)
+        order = low + [pos for pos, v in enumerate(vals) if v >= k]
+        front_of = {q: i for i, q in enumerate(order)}
+        p, n, n_low = self.model.p, len(order), len(low)
+        front = Subspace(p, n, [{front_of[q]: x for q, x in row.items()}
+                                for piv, row in space._rows.items()
+                                if vals[piv] >= k])
+        return Subspace._from_rref(
+            p, n, {order[piv]: {order[q]: x for q, x in row.items()}
+                   for piv, row in front._rows.items() if piv >= n_low})
 
     def project(self, rows, src: "_Quotient") -> Subspace:
         """Span in this quotient of the images of rows of the finer
         quotient src: the coordinates of block valuation >= M drop out."""
-        positions = [src.index[(r, c, w)] + i for r, c, w, i in self.coords]
-        return Subspace(self.model.p, len(positions),
-                        [[row[q] for q in positions] for row in rows])
+        here = {src.index[(r, c, w)] + i: pos
+                for pos, (r, c, w, i) in enumerate(self.coords)}
+        return Subspace(self.model.p, len(here),
+                        [{here[q]: x for q, x in row.items() if q in here}
+                         for row in rows])
 
     def order_level(self, level: int, k: int = 0) -> Subspace:
         """Image of P^k ∩ B_level = Q_level^k in this quotient."""
@@ -540,17 +576,21 @@ class _Quotient:
 def _kernel_image(model, mats, big, lo, hi, target) -> Subspace:
     """Image in target of {x in big : ad_g(x) = 0 on block valuations
     [lo, hi) for every g in mats}; target must be no finer than big."""
-    p = model.p
-    _, width = model.window(lo, hi)
-    ncols = len(big.coords)
-    rows = [[0] * ncols for _ in range(len(mats) * width)]
+    equations = _ad_equations(model, mats, big, lo, hi)
+    kernel = nullspace(list(equations.values()), len(big.coords), model.p)
+    return target.project(kernel, big)
+
+
+def _ad_equations(model, mats, big, lo, hi):
+    """The equations of ad_g(x) = 0 on block valuations [lo, hi) for x in
+    big, as sparse rows {unknown: coefficient} keyed by (g's index, window
+    position); positions no unknown reaches have no row."""
+    rows = {}
     for n, g in enumerate(mats):
-        off = n * width
         for j, vec in enumerate(model.ad_vectors(g, big.coords, lo, hi)):
             for pos, x in vec.items():
-                rows[off + pos][j] = x % p
-    kernel = nullspace([row for row in rows if any(row)], ncols, p)
-    return target.project(kernel, big)
+                rows.setdefault((n, pos), {})[j] = x
+    return rows
 
 
 def _coordinate_table(k, basis, p):
@@ -596,13 +636,24 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
     big = model.quotient_context(J)
     res = model.quotient_context(1)
     bp = _b_plus_p_image(model, bmat, res, J)
-    k = -n
-    while k <= n + 2 * e_A:
+    top = n + 2 * e_A
+    # the equations of ad_beta(x) in P^top, layered by the block valuation
+    # of the window position they test: the equations of ad_beta(x) in P^k
+    # are the layers below k, so one echelon form gains a layer per step
+    index, _ = model.window(-n, top)
+    val_at = [e_A * w + model.block_of(r) - model.block_of(c)
+              for r, c, w in index]
+    layers = {}
+    for (_, pos), row in _ad_equations(model, [bmat], big, -n, top).items():
+        layers.setdefault(val_at[pos // model.deg_F], []).append(row)
+    equations = Subspace(model.p, len(big.coords))
+    for k in range(-n, top + 1):
+        for row in layers.get(k - 1, ()):
+            equations.add(row)
         # x mod P^J with ad_beta(x) in P^k
-        sol = _kernel_image(model, [bmat], big, -n, k, res)
+        sol = res.project(equations.kernel(), big)
         if bp.contains_space(sol):
             return k - 1 if k > -n else None
-        k += 1
     raise PrecisionExhausted("k0 scan did not terminate")
 
 
@@ -693,9 +744,10 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
     best = None
     for row in sub.rows:
         acc = {}
-        for x, (r, col, w, i) in zip(row, quot.coords):
+        for pos, x in row.items():
+            r, col, w, i = quot.coords[pos]
             ser = cmat.entries.get((col, r))
-            if x % model.p == 0 or not ser:
+            if not ser:
                 continue
             scale = model._kF_basis[i] * x
             for w2, c2 in ser.items():

@@ -124,18 +124,20 @@ def suite_critical_exponent():
             f"{cases} strata, {failures} disagreements")
 
 
-def _models_for(data, bound=4):
+def _models_for(data):
+    """A matrix model per order of the data within the oracle bound."""
     models = {}
     for label, bk in data:
-        if bk.order.N <= bound and bk.order.key() not in models:
+        if bk.order.N <= oracle._MAX_N and bk.order.key() not in models:
             models[bk.order.key()] = oracle.model_build(bk.order)
     return models
 
 
 def suite_filtration_equalities(use_oracle=True):
-    """H1 = Kd+ and J0 = oKd on every corpus datum."""
+    """H1 = Kd+ and J0 = oKd on every type (a) corpus datum, compared as
+    lattices by the oracle on every datum within its bound."""
     data = [(l, bk) for l, bk in corpus.datum_corpus() if bk.kind == "a"]
-    models = _models_for(data, bound=oracle._MAX_N) if use_oracle else {}
+    models = _models_for(data) if use_oracle else {}
     cases = failures = 0
     for label, bk in data:
         yu = translate.bk_to_yu(bk)
@@ -151,9 +153,10 @@ def suite_filtration_equalities(use_oracle=True):
 
 
 def suite_index_identity():
-    """Product identity and even exponents for the index ledger, N <= 4."""
+    """Product identity and even exponents for the index ledger, on every
+    type (a) datum within the oracle bound."""
     data = [(l, bk) for l, bk in corpus.datum_corpus()
-            if bk.kind == "a" and bk.order.N <= 4]
+            if bk.kind == "a" and bk.order.N <= oracle._MAX_N]
     models = _models_for(data)
     cases = failures = 0
     for label, bk in data:
@@ -169,9 +172,11 @@ def suite_index_identity():
 
 
 def suite_character_depth(use_oracle=True):
-    """psi_c trivial one step above its depth, nontrivial at it."""
+    """psi_c trivial one step above its depth, nontrivial at it; the
+    trace-module valuations are cross-checked against the oracle on every
+    datum within its bound."""
     data = [(l, bk) for l, bk in corpus.datum_corpus() if bk.kind == "a"]
-    models = _models_for(data, bound=oracle._MAX_N) if use_oracle else {}
+    models = _models_for(data) if use_oracle else {}
     cases = failures = 0
     for label, bk in data:
         model = models.get(bk.order.key())
@@ -285,7 +290,12 @@ def run_suites(names=None, use_oracle=True):
     are skipped.
     """
     results = []
-    for name in (names or list(ALL_SUITES)):
+    names = names or list(ALL_SUITES)
+    unknown = [name for name in names if name not in ALL_SUITES]
+    if unknown:
+        raise KeyError(f"unknown suite {unknown[0]!r}; "
+                       f"choose from {list(ALL_SUITES)}")
+    for name in names:
         fn = ALL_SUITES[name]
         if name in ("filtration-equalities", "character-depth"):
             results.append(fn(use_oracle=use_oracle))

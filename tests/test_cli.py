@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tamestrata
-from tamestrata import cli, corpus, errors, strata, translate
+from tamestrata import cli, corpus, errors, strata, translate, verifysuite
 
 
 def run_cli(args):
@@ -378,6 +378,38 @@ def test_unknown_tower_name_is_an_input_error():
     code, doc = run_cli(["sr", "--tower", "./desk7", "--element", "[]"])
     assert code == cli.EXIT_INPUT
     assert doc["payload"]["error"] == "FileNotFoundError"
+
+
+def test_key_error_message_has_no_repr_quotes():
+    # str() of a KeyError quotes its message; the document carries it plain
+    code, doc = run_cli(["sr", "--tower", "desk7", "--element", "[]"])
+    assert code == cli.EXIT_INPUT
+    assert doc["payload"]["message"].startswith("unknown tower 'desk7'; ")
+
+
+def test_unknown_suite_names_the_suites():
+    code, doc = run_cli(["verify", "--suite", "round-trips,nosuch"])
+    assert code == cli.EXIT_INPUT
+    assert doc["payload"]["error"] == "KeyError"
+    message = doc["payload"]["message"]
+    assert message.startswith("unknown suite 'nosuch'; ")
+    for name in verifysuite.ALL_SUITES:
+        assert repr(name) in message
+
+
+def test_ledger_on_deep_datum_uses_the_oracle(tmp_path):
+    # N = 16 lies within the oracle bound, so every index has a model
+    bk = next(bk for _, bk in corpus.datum_corpus()
+              if bk.kind == "a" and bk.order.tower is corpus.deep_tower_5()
+              and bk.seq.s > 0)
+    assert bk.order.N == 16
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cli.emit_bk(bk)))
+    code, doc = run_cli(["ledger", "--datum", str(path), "--oracle", "on"])
+    assert code == cli.EXIT_OK, doc
+    indices = doc["payload"]["indices"]
+    assert indices and {e["provenance"] for e in indices} == {"oracle"}
+    assert doc["payload"]["verdicts"]["singles_match_oracle"] is True
 
 
 def test_ledger_on_type_b_datum_builds_no_model(tmp_path, monkeypatch):

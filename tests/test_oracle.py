@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,19 +32,105 @@ def desk_seq(desk, order):
 
 
 def test_subspace_rref_ops():
-    s = Subspace(5, 4, [[1, 2, 0, 0], [0, 0, 1, 1]])
+    # rows are sparse {column: x} dicts: [1, 2, 0, 0] is {0: 1, 1: 2}
+    s = Subspace(5, 4, [{0: 1, 1: 2}, {2: 1, 3: 1}])
     assert s.dim == 2
-    assert s.contains([2, 4, 3, 3])
-    assert not s.contains([1, 0, 0, 0])
-    t = Subspace(5, 4, [[1, 0, 0, 0]])
+    assert s.contains({0: 2, 1: 4, 2: 3, 3: 3})
+    assert not s.contains({0: 1})
+    t = Subspace(5, 4, [{0: 1}])
     assert s.sum(t).dim == 3
     assert s.intersect(t).dim == 0
     assert s.sum(t).contains_space(s)
 
 
+# -- the sparse RREF against a dense reference --------------------------------
+
+def _dense_rref(rows, width, p):
+    """Reference: textbook Gauss-Jordan elimination on dense lists."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(width):
+        at = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if at is None:
+            continue
+        m[rank], m[at] = m[at], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                c = m[i][col]
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def _dense(row, width):
+    return [row.get(c, 0) for c in range(width)]
+
+
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _random_matrix(rng, p, nrows, width):
+    density = rng.choice((0.15, 0.4, 0.8))
+    rows = [[rng.randrange(1, p) if rng.random() < density else 0
+             for _ in range(width)] for _ in range(nrows)]
+    # a few combinations of earlier rows, so that the rank drops
+    for _ in range(rng.randrange(3)):
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.randrange(p)
+            rows.append([x + c * y for x, y in zip(a, b)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_rref_matches_dense_reference(p):
+    rng = random.Random(7 * p)
+    for _ in range(60):
+        width = rng.randrange(1, 13)
+        a = _random_matrix(rng, p, rng.randrange(0, 9), width)
+        b = _random_matrix(rng, p, rng.randrange(0, 9), width)
+        sa = Subspace(p, width, [_sparse(r) for r in a])
+        sb = Subspace(p, width, [_sparse(r) for r in b])
+        ref_a = _dense_rref(a, width, p)
+        # rank and the RREF rows themselves
+        assert sa.dim == len(ref_a)
+        assert [_dense(r, width) for r in sa.rows] == ref_a
+        assert sa.pivots == [row.index(1) for row in ref_a]
+        # contains: combinations of the rows are in, anything else is not
+        for _ in range(5):
+            coeffs = [rng.randrange(p) for _ in a]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, a))
+                   for j in range(width)]
+            assert sa.contains(_sparse(vec))
+            vec = [rng.randrange(p) for _ in range(width)]
+            inside = len(_dense_rref(a + [vec], width, p)) == len(ref_a)
+            assert sa.contains(_sparse(vec)) == inside
+        # sum
+        ref_sum = _dense_rref(a + b, width, p)
+        assert [_dense(r, width) for r in sa.sum(sb).rows] == ref_sum
+        # intersect: in both spaces, of dimension dim A + dim B - dim(A+B),
+        # and in RREF
+        meet = sa.intersect(sb)
+        assert meet.dim == sa.dim + sb.dim - len(ref_sum)
+        assert sa.contains_space(meet) and sb.contains_space(meet)
+        dense_meet = [_dense(r, width) for r in meet.rows]
+        assert dense_meet == _dense_rref(dense_meet, width, p)
+        # nullspace: width - rank independent vectors annihilating every row
+        kernel = oracle.nullspace([_sparse(r) for r in a], width, p)
+        assert len(kernel) == width - len(ref_a)
+        dense_kernel = [_dense(v, width) for v in kernel]
+        assert len(_dense_rref(dense_kernel, width, p)) == len(kernel)
+        for v in dense_kernel:
+            for row in a:
+                assert sum(x * y for x, y in zip(row, v)) % p == 0
+
+
 def test_model_build_too_large(desk):
     with pytest.raises(TooLarge):
-        oracle.model_build(strata.make_order(desk, 12))
+        oracle.model_build(strata.make_order(desk, 20))
 
 
 def test_matrix_valuations(desk, model):
