@@ -189,15 +189,14 @@ def datum_corpus():
 @lru_cache(maxsize=None)
 def small_oracle_corpus():
     """(label, order, beta) strata with N <= 4 for the matrix oracle."""
-    out = []
-    named = []
-    for name in ("desk5", "desk3"):     # N = [E_0 : F] = 4; desk2 has 6
-        tower = named_tower(name)
-        named.append((name, make_order(tower, tower.level_degree(0))))
-    for label, bk in datum_corpus_for_orders(named):
-        if bk.kind != "a":
+    out, orders = [], {}
+    for label, bk in datum_corpus():
+        name = label.split("/")[0]
+        if name not in ("desk5", "desk3"):  # N = [E_0 : F] = 4; desk2 has 6
             continue
-        out.append((label, bk.order, bk.seq.entries[0].beta))
-    for name, order in named:
+        orders[name] = bk.order
+        if bk.kind == "a":
+            out.append((label, bk.order, bk.seq.entries[0].beta))
+    for name, order in orders.items():
         out.append((f"{name}/central", order, order.tower.pi_F() ** -1))
     return out

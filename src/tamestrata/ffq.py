@@ -106,9 +106,8 @@ def _is_irreducible(modulus, p):
     return xq == [0, 1]
 
 
-# bootstrap arithmetic for table construction (cannot use the tables)
-
 def _coeff_space(p, f):
+    """Every coefficient vector of length f over F_p, first entry fastest."""
     coeffs = [0] * f
     while True:
         yield tuple(coeffs)
@@ -124,45 +123,12 @@ def _coeff_space(p, f):
 
 
 def _mul_by_poly(a: "FqElem", b: "FqElem") -> "FqElem":
+    """Product by polynomial arithmetic, for building the log tables."""
     fld = a.field
     prod = _poly_mul(list(a.coeffs), list(b.coeffs), fld.p)
     red = _poly_mod(prod, list(fld.modulus), fld.p)
     red = tuple(red) + (0,) * (fld.f - len(red))
     return FqElem(fld, red)
-
-
-def _pow_by_poly(a: "FqElem", e: int) -> "FqElem":
-    result = a.field.elem(1)
-    base = a
-    while e:
-        if e & 1:
-            result = _mul_by_poly(result, base)
-        base = _mul_by_poly(base, base)
-        e >>= 1
-    return result
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _order_by_poly(a: "FqElem", n: int) -> int:
-    one = a.field.elem(1)
-    order = n
-    for ell in _prime_factors(n):
-        while order % ell == 0 and _pow_by_poly(a, order // ell) == one:
-            order //= ell
-    return order
 
 
 def default_modulus(p: int, f: int) -> list:
@@ -173,20 +139,11 @@ def default_modulus(p: int, f: int) -> list:
         raise BadDegree("degree must be >= 1")
     if f == 1:
         return [0, 1]
-    counter = [0] * f
-    while True:
-        modulus = list(counter) + [1]
+    for coeffs in _coeff_space(p, f):
+        modulus = list(coeffs) + [1]
         if _is_irreducible(modulus, p):
             return modulus
-        i = 0
-        while i < f:
-            counter[i] += 1
-            if counter[i] < p:
-                break
-            counter[i] = 0
-            i += 1
-        if i == f:
-            raise ReducibleModulus(f"no irreducible of degree {f} over F_{p}")
+    raise ReducibleModulus(f"no irreducible of degree {f} over F_{p}")
 
 
 class FqField:
@@ -195,6 +152,12 @@ class FqField:
     Multiplicative arithmetic runs on lazily built log/antilog tables
     (exact integer index arithmetic); the polynomial representation is
     only used for construction and for additive operations.
+
+    The tables come from one power walk per candidate: the nonzero
+    coefficient vectors are tried in ``elements()`` order, each is
+    multiplied by itself with polynomial arithmetic until its power
+    returns to 1, and the first whose walk takes p^f - 1 steps is the
+    generator.  Its walk is the antilog table.
     """
 
     __slots__ = ("p", "f", "modulus", "_log", "_exp", "_hash")
@@ -221,17 +184,19 @@ class FqField:
     def _tables(self):
         if self._log is None:
             n = self.order - 1
-            gen = None
+            one = self.one().coeffs
             for coeffs in _coeff_space(self.p, self.f):
+                if not any(coeffs):
+                    continue
                 cand = FqElem(self, coeffs)
-                if not cand.is_zero() and _order_by_poly(cand, n) == n:
-                    gen = cand
+                # the modulus is irreducible (__init__), so the walk ends:
+                # only a zero divisor's powers never reach 1
+                exp, cur = [one], cand
+                while cur.coeffs != one:
+                    exp.append(cur.coeffs)
+                    cur = _mul_by_poly(cur, cand)
+                if len(exp) == n:
                     break
-            exp = []
-            cur = self.elem(1)
-            for _ in range(n):
-                exp.append(cur.coeffs)
-                cur = _mul_by_poly(cur, gen)
             self._exp = exp
             self._log = {c: i for i, c in enumerate(exp)}
         return self._log, self._exp
@@ -272,18 +237,8 @@ class FqField:
 
     def elements(self):
         """All p^f elements, lexicographic in coefficient vectors."""
-        coeffs = [0] * self.f
-        while True:
-            yield FqElem(self, tuple(coeffs))
-            i = 0
-            while i < self.f:
-                coeffs[i] += 1
-                if coeffs[i] < self.p:
-                    break
-                coeffs[i] = 0
-                i += 1
-            if i == self.f:
-                return
+        for coeffs in _coeff_space(self.p, self.f):
+            yield FqElem(self, coeffs)
 
     def subfield_elements(self, degree: int):
         """Elements of the unique subfield of given absolute degree."""

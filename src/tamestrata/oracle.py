@@ -23,13 +23,14 @@ Every kernel the oracle solves has its equations from one routine,
 ``_ad_equations``: ad_g(x) = 0 on block valuations [lo, hi) for every
 generator g, one sparse row per window position.  ``ad_g`` of an
 elementary matrix theta_F^i t^w e_rc is read off column r and row c of g,
-with no matrix product.  ``_kernel_image`` projects the solutions to a
-target quotient; the k-scan of ``oracle_k0`` keeps one echelon form and
-adds one block-valuation layer of equations per step.  Centralisers are
-commutants of generating matrices, with the solution space re-projected at
-increasing internal precision until it stabilises.  Each model keeps, per
-level, the commutant at the largest M stabilised so far; a smaller M is
-its projection, which drops the coordinates of block valuation >= M.
+with no matrix product.  Centralisers are commutants of generating
+matrices, all solved by ``_centraliser_image``, which re-solves at
+increasing internal precision until two successive projections to the
+target quotient agree.  Each model keeps, per level, the commutant at the
+largest M stabilised so far; a smaller M is its projection, which drops
+the coordinates of block valuation >= M.  The k-scan of ``oracle_k0``
+keeps one echelon form and adds one block-valuation layer of equations
+per step.
 Cached subspaces are shared, so callers must not mutate them.  ``S ∩ P^k``
 is cut directly from the rows of S (``_Quotient.radical_cut``);
 ``Subspace.intersect`` stays as the general reference.
@@ -48,6 +49,7 @@ from .strata import DefiningSeq, OrderDesc
 from .tame import TameSeries
 
 _MAX_N = 16
+_PREC = 24      # t-window half-width of a model's element matrices
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ class LatticeHandle:
 
 
 class MatrixModel:
-    def __init__(self, order: OrderDesc, prec: int):
+    def __init__(self, order: OrderDesc):
         tower = order.tower
         if order.N > _MAX_N:
             raise TooLarge(f"N={order.N} exceeds the oracle bound {_MAX_N}")
@@ -282,7 +284,6 @@ class MatrixModel:
         self.tower = tower
         self.N = order.N
         self.e_A = order.e_A
-        self.prec = prec                     # t-window half-width
         self.p = tower.base.p
         self.deg_F = tower.base.f            # [k_F : F_p]
         e0, f0 = tower.level_e(0), tower.level_f(0)
@@ -345,7 +346,7 @@ class MatrixModel:
         tower = self.tower
         if not x.in_level(0):
             raise ZeroToPrecision("element must lie in E_0")
-        if x.prec_k is not None and x.prec_k < (self.prec + 1) * tower.e:
+        if x.prec_k is not None and x.prec_k < (_PREC + 1) * tower.e:
             raise PrecisionExhausted("element precision below the model window")
         entries = {}
         for (a, b, j) in self.basis:
@@ -488,17 +489,10 @@ class MatrixModel:
         gens = [tower.monomial(tower.residue_generator(level), 0),
                 tower.uniformizer(level)]
         gen_mats = [self.elt_to_matrix(g.at_level(0)) for g in gens]
-        prev = None
-        for slack in range(0, 4 * self.e_A + 1, self.e_A):
-            # the generators are integral, so ad(x) is determined mod P^M_big
-            M_big = quot.M + slack
-            space = _kernel_image(self, gen_mats, self.quotient_context(M_big),
-                                  0, M_big, quot)
-            if prev is not None and prev == space:
-                self._commutants[level] = (quot.M, space)
-                return space
-            prev = space
-        raise PrecisionExhausted("commutant projection did not stabilise")
+        # the generators are integral: block valuation shift 0
+        space = _centraliser_image(self, gen_mats, quot.M, 0, quot)
+        self._commutants[level] = (quot.M, space)
+        return space
 
     def _vec_to_matrix(self, vec, coords) -> SeriesMatrix:
         entries = {}
@@ -573,12 +567,21 @@ class _Quotient:
         return self.radical_cut(comm, k)
 
 
-def _kernel_image(model, mats, big, lo, hi, target) -> Subspace:
-    """Image in target of {x in big : ad_g(x) = 0 on block valuations
-    [lo, hi) for every g in mats}; target must be no finer than big."""
-    equations = _ad_equations(model, mats, big, lo, hi)
-    kernel = nullspace(list(equations.values()), len(big.coords), model.p)
-    return target.project(kernel, big)
+def _centraliser_image(model, mats, M, shift, target) -> Subspace:
+    """Image in target (no finer than A/P^M) of the common commutant of
+    mats, of block valuation >= shift: for slack = 0, e_A, ..., 4 e_A,
+    solve ad_g(x) = 0 on block valuations [shift, M + slack + shift), which
+    x in A/P^(M+slack) determines, until two successive images agree."""
+    prev = None
+    for slack in range(0, 4 * model.e_A + 1, model.e_A):
+        big = model.quotient_context(M + slack)
+        equations = _ad_equations(model, mats, big, shift, big.M + shift)
+        kernel = nullspace(list(equations.values()), len(big.coords), model.p)
+        space = target.project(kernel, big)
+        if space == prev:
+            return space
+        prev = space
+    raise PrecisionExhausted("centraliser image did not stabilise")
 
 
 def _ad_equations(model, mats, big, lo, hi):
@@ -615,7 +618,7 @@ def _coordinate_table(k, basis, p):
 # ---------------------------------------------------------------------------
 
 def model_build(order: OrderDesc) -> MatrixModel:
-    return MatrixModel(order, 24)
+    return MatrixModel(order)
 
 
 def oracle_nu(model: MatrixModel, x: TameSeries) -> int:
@@ -635,7 +638,8 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
     J = 2 * n + 2 * e_A + 1
     big = model.quotient_context(J)
     res = model.quotient_context(1)
-    bp = _b_plus_p_image(model, bmat, res, J)
+    # the image of beta's commutant in A/P
+    comm = _centraliser_image(model, [bmat], J, -n, res)
     top = n + 2 * e_A
     # the equations of ad_beta(x) in P^top, layered by the block valuation
     # of the window position they test: the equations of ad_beta(x) in P^k
@@ -652,7 +656,7 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
             equations.add(row)
         # x mod P^J with ad_beta(x) in P^k
         sol = res.project(equations.kernel(), big)
-        if bp.contains_space(sol):
+        if comm.contains_space(sol):
             return k - 1 if k > -n else None
     raise PrecisionExhausted("k0 scan did not terminate")
 
@@ -671,20 +675,6 @@ def _lies_in_F(model, bmat):
             elif ser:
                 return False
     return True
-
-
-def _b_plus_p_image(model, bmat, res, J):
-    """Image of (commutant of beta) + P in A/P, stabilised over slack."""
-    shift = bmat.block_val()
-    prev = None
-    for slack in range(0, 4 * model.e_A + 1, model.e_A):
-        big = model.quotient_context(J + slack)
-        space = _kernel_image(model, [bmat], big, shift, big.M + shift, res)
-        space = space.sum(res.radical_power(1))
-        if prev is not None and prev == space:
-            return space
-        prev = space
-    raise PrecisionExhausted("commutant image did not stabilise")
 
 
 def oracle_hj(model: MatrixModel, seq: DefiningSeq):

@@ -434,6 +434,25 @@ def _defseq_datum(tmp_path):
     return str(path), doc
 
 
+@pytest.mark.parametrize("N", ["0", "-4"])
+def test_defseq_rejects_a_level_below_one(N):
+    code, doc = run_cli(["defseq", "--tower", "desk5", "--N", N,
+                         "--element", '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'])
+    assert code == cli.EXIT_INPUT
+    assert doc["kind"] == "error" and doc["payload"]["error"] == "BadLevel"
+    assert f"N={N}" in doc["payload"]["message"]
+
+
+def test_ledger_rejects_a_datum_with_N_0(tmp_path):
+    path, doc = _defseq_datum(tmp_path)
+    doc["payload"]["N"] = 0
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out = run_cli(["ledger", "--datum", path])
+    assert code == cli.EXIT_INPUT
+    assert out["kind"] == "error" and out["payload"]["error"] == "BadLevel"
+
+
 def test_human_yu_depths_are_rationals(tmp_path, capsys):
     path, _ = _defseq_datum(tmp_path)
     assert cli.main(["--human", "bk2yu", "--datum", path]) == 0

@@ -129,6 +129,7 @@ def test_order_and_orbit_match_repeated_arithmetic(p, f):
     # over the degree-b subfield that returns to the element
     field = ffq.FqField(p, f)
     one = field.one()
+    first_generator = None
     for a in field.elements():
         if a.is_zero():
             with pytest.raises(DivisionByZero):
@@ -137,6 +138,8 @@ def test_order_and_orbit_match_repeated_arithmetic(p, f):
         order, x = 1, a
         while x != one:
             order, x = order + 1, x * a
+        if first_generator is None and order == p ** f - 1:
+            first_generator = a
         assert a.multiplicative_order() == order
         assert field.from_log(a.log()) == a
         for b in (d for d in range(1, f + 1) if f % d == 0):
@@ -144,6 +147,8 @@ def test_order_and_orbit_match_repeated_arithmetic(p, f):
             while y != a:
                 orbit, y = orbit + 1, y.frobenius(b, 1)
             assert a.orbit_size(b) == orbit
+    # the log tables are built on the first generator in elements() order
+    assert field.from_log(1) == first_generator
 
 
 def test_field_equality_and_hash_are_structural():

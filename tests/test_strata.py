@@ -142,6 +142,19 @@ def test_verify_detects_tampering(desk, order, beta):
     assert not report.passed
 
 
+def test_verify_detects_a_shifted_step(desk, order, beta):
+    # r_1 one off breaks nu_A(beta_0 - beta_1) = -r_1
+    seq = strata.build_defining_sequence(
+        order, strata.decompose_split_form(order, beta))
+    e1 = seq.entries[1]
+    shifted = strata.DefiningSeq(
+        order, seq.n,
+        (seq.entries[0], strata.SeqEntry(e1.r + 1, e1.beta, e1.level, e1.c)),
+        seq.s, seq.case)
+    report = strata.verify_defining_sequence(shifted)
+    assert report.checks["d_k0_steps"] is False
+
+
 def test_roundtrip_decompose_build(desk, order):
     # sum of blocks reproduces beta termwise for every corpus sequence
     for label, bk in corpus.datum_corpus():
