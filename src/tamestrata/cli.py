@@ -431,8 +431,8 @@ def _verify_user_corpus(path, use_oracle):
     for idx, doc in enumerate(docs):
         bk, yu = _load_datum(doc)
         name = f"corpus[{idx}]"
-        ok = translate.skeletons_agree(bk, translate.yu_to_bk(yu)) and \
-            translate.skeletons_agree(yu, translate.bk_to_yu(bk))
+        first, second = (bk, yu) if doc["kind"] == "bk_datum" else (yu, bk)
+        ok = translate.round_trip_agrees(first, second)
         detail = "round trip"
         if bk.kind == "a":
             model = _matrix_model(bk, use_oracle)

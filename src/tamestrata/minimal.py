@@ -86,12 +86,10 @@ def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
     cond_generates = stab == H_up
 
     # invariants of E' = E_lower[c]
-    e_low = tw.e // len(H_low & tw.inertia)
-    f_low = (tw.e * tw.f // len(H_low)) // e_low
-    e_prime = tw.e // len(stab & tw.inertia)
-    deg_prime = len(H_low) // len(stab)      # [E' : E_lower]
+    deg_low, e_low, f_low = tw.field_invariants(H_low)
+    deg_prime, e_prime, _ = tw.field_invariants(stab)
     e_rel = e_prime // e_low
-    f_rel = deg_prime // e_rel
+    f_rel = deg_prime // deg_low // e_rel
 
     nu_prime = c.ord() * e_prime
     if nu_prime.denominator != 1:

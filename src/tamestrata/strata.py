@@ -7,9 +7,9 @@ e(E_0|F).  On elements of tower levels the order valuation is then just
 e_A * ord, which is what the brute-force matrix oracle re-derives.
 
 Defining sequences are built from split-form elements: every term of beta
-must lie in a chain level, blocks of consecutive terms are assigned levels
-by their exact stabilisers, and the result is accepted only when the full
-list of sequence conditions verifies.
+must lie in a chain level, and the split into blocks is forced, a new block
+starting exactly where the generated field grows.  The one split is
+accepted only when the full list of sequence conditions verifies.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from typing import Optional
 
 from .errors import (
     BadLevel, NotDecomposable, NotInLevel, NotMinimalSummand, NotSplitForm,
-    TooLarge, ValuationOrder, VerificationFailed, ZeroToPrecision,
+    ValuationOrder, VerificationFailed, ZeroToPrecision,
 )
 from .minimal import is_minimal, minimal_over
 from .tame import TameSeries, Tower, stabilizer_within
-
-_MAX_SPLIT_TERMS = 48
 
 
 @dataclass(frozen=True)
@@ -126,91 +124,37 @@ def stratum_classify(st: Stratum) -> str:
 def decompose_split_form(order: OrderDesc, beta: TameSeries):
     """Split beta into minimal blocks assigned to chain levels.
 
-    Terms are scanned from deepest to shallowest and grouped into
-    consecutive blocks; the deepest block takes the smallest field
-    containing it and each following block must generate a strictly
-    larger chain field over the previous one.  Cut positions are searched
-    join-first with backtracking (never more blocks than the chain has
-    steps), and a candidate split is accepted only when the induced
-    defining sequence verifies in full.
+    Terms are scanned from deepest to shallowest.  A block's level is the
+    natural level of its deepest term; a term of strictly smaller level (a
+    strictly larger field) starts the next block, and every other term
+    joins the current one.  No other split can verify: in a defining
+    sequence every term of c_i lies in E_{level_i}, the leading term of a
+    minimal c_i generates its step, so its natural level is level_i, and
+    levels decrease strictly from the deepest block on.  The split is
+    verified in full by build_defining_sequence.  Blocks are returned as
+    [(level, c)], shallowest first.
     """
     tw = order.tower
     if beta.is_zero_to_prec():
         raise ZeroToPrecision("cannot decompose a series with no visible terms")
-    term_series = []
+    blocks = []       # [level, block], deepest first
     for k, c in beta.terms:
         try:
-            ser = tw.monomial(c, Fraction(k, tw.e))
+            term = tw.monomial(c, Fraction(k, tw.e))
         except NotInLevel as exc:
             raise NotSplitForm(f"term at exponent {Fraction(k, tw.e)} "
                                "lies in no chain level") from exc
-        term_series.append(ser)
-    T = len(term_series)
-    if T > _MAX_SPLIT_TERMS:
-        raise TooLarge(f"{T} terms exceeds the split-search bound")
-
-    def blocks_from_cuts(cuts):
-        # cuts: ascending positions in 1..T-1; blocks deepest-first
-        out, start = [], 0
-        for cut in list(cuts) + [T]:
-            blk = term_series[start]
-            for t in term_series[start + 1:cut]:
-                blk = blk + t
-            out.append(blk)
-            start = cut
-        return out
-
-    def assign_levels(blocks):
-        # deepest block first; fields must grow strictly
-        levels = []
-        H_prev = None
-        for blk in blocks:
-            if H_prev is None:
-                stab = stabilizer_within(blk, tw.group)
-            else:
-                stab = stabilizer_within(blk, H_prev)
-            idx = _chain_index(tw, stab)
-            if idx is None:
-                return None
-            if levels and idx >= levels[-1]:
-                return None
-            levels.append(idx)
-            H_prev = tw.chain[idx]
-        return levels
-
-    max_cuts = tw.d          # block levels strictly increase along the chain
-
-    def search(pos, cuts):
-        if pos == T:
-            blocks = blocks_from_cuts(cuts)
-            levels = assign_levels(blocks)
-            if levels is None:
-                return None
-            c_list = list(zip(reversed(levels), reversed(blocks)))
-            try:
-                build_defining_sequence(order, c_list)
-            except (NotMinimalSummand, ValuationOrder, VerificationFailed,
-                    NotInLevel):
-                return None
-            return c_list
-        choices = (cuts,) if len(cuts) >= max_cuts else (cuts, cuts + [pos])
-        for choice in choices:   # join first, then cut
-            result = search(pos + 1, choice)
-            if result is not None:
-                return result
-        return None
-
-    result = search(1, [])
-    if result is None:
-        raise NotDecomposable("no block split of beta verifies")
-    return result
-
-
-def _chain_index(tw: Tower, subgroup):
-    for i, H in enumerate(tw.chain):
-        if H == subgroup:
-            return i
-    return None
+        if blocks and term.level >= blocks[-1][0]:
+            blocks[-1][1] = blocks[-1][1] + term
+        else:
+            blocks.append([term.level, term])
+    c_list = [(lvl, c) for lvl, c in reversed(blocks)]
+    try:
+        build_defining_sequence(order, c_list)
+    except (NotMinimalSummand, ValuationOrder, VerificationFailed,
+            NotInLevel) as exc:
+        raise NotDecomposable("no block split of beta verifies") from exc
+    return c_list
 
 
 def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
@@ -236,11 +180,14 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
     if any(-a >= -b for a, b in zip(nus, nus[1:])):
         raise ValuationOrder("block depths -nu_A(c_i) must strictly increase")
 
+    reports = []
     for i in range(s + 1):
         low = levels[i + 1] if i < s else tw.d
-        if not is_minimal(cs[i], levels[i], low).minimal:
+        rep = is_minimal(cs[i], levels[i], low)
+        if not rep.minimal:
             raise NotMinimalSummand(
                 f"block {i} is not minimal relative to levels {levels[i]}/{low}")
+        reports.append(rep)
 
     n = -nus[s]
     entries = []
@@ -252,7 +199,7 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
         entries.append(SeqEntry(r_i, beta_i, levels[i], cs[i]))
     case = "A" if levels[s] == tw.d else "B"
     seq = DefiningSeq(order, n, tuple(entries), s, case)
-    report = verify_defining_sequence(seq)
+    report = _verify(seq, reports)
     if not report.passed:
         failed = [k for k, ok in report.checks.items() if not ok]
         raise VerificationFailed(f"sequence checks failed: {failed}; "
@@ -274,27 +221,29 @@ def verify_defining_sequence(seq: DefiningSeq) -> VerifyReport:
     k0 of the intermediate beta_i is evaluated from the sequence tail
     (-r_{i+1} once the tail conditions hold), which is exactly the
     closed-form recursion, so (d) does not compare it with -r_{i+1}; the
-    independent check of k0 is the matrix oracle.
+    independent check of k0 is the matrix oracle.  k0 of beta_s is decided
+    once and read by (a) and (e).
     """
+    return _verify(seq, None)
+
+
+def _verify(seq: DefiningSeq, reports) -> VerifyReport:
+    """The checks of verify_defining_sequence.  reports, when given, are
+    the minimality reports of c_0..c_s for their steps, as
+    build_defining_sequence decided them; (f) reads them instead of
+    deciding minimality again."""
     order, tw = seq.order, seq.order.tower
     s, entries, n = seq.s, seq.entries, seq.n
     checks, details = {}, {}
 
-    def k0_seq(i):
-        # justified by the tail checks (e)/(f); -inf encoded as None
-        if i == s:
-            beta_s = entries[s].beta
-            if beta_s.in_level(tw.d):
-                return None
-            if minimal_over(beta_s, tw.d):
-                return nu_A(order, beta_s)
-            return 0  # forces failure of (a)/(e)
-        return -entries[i + 1].r
-
     ok = True
     for i in range(s + 1):
         pure = nu_A(order, entries[i].beta) == -n
-        k0 = k0_seq(i)
+        # k0 from the tail, justified by (e)/(f); -infinity is None
+        if i < s:
+            k0 = -entries[i + 1].r
+        else:
+            k0 = k0_terminal = _terminal_k0(order, entries[s].beta)
         simple = pure and (k0 is None or entries[i].r < -k0)
         if not simple:
             ok = False
@@ -325,20 +274,33 @@ def verify_defining_sequence(seq: DefiningSeq) -> VerifyReport:
             ok = False
     checks["d_k0_steps"] = ok
 
-    k0s = k0_seq(s)
-    checks["e_terminal_k0"] = k0s is None or k0s == -n
+    checks["e_terminal_k0"] = k0_terminal is None or k0_terminal == -n
 
     ok = True
     for i in range(s + 1):
         low = entries[i + 1].level if i < s else tw.d
         r_derived = entries[i + 1].r if i < s else n
-        try:
-            rep = is_minimal(entries[i].c, entries[i].level, low)
-        except (ZeroToPrecision, NotInLevel):
-            ok = False
-            continue
+        if reports is not None:
+            rep = reports[i]
+        else:
+            try:
+                rep = is_minimal(entries[i].c, entries[i].level, low)
+            except (ZeroToPrecision, NotInLevel):
+                ok = False
+                continue
         if not rep.minimal or nu_A(order, entries[i].c) != -r_derived:
             ok = False
     checks["f_derived_simple"] = ok
 
     return VerifyReport(checks, details)
+
+
+def _terminal_k0(order: OrderDesc, beta_s: TameSeries):
+    """k0 of the terminal beta_s if the sequence is sound, else 0, which
+    fails (a) and (e)."""
+    tw = order.tower
+    if beta_s.in_level(tw.d):
+        return None
+    if minimal_over(beta_s, tw.d):
+        return nu_A(order, beta_s)
+    return 0

@@ -104,7 +104,7 @@ class Tower:
         self.inertia = frozenset(g for g in self.group if g.frob_power == 0)
         self.chain = self._validate_chain(spec.levels)
         self.d = len(self.chain) - 1
-        self._level_data = [self._level_invariants(H) for H in self.chain]
+        self._level_data = [self.field_invariants(H) for H in self.chain]
         self._build_action()
         # precision of the inverse of an exact series, in s-exponent units
         self.default_prec_k = max(8, 4 * self.e) * self.e
@@ -191,13 +191,15 @@ class Tower:
         """(mult_g, log u_g): g maps log c in c*s^k to mult_g*log c + k*log u_g."""
         return self._mults[g.frob_power % self.f], g.twist.log()
 
-    def _level_invariants(self, H):
-        ram = len(H & self.inertia)
-        e_i = self.e // ram
+    def field_invariants(self, H):
+        """(degree, e, f) over F of the fixed field L^H of the subgroup H.
+
+        By Galois correspondence [L^H : F] = |G| / |H| and
+        e(L | L^H) = |H & inertia|, so e(L^H | F) = e / |H & inertia|.
+        """
         deg = (self.e * self.f) // len(H)
-        f_i = deg // e_i
-        return {"e": e_i, "f": f_i, "degree": deg,
-                "residue_degree": self.base.f * f_i}
+        e_H = self.e // len(H & self.inertia)
+        return deg, e_H, deg // e_H
 
     # -- level data -------------------------------------------------------
 
@@ -206,17 +208,17 @@ class Tower:
             raise BadLevel(f"level {i} outside chain 0..{self.d}")
         return i
 
+    def level_degree(self, i):
+        return self._level_data[self.check_level(i)][0]
+
     def level_e(self, i):
-        return self._level_data[self.check_level(i)]["e"]
+        return self._level_data[self.check_level(i)][1]
 
     def level_f(self, i):
-        return self._level_data[self.check_level(i)]["f"]
-
-    def level_degree(self, i):
-        return self._level_data[self.check_level(i)]["degree"]
+        return self._level_data[self.check_level(i)][2]
 
     def level_residue_degree(self, i):
-        return self._level_data[self.check_level(i)]["residue_degree"]
+        return self.base.f * self.level_f(i)
 
     def residue_subfield(self, i):
         """Elements of the residue field of E_i, as a subset of k_L."""
@@ -610,10 +612,6 @@ class TameSeries:
             out.level = out.natural_level()
         return out
 
-    def term_fixed_by(self, k, c, g) -> bool:
-        tw = self.tower
-        return c.is_zero() or _fixes((tw.action(g),), tw._n, ((k, c.log()),))
-
     def _logs(self):
         return [(k, c.log()) for k, c in self.terms]
 
@@ -732,23 +730,6 @@ def ord_and_nu(a: TameSeries, level: int):
         raise VerificationFailed(
             f"valuation {nu} in level {level} is not integral")
     return o, int(nu)
-
-
-def stabilizer_field(a: TameSeries):
-    """Invariants (degree, e, f, subgroup) of F[a] inside L.
-
-    The subgroup is the exact stabiliser of a in Gal(L/F); the field
-    invariants follow by Galois correspondence.  Conjugates that agree out
-    to the precision bound make the stabiliser undecidable and raise.
-    """
-    tw = a.tower
-    if a.is_exact_zero():
-        return 1, 1, 1, tw.group
-    stab = stabilizer_within(a, tw.group)
-    degree = len(tw.group) // len(stab)
-    e = tw.e // len(stab & tw.inertia)
-    f = degree // e
-    return degree, e, f, stab
 
 
 def stabilizer_within(a: TameSeries, H) -> frozenset:

@@ -117,7 +117,7 @@ def make_bk_datum_b(order: OrderDesc) -> BKDatumSkeleton:
 # ---------------------------------------------------------------------------
 
 def _seq_levels_nus(seq: DefiningSeq):
-    """Levels and depths -nu_A(c_i) of the blocks, plus the Case B top."""
+    """Levels and depths -nu_A(c_i) of the blocks."""
     levels = [e.level for e in seq.entries]
     nus = [-nu_A(seq.order, e.c) for e in seq.entries]
     return levels, nus
@@ -338,6 +338,23 @@ def skeletons_agree(a, b) -> bool:
                 return False
         return True
     return False
+
+
+def round_trip_agrees(first, second) -> bool:
+    """Whether two more translations give back both skeletons of a datum.
+
+    second is the translation of first (BK to Yu or Yu to BK).  first is
+    compared with its image after two translations, first -> second ->
+    first2, and second with its own, second -> first2 -> second2; neither
+    comparison reuses the skeleton it checks.
+    """
+    first2 = _translate(second)
+    return (skeletons_agree(first, first2)
+            and skeletons_agree(second, _translate(first2)))
+
+
+def _translate(x):
+    return bk_to_yu(x) if isinstance(x, BKDatumSkeleton) else yu_to_bk(x)
 
 
 # ---------------------------------------------------------------------------

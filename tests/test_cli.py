@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tamestrata
-from tamestrata import cli, corpus, errors, strata, translate, verifysuite
+from tamestrata import cli, corpus, errors, oracle, strata, translate, verifysuite
 
 
 def run_cli(args):
@@ -174,20 +174,37 @@ def test_verify_single_suite():
     assert doc["payload"]["suites"][0]["passed"] is True
 
 
-def test_verify_oracle_off_skips_oracle_suites():
-    code, doc = run_cli(["verify", "--suite", "critical-exponent",
+def test_verify_oracle_off_skips_oracle_suites(monkeypatch):
+    # the oracle-only suite is skipped, the two with oracle cross-checks
+    # run their closed forms alone; no matrix model is built
+    def no_model(order):
+        raise AssertionError("a matrix model was built with the oracle off")
+
+    monkeypatch.setattr(oracle, "model_build", no_model)
+    code, doc = run_cli(["verify", "--suite",
+                         "critical-exponent,filtration-equalities,character-depth",
                          "--oracle", "off"])
     assert code == 0
-    assert "skipped" in doc["payload"]["suites"][0]["detail"]
+    suites = doc["payload"]["suites"]
+    assert [s["name"] for s in suites] == [
+        "critical-exponent", "filtration-equalities", "character-depth"]
+    assert all(s["passed"] for s in suites)
+    assert "skipped" in suites[0]["detail"]
+    assert "(0 with oracle)" in suites[1]["detail"]
 
 
 def test_verify_user_corpus(tmp_path):
-    docs = [cli.emit_bk(bk) for _, bk in corpus.datum_corpus()[:2]]
+    data = [bk for _, bk in corpus.datum_corpus()[:2]]
+    docs = [cli.emit_bk(bk) for bk in data]
+    docs.append(cli.emit_yu(translate.bk_to_yu(data[0])))
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(docs))
     code, doc = run_cli(["verify", "--corpus", str(path), "--oracle", "check"])
     assert code == 0
-    assert all(s["passed"] for s in doc["payload"]["suites"])
+    suites = doc["payload"]["suites"]
+    assert [s["name"] for s in suites] == [f"corpus[{i}]" for i in range(3)]
+    assert all(s["passed"] for s in suites)
+    assert suites[2]["detail"] == suites[0]["detail"]
 
 
 def test_tower_file_default_moduli(tmp_path):

@@ -84,4 +84,4 @@ def test_k0_with_finite_precision(desk):
 def test_stabilizer_undecidable_tail(desk):
     a = desk.series(2, [(0, 1)], prec=Fraction(3, 2))
     with pytest.raises(PrecisionExhausted):
-        tame.stabilizer_field(a)
+        tame.stabilizer_within(a, desk.group)

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from tamestrata import corpus, strata
+from tamestrata import corpus, strata, tame
 from tamestrata.errors import (
     NotDecomposable, NotMinimalSummand, ValuationOrder, ZeroToPrecision,
 )
@@ -79,6 +80,51 @@ def test_decompose_rejects_off_chain_field(desk, order):
     bad = desk.series(0, [(Fraction(-3, 2), 1), (-1, 1)])
     with pytest.raises(NotDecomposable):
         strata.decompose_split_form(order, bad)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BUILTIN_TOWERS))
+def test_decompose_returns_the_blocks_summed(name):
+    # minimal blocks along a random level pattern, each given extra terms
+    # of its own level between its leading term and the next shallower
+    # block's: the split of their sum is exactly those blocks
+    tw = corpus.named_tower(name)
+    order = strata.make_order(tw, tw.level_degree(0))
+    rng = random.Random(f"decompose/{name}")
+    step = Fraction(1, tw.e)
+    multi = 0
+    for _ in range(30):
+        levels = sorted(rng.sample(range(tw.d + 1), rng.randint(1, tw.d + 1)))
+        blocks = corpus.blocks_for_levels(tw, levels, rng.randint(1, 3),
+                                          order.e_A)
+        if blocks is None:
+            continue
+        want = []
+        for i, (lvl, c) in enumerate(blocks):
+            top = blocks[i - 1][1].ord() - step if i else Fraction(2)
+            extra = tame.monomials_in_level(tw, lvl, c.ord() + step, top)
+            for m in rng.sample(extra, min(2, len(extra))):
+                c = c + m
+            want.append((lvl, c))
+        beta = want[0][1]
+        for _, c in want[1:]:
+            beta = beta + c
+        got = strata.decompose_split_form(order, beta)
+        assert [(lvl, c.terms) for lvl, c in got] == \
+            [(lvl, c.terms) for lvl, c in want]
+        multi += len(want) > 1
+    assert multi >= 5
+
+
+def test_decompose_more_than_48_terms(desk, order):
+    # the split is one scan, so the length of beta is not bounded
+    w = desk.k.gen()
+    top = desk.monomial(1, Fraction(-1, 2)) + desk.series(
+        0, [(Fraction(k, 2), 1) for k in range(61)])
+    beta = top + desk.monomial(w, -1)
+    assert len(beta.terms) == 63
+    blocks = strata.decompose_split_form(order, beta)
+    assert [(lvl, c.terms) for lvl, c in blocks] == \
+        [(0, top.terms), (1, desk.monomial(w, -1).terms)]
 
 
 def test_build_defining_sequence(desk, order, beta):

@@ -119,21 +119,24 @@ def test_galois_apply_is_ring_morphism(desk):
 
 
 def test_stabilizer_field(desk):
+    # (degree, e, f) of F[a] from the stabiliser of a, by Galois correspondence
     w = desk.k.gen()
-    deg, e, f, sub = tame.stabilizer_field(desk.monomial(w, 0))
-    assert (deg, e, f) == (2, 1, 2) and len(sub) == 2
-    deg, e, f, sub = tame.stabilizer_field(desk.monomial(1, Fraction(-1, 2)))
-    assert (deg, e, f) == (2, 2, 1)
+    sub = tame.stabilizer_within(desk.monomial(w, 0), desk.group)
+    assert desk.field_invariants(sub) == (2, 1, 2) and len(sub) == 2
+    sub = tame.stabilizer_within(desk.monomial(1, Fraction(-1, 2)), desk.group)
+    assert desk.field_invariants(sub) == (2, 2, 1)
     a = desk.series(0, [(-1, w), (Fraction(-1, 2), 1)])
-    deg, e, f, sub = tame.stabilizer_field(a)
-    assert deg == 4 and sub == frozenset([desk.identity])
+    sub = tame.stabilizer_within(a, desk.group)
+    assert desk.field_invariants(sub)[0] == 4 and sub == frozenset([desk.identity])
+    assert tame.stabilizer_within(desk.zero(), desk.group) == desk.group
+    assert desk.field_invariants(desk.group) == (1, 1, 1)
 
 
 def test_stabilizer_precision_exhausted(desk):
     # visible parts of all conjugates agree; the tail is unknown
     a = desk.series(2, [(0, 1)], prec=1)
     with pytest.raises(PrecisionExhausted):
-        tame.stabilizer_field(a)
+        tame.stabilizer_within(a, desk.group)
 
 
 def test_sr_standard_rep(desk):
@@ -295,7 +298,7 @@ def test_apply_matches_frobenius_twist_formula(name):
             assert r.terms == ((k, _ref_coeff(tw, g, k, c)),)
             assert r.prec_k is None and r.in_level(r.level)
             assert r.level == tags[g, m.level]
-            assert m.term_fixed_by(k, c, g) == (r.terms == m.terms)
+            assert tame.is_fixed_by(m, g) == (r.terms == m.terms)
 
 
 @pytest.mark.parametrize("name", TOWER_NAMES)
@@ -354,7 +357,7 @@ def test_stabilizer_with_non_normal_bottom_level():
     pi = tw.uniformizer(0)
     assert tame.stabilizer_within(pi, tw.group) == h0
     assert tame.stabilizer_within(pi, tw.group) == _ref_stabilizer(pi, tw.group)
-    assert tame.stabilizer_field(pi)[3] == h0
+    assert tw.field_invariants(h0) == (3, 3, 1)
     outside = [g for g in tw.group
                if tw.compose(tw.compose(g, phi), tw.invert(g)) not in h0]
     assert outside
