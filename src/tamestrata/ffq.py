@@ -3,13 +3,17 @@
 A field is described by its characteristic, its degree over F_p and a monic
 irreducible modulus given as a coefficient list (low degree first).  Elements
 are fixed-length coefficient vectors reduced against the modulus, so values
-are canonical and can be compared and hashed structurally.  Everything is
-pure Python integer arithmetic; nothing here is approximate.
+are canonical and can be compared and hashed structurally.  Products and
+powers read discrete-log tables, built at construction and shared by equal
+fields.  Everything is pure Python integer arithmetic; nothing here is
+approximate.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
+from types import MappingProxyType
 
 from .errors import (
     BadDegree, DivisionByZero, FieldMismatch, NotPrime, ReducibleModulus,
@@ -122,13 +126,30 @@ def _coeff_space(p, f):
             return
 
 
-def _mul_by_poly(a: "FqElem", b: "FqElem") -> "FqElem":
-    """Product by polynomial arithmetic, for building the log tables."""
-    fld = a.field
-    prod = _poly_mul(list(a.coeffs), list(b.coeffs), fld.p)
-    red = _poly_mod(prod, list(fld.modulus), fld.p)
-    red = tuple(red) + (0,) * (fld.f - len(red))
-    return FqElem(fld, red)
+@cache
+def _log_tables(p, f, modulus):
+    """(log, exp) of F_{p^f} = F_p[x]/(modulus), built once per field.
+
+    One power walk per candidate: the nonzero coefficient vectors are
+    tried in elements() order, each is multiplied by itself with
+    polynomial arithmetic until its power returns to 1, and the first
+    whose walk takes p^f - 1 steps is the generator.  Its walk is the
+    antilog table.  The modulus must be irreducible: only a zero
+    divisor's powers never reach 1.
+    """
+    n = p ** f - 1
+    one = (1,) + (0,) * (f - 1)
+    for cand in _coeff_space(p, f):
+        if not any(cand):
+            continue
+        exp, cur = [one], cand
+        while cur != one:
+            exp.append(cur)
+            red = _poly_mod(_poly_mul(list(cur), list(cand), p), modulus, p)
+            cur = tuple(red) + (0,) * (f - len(red))
+        if len(exp) == n:
+            break
+    return MappingProxyType({c: i for i, c in enumerate(exp)}), tuple(exp)
 
 
 def default_modulus(p: int, f: int) -> list:
@@ -149,15 +170,14 @@ def default_modulus(p: int, f: int) -> list:
 class FqField:
     """Descriptor of F_{p^f} with a fixed monic irreducible modulus.
 
-    Multiplicative arithmetic runs on lazily built log/antilog tables
-    (exact integer index arithmetic); the polynomial representation is
-    only used for construction and for additive operations.
+    Multiplicative arithmetic runs on log/antilog tables (exact integer
+    index arithmetic); the polynomial representation is only used for
+    construction and for additive operations.
 
-    The tables come from one power walk per candidate: the nonzero
-    coefficient vectors are tried in ``elements()`` order, each is
-    multiplied by itself with polynomial arithmetic until its power
-    returns to 1, and the first whose walk takes p^f - 1 steps is the
-    generator.  Its walk is the antilog table.
+    The tables are built at construction by ``_log_tables`` and shared by
+    every field with the same ``(p, f, modulus)``; they are read-only (a
+    ``MappingProxyType`` and a tuple).  The generator is the first element,
+    in ``elements()`` order, whose powers run through the whole group.
     """
 
     __slots__ = ("p", "f", "modulus", "_log", "_exp", "_hash")
@@ -177,29 +197,8 @@ class FqField:
         self.p = p
         self.f = f
         self.modulus = tuple(modulus)
-        self._log = None
-        self._exp = None
+        self._log, self._exp = _log_tables(p, f, self.modulus)
         self._hash = hash((p, f, self.modulus))
-
-    def _tables(self):
-        if self._log is None:
-            n = self.order - 1
-            one = self.one().coeffs
-            for coeffs in _coeff_space(self.p, self.f):
-                if not any(coeffs):
-                    continue
-                cand = FqElem(self, coeffs)
-                # the modulus is irreducible (__init__), so the walk ends:
-                # only a zero divisor's powers never reach 1
-                exp, cur = [one], cand
-                while cur.coeffs != one:
-                    exp.append(cur.coeffs)
-                    cur = _mul_by_poly(cur, cand)
-                if len(exp) == n:
-                    break
-            self._exp = exp
-            self._log = {c: i for i, c in enumerate(exp)}
-        return self._log, self._exp
 
     @property
     def order(self) -> int:
@@ -221,7 +220,7 @@ class FqField:
 
     def from_log(self, i: int) -> "FqElem":
         """The element g^i for the generator g of the log tables."""
-        return FqElem(self, self._tables()[1][i % (self.order - 1)])
+        return FqElem(self, self._exp[i % (self.order - 1)])
 
     def zero(self) -> "FqElem":
         return self.elem(0)
@@ -311,18 +310,17 @@ class FqElem:
         fld = self.field
         if not any(self.coeffs) or not any(other.coeffs):
             return fld.zero()
-        log, exp = fld._tables()
+        log = fld._log
         n = fld.order - 1
-        return FqElem(fld, exp[(log[self.coeffs] + log[other.coeffs]) % n])
+        return FqElem(fld, fld._exp[(log[self.coeffs] + log[other.coeffs]) % n])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FqElem":
         if not any(self.coeffs):
             raise DivisionByZero("inverse of zero")
-        log, exp = self.field._tables()
-        n = self.field.order - 1
-        return FqElem(self.field, exp[(-log[self.coeffs]) % n])
+        fld = self.field
+        return FqElem(fld, fld._exp[-fld._log[self.coeffs] % (fld.order - 1)])
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -338,9 +336,8 @@ class FqElem:
             if e < 0:
                 raise DivisionByZero("inverse of zero")
             return fld.zero()
-        log, exp = fld._tables()
         n = fld.order - 1
-        return FqElem(fld, exp[(log[self.coeffs] * e) % n])
+        return FqElem(fld, fld._exp[(fld._log[self.coeffs] * e) % n])
 
     def frobenius(self, base_degree: int, k: int = 1) -> "FqElem":
         """a^(p^(base_degree*k)): Frobenius over the degree-base_degree subfield."""
@@ -356,7 +353,7 @@ class FqElem:
         """Discrete log to the generator of the field's log tables."""
         if not any(self.coeffs):
             raise DivisionByZero("zero has no discrete log")
-        return self.field._tables()[0][self.coeffs]
+        return self.field._log[self.coeffs]
 
     def multiplicative_order(self) -> int:
         if self.is_zero():

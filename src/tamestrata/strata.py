@@ -231,19 +231,26 @@ def _verify(seq: DefiningSeq, reports) -> VerifyReport:
     """The checks of verify_defining_sequence.  reports, when given, are
     the minimality reports of c_0..c_s for their steps, as
     build_defining_sequence decided them; (f) reads them instead of
-    deciding minimality again."""
+    deciding minimality again, and so does the terminal k0: beta_s is c_s,
+    and report s ran the routes minimal_over(beta_s, d) would run."""
     order, tw = seq.order, seq.order.tower
     s, entries, n = seq.s, seq.entries, seq.n
     checks, details = {}, {}
+
+    # k0 of beta_s if the sequence is sound, else 0, which fails (a) and (e)
+    beta_s = entries[s].beta
+    if beta_s.in_level(tw.d):
+        k0_terminal = None
+    elif reports[s].minimal if reports else minimal_over(beta_s, tw.d):
+        k0_terminal = nu_A(order, beta_s)
+    else:
+        k0_terminal = 0
 
     ok = True
     for i in range(s + 1):
         pure = nu_A(order, entries[i].beta) == -n
         # k0 from the tail, justified by (e)/(f); -infinity is None
-        if i < s:
-            k0 = -entries[i + 1].r
-        else:
-            k0 = k0_terminal = _terminal_k0(order, entries[s].beta)
+        k0 = -entries[i + 1].r if i < s else k0_terminal
         simple = pure and (k0 is None or entries[i].r < -k0)
         if not simple:
             ok = False
@@ -294,13 +301,3 @@ def _verify(seq: DefiningSeq, reports) -> VerifyReport:
 
     return VerifyReport(checks, details)
 
-
-def _terminal_k0(order: OrderDesc, beta_s: TameSeries):
-    """k0 of the terminal beta_s if the sequence is sound, else 0, which
-    fails (a) and (e)."""
-    tw = order.tower
-    if beta_s.in_level(tw.d):
-        return None
-    if minimal_over(beta_s, tw.d):
-        return nu_A(order, beta_s)
-    return 0

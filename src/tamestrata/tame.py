@@ -40,7 +40,7 @@ need the elements themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -67,6 +67,9 @@ class GaloisElement:
 
 @dataclass(frozen=True)
 class TowerSpec:
+    """The data of a tower.  levels=None means the default chain
+    {1} <= Gal(L/F) (Gal(L/F) alone when it is trivial); Tower resolves it
+    and keeps the resolved chain in its spec."""
     base: FqField              # residue field of F
     e: int                     # ramification of L/F
     f: int                     # residue degree of L/F
@@ -96,12 +99,16 @@ class Tower:
         self.f = spec.f
         self.zeta = spec.zeta
         self.q = base.order
-        self.spec = spec
         self._n = k.order - 1
         self._mults = _frobenius_mults(base, self.f, self._n)
         self.group = _build_group(base, self.e, self.f, k, self.zeta)
         self.identity = GaloisElement(0, k.one())
         self.inertia = frozenset(g for g in self.group if g.frob_power == 0)
+        if spec.levels is None:
+            trivial = frozenset([self.identity])
+            spec = replace(spec, levels=(trivial, self.group)
+                           if len(self.group) > 1 else (self.group,))
+        self.spec = spec
         self.chain = self._validate_chain(spec.levels)
         self.d = len(self.chain) - 1
         self._level_data = [self.field_invariants(H) for H in self.chain]
@@ -399,19 +406,13 @@ def _build_group(base, e, f, residue, zeta):
 
 def make_tower(p, e, f, base_f=1, base_modulus=None, residue_modulus=None,
                zeta=None, levels=None) -> Tower:
-    """Convenience constructor; zeta defaults to 1, chain to [{1}, Gal]."""
+    """Convenience constructor; zeta defaults to 1, and levels=None to the
+    default chain {1} <= Gal(L/F), which Tower resolves and validates."""
     base = FqField(p, base_f, base_modulus)
     residue = FqField(p, base_f * f, residue_modulus)
     z = residue.one() if zeta is None else residue.elem(zeta)
-    if e % p == 0:
-        raise NotTame(f"p={p} divides e={e}")
-    if (residue.order - 1) % e:
-        raise RootOfUnityMissing(f"e={e} does not divide |k_L^x|")
-    if levels is None:
-        group = _build_group(base, e, f, residue, z)
-        trivial = frozenset([GaloisElement(0, residue.one())])
-        levels = (trivial, group) if len(group) > 1 else (group,)
-    return Tower(TowerSpec(base, e, f, residue, z, tuple(levels)))
+    return Tower(TowerSpec(base, e, f, residue, z,
+                           None if levels is None else tuple(levels)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,8 @@ def test_default_modulus_deterministic():
     assert f.order == 2048
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 2), (5, 2), (2, 6)])
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 2), (5, 2), (2, 6),
+                                 (5, 3)])
 def test_order_and_orbit_match_repeated_arithmetic(p, f):
     # references: the first power that is one, the first Frobenius power
     # over the degree-b subfield that returns to the element
@@ -156,3 +157,13 @@ def test_field_equality_and_hash_are_structural():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != ffq.FqField(5, 2, [3, 0, 1]) and a != ffq.FqField(5, 1)
     assert hash(a.gen()) == hash(b.gen())
+
+
+def test_equal_fields_share_read_only_tables():
+    a, b = ffq.FqField(5, 2), ffq.FqField(5, 2)
+    assert a is not b and len(a._exp) == len(a._log) == 24
+    assert a._exp is b._exp and a._log is b._log
+    with pytest.raises(TypeError):
+        a._log[(0, 1)] = 0
+    with pytest.raises(TypeError):
+        a._exp[0] = (0, 1)

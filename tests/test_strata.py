@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamestrata import corpus, strata, tame
+from tamestrata import corpus, minimal, strata, tame
 from tamestrata.errors import (
     NotDecomposable, NotMinimalSummand, ValuationOrder, ZeroToPrecision,
 )
@@ -234,3 +234,25 @@ def test_depth_monotonicity(order):
         depths = [Fraction(-strata.nu_A(bk.order, e.c), bk.order.e_A)
                   for e in bk.seq.entries]
         assert all(a < b for a, b in zip(depths, depths[1:]))
+
+
+def test_build_decides_each_block_once(monkeypatch):
+    # the build reads the terminal k0 off its own report for block s, so it
+    # never re-decides minimality of beta_s = c_s through minimal_over
+    calls = []
+    real = strata.minimal_over
+    monkeypatch.setattr(strata, "minimal_over",
+                        lambda *args: calls.append(args) or real(*args))
+    seqs = [strata.build_defining_sequence(
+                bk.order, [(e.level, e.c) for e in bk.seq.entries])
+            for _, bk in corpus.datum_corpus() if bk.kind == "a"]
+    assert seqs and not calls
+    monkeypatch.undo()
+    for seq in seqs:
+        tw = seq.order.tower
+        lows = [e.level for e in seq.entries[1:]] + [tw.d]
+        reports = [minimal.is_minimal(e.c, e.level, low)
+                   for e, low in zip(seq.entries, lows)]
+        # the standalone check decides k0 of beta_s afresh and agrees
+        report = strata.verify_defining_sequence(seq)
+        assert report == strata._verify(seq, reports) and report.passed

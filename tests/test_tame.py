@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -34,6 +35,21 @@ def test_tower_make_rejects_missing_roots():
     # e = 3 needs mu_3 in the residue field: 3 does not divide 5 - 1
     with pytest.raises(RootOfUnityMissing):
         tame.make_tower(5, 3, 1)
+
+
+def test_tower_make_rejects_nonpositive_ramification():
+    # the Tower validates e before solving the group or testing tameness
+    for e in (0, -1):
+        with pytest.raises(BadChain, match="e and f must be positive"):
+            tame.make_tower(5, e, 2)
+
+
+def test_default_chain_towers_round_trip_through_documents():
+    for tw in [tame.make_tower(3, 2, 2), *corpus.standard_towers()]:
+        copy = cli.parse_tower(json.loads(json.dumps(cli.emit_tower(tw))))
+        assert copy.equivalent(tw) and tw.equivalent(copy)
+        a, b = tw.monomial(1, -1), copy.monomial(1, -1)
+        assert a + b == b + a == 2 * a
 
 
 def test_tower_make_rejects_lazy_chain(desk):
