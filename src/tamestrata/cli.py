@@ -346,9 +346,8 @@ def cmd_defseq(args):
     tower = _load_tower(args)
     order = strata.make_order(tower, args.N)
     beta = _load_element(tower, args.element)
-    c_list = strata.decompose_split_form(order, beta)
-    bk = translate.make_bk_datum(order, c_list)
-    return EXIT_OK, emit_bk(bk)
+    seq = strata.split_form_sequence(order, beta)
+    return EXIT_OK, emit_bk(translate.bk_datum_of(seq))
 
 
 def cmd_bk2yu(args):

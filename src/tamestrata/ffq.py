@@ -134,13 +134,15 @@ def _log_tables(p, f, modulus):
     tried in elements() order, each is multiplied by itself with
     polynomial arithmetic until its power returns to 1, and the first
     whose walk takes p^f - 1 steps is the generator.  Its walk is the
-    antilog table.  The modulus must be irreducible: only a zero
-    divisor's powers never reach 1.
+    antilog table.  A candidate met on an earlier walk is a power of a
+    non-generator, so it is skipped.  The modulus must be irreducible:
+    only a zero divisor's powers never reach 1.
     """
     n = p ** f - 1
     one = (1,) + (0,) * (f - 1)
+    met = set()
     for cand in _coeff_space(p, f):
-        if not any(cand):
+        if not any(cand) or cand in met:
             continue
         exp, cur = [one], cand
         while cur != one:
@@ -149,6 +151,7 @@ def _log_tables(p, f, modulus):
             cur = tuple(red) + (0,) * (f - len(red))
         if len(exp) == n:
             break
+        met.update(exp)
     return MappingProxyType({c: i for i, c in enumerate(exp)}), tuple(exp)
 
 

@@ -91,19 +91,20 @@ def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
     e_rel = e_prime // e_low
     f_rel = deg_prime // deg_low // e_rel
 
-    nu_prime = c.ord() * e_prime
-    if nu_prime.denominator != 1:
-        raise VerificationFailed(f"valuation {nu_prime} in E' is not integral")
-    nu_prime = int(nu_prime)
+    k0, c0 = c.leading()
+    nu_prime, rem = divmod(k0 * e_prime, tw.e)
+    if rem:
+        raise VerificationFailed(
+            f"valuation {Fraction(k0 * e_prime, tw.e)} in E' is not integral")
     cond_gcd = gcd(nu_prime, e_rel) == 1
 
-    k0, c0 = c.leading()
     pi_low = tw.uniformizer(lower)
     residue = _unit_residue(tw, k0, c0, pi_low.leading(), nu_prime, e_rel)
     deg_klow = tw.base.f * f_low
     cond_residue = residue.orbit_size(deg_klow) == f_rel
 
-    sr_series = tw.monomial(c0, Fraction(k0, tw.e))
+    # the leading term is fixed by whatever fixes c, so it lies in E_{c.level}
+    sr_series = TameSeries(tw, c.level, ((k0, c0),), None)
     via_sr = stabilizer_within(sr_series, H_low) == H_up
 
     # every pair is scanned (a list, not a short-circuit), so an undecidable

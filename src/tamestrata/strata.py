@@ -92,10 +92,10 @@ def nu_A(order: OrderDesc, x: TameSeries) -> int:
     """Order valuation of a tower-level element: e_A * ord(x)."""
     if not x.terms:
         raise ZeroToPrecision("valuation of a series with no visible terms")
-    v = x.ord() * order.e_A
-    if v.denominator != 1:
+    v, rem = divmod(x.terms[0][0] * order.e_A, x.tower.e)
+    if rem:
         raise NotInLevel("element is not in a level of this order's tower")
-    return int(v)
+    return v
 
 
 def k0_closed(order: OrderDesc, beta: TameSeries) -> Optional[int]:
@@ -122,7 +122,13 @@ def stratum_classify(st: Stratum) -> str:
 
 
 def decompose_split_form(order: OrderDesc, beta: TameSeries):
-    """Split beta into minimal blocks assigned to chain levels.
+    """The blocks of split_form_sequence(order, beta), as [(level, c)]
+    shallowest first."""
+    return [(e.level, e.c) for e in split_form_sequence(order, beta).entries]
+
+
+def split_form_sequence(order: OrderDesc, beta: TameSeries) -> DefiningSeq:
+    """The verified defining sequence of beta's forced block split.
 
     Terms are scanned from deepest to shallowest.  A block's level is the
     natural level of its deepest term; a term of strictly smaller level (a
@@ -131,8 +137,8 @@ def decompose_split_form(order: OrderDesc, beta: TameSeries):
     sequence every term of c_i lies in E_{level_i}, the leading term of a
     minimal c_i generates its step, so its natural level is level_i, and
     levels decrease strictly from the deepest block on.  The split is
-    verified in full by build_defining_sequence.  Blocks are returned as
-    [(level, c)], shallowest first.
+    verified in full by build_defining_sequence; a failed check raises
+    NotDecomposable.
     """
     tw = order.tower
     if beta.is_zero_to_prec():
@@ -150,11 +156,10 @@ def decompose_split_form(order: OrderDesc, beta: TameSeries):
             blocks.append([term.level, term])
     c_list = [(lvl, c) for lvl, c in reversed(blocks)]
     try:
-        build_defining_sequence(order, c_list)
+        return build_defining_sequence(order, c_list)
     except (NotMinimalSummand, ValuationOrder, VerificationFailed,
             NotInLevel) as exc:
         raise NotDecomposable("no block split of beta verifies") from exc
-    return c_list
 
 
 def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:

@@ -16,7 +16,7 @@ Valuations are normalised so ord(t) = 1, hence ord(s) = 1/e.  Internally
 exponents are stored as integers in units of 1/e ("s-exponents").
 
 In discrete logs (n = |k_L^x|, b = [k_F : F_p]) g acts on a term by one
-affine map mod n, tabulated once per tower:
+affine map mod n, tabulated once per equal TowerSpec:
 
     log c  ->  mult_g * log c + k * log u        mult_g = p^(b*j) mod n
 
@@ -36,12 +36,19 @@ coset representatives are found by testing r^-1 * g on pairs, with
 
 Tower.compose and Tower.invert work on GaloisElements, for callers that
 need the elements themselves.
+
+Everything a Tower derives from its spec (the group, the chain, these
+tables, the level uniformizers and residue fields, the coset
+representatives of chain pairs) is built by one cached builder keyed on
+the spec, read-only and shared by every tower with an equal spec.  Tower
+objects stay distinct and keep no cache of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from types import MappingProxyType
 
@@ -78,8 +85,120 @@ class TowerSpec:
     levels: tuple              # chain of subgroups H_0 <= ... <= H_d = Gal(L/F)
 
 
+@dataclass(frozen=True)
+class _GaloisTables:
+    """Everything a tower derives from its spec (see _galois_tables).
+
+    Read-only throughout: tuples, frozensets and MappingProxyTypes.  A
+    group element g appears as its pair (mult_g, log u_g), which
+    determines it.
+    """
+    mults: tuple               # mult_j = p^(b*j) mod n
+    group: frozenset
+    identity: GaloisElement
+    identity_action: tuple     # the pair of the identity
+    inertia: frozenset
+    chain: tuple               # the resolved, validated chain H_0 < ... < H_d
+    level_data: tuple          # (degree, e, f) over F of each E_i
+    level_action: tuple        # pairs of the non-identity elements of H_i
+    level_pairs: MappingProxyType   # H_i -> ((g, pair of g), ...) over H_i
+    image_level: MappingProxyType   # pair of g -> level tag of g(E_i), per i
+    uniformizers: tuple        # (k, c): c * s^k is the uniformizer of E_i
+    subfields: tuple           # residue field of E_i, as elements of k_L
+    generators: tuple          # first generator of each residue field
+    cosets: MappingProxyType   # (H_i, H_j), i <= j -> coset representatives
+
+
+@cache
+def _galois_tables(spec: TowerSpec) -> _GaloisTables:
+    """The tables of a tower, built once per equal spec and shared by
+    every Tower with it, as ffq._log_tables is by equal fields.
+
+    Raises on a bad group or chain; an exception is not cached, so every
+    construction from a bad spec raises again.  levels of the key are
+    None or a tuple of frozensets.
+    """
+    base, k, e, f = spec.base, spec.residue, spec.e, spec.f
+    n = k.order - 1
+    mults = _frobenius_mults(base, f, n)
+
+    def action(g):
+        return mults[g.frob_power % f], g.twist.log()
+
+    group = _build_group(base, e, f, k, spec.zeta)
+    identity = GaloisElement(0, k.one())
+    inertia = frozenset(g for g in group if g.frob_power == 0)
+    levels = spec.levels
+    if levels is None:
+        levels = (frozenset([identity]), group) if len(group) > 1 else (group,)
+    if not levels:
+        raise BadChain("empty chain")
+    for H in levels:
+        if not _is_subgroup(H, group, identity, action, n):
+            raise NotASubgroup(f"{sorted(H, key=GaloisElement.sort_key)}")
+    for a, b in zip(levels, levels[1:]):
+        if not (a < b):
+            raise BadChain("chain subgroups must increase strictly")
+    if levels[-1] != group:
+        raise BadChain("last subgroup must be the full Galois group")
+    chain, d = levels, len(levels) - 1
+    level_data = tuple(_field_invariants(e, f, inertia, H) for H in chain)
+
+    # the action on discrete logs (see the module docstring): image[x][i]
+    # is the level tag of g applied to an element of E_i, or None
+    identity_action = action(identity)
+    pair_chain = [frozenset(map(action, H)) for H in chain]
+    level_action = tuple(tuple(P - {identity_action}) for P in pair_chain)
+    image = {}
+    for x in pair_chain[-1]:
+        x_inv = _pair_invert(x, n, f)
+        tags = []
+        for P in pair_chain:
+            conj = {_pair_compose(_pair_compose(x, h, n), x_inv, n) for h in P}
+            tags.append(next((i for i in range(d, -1, -1)
+                              if pair_chain[i] <= conj), None))
+        image[x] = tuple(tags)
+
+    # the first unit c, in elements() order, with c * s^(e/e_i) in E_i
+    units = [(c, c.log()) for c in k.elements() if not c.is_zero()]
+    uniformizers = []
+    for i, (_, e_i, _) in enumerate(level_data):
+        m = e // e_i
+        c = next((c for c, lc in units
+                  if _fixes(level_action[i], n, ((m, lc),))), None)
+        if c is None:
+            raise AssertionError(f"no monomial uniformizer at level {i}")
+        uniformizers.append((m, c))
+
+    subfields, generators = [], []
+    for _, _, f_i in level_data:
+        deg = base.f * f_i
+        sub = tuple(k.subfield_elements(deg))
+        theta = next((a for a in sub
+                      if not a.is_zero() and a.orbit_size() == deg), None)
+        if theta is None:
+            raise AssertionError("no residue generator found")
+        subfields.append(sub)
+        generators.append(theta)
+
+    cosets = {(chain[i], chain[j]): _coset_reps(chain[i], chain[j], action, n, f)
+              for j in range(d + 1) for i in range(j + 1)}
+    return _GaloisTables(
+        mults, group, identity, identity_action, inertia, chain, level_data,
+        level_action,
+        MappingProxyType({H: tuple((g, action(g)) for g in H) for H in chain}),
+        MappingProxyType(image), tuple(uniformizers), tuple(subfields),
+        tuple(generators), MappingProxyType(cosets))
+
+
 class Tower:
-    """Validated tame tower; immutable after construction."""
+    """Validated tame tower; immutable after construction.
+
+    The group, the chain, the action tables, the level uniformizers and
+    residue fields and the coset representatives of chain pairs come from
+    _galois_tables: read-only, and shared by every tower with an equal
+    spec.  A tower fills no cache of its own.
+    """
 
     def __init__(self, spec: TowerSpec):
         base, k = spec.base, spec.residue
@@ -93,6 +212,11 @@ class Tower:
             raise RootOfUnityMissing(f"e={spec.e} does not divide |k_L^x|")
         if spec.zeta.field != k or spec.zeta.is_zero():
             raise RootOfUnityMissing("zeta must be a nonzero element of k_L")
+        if spec.levels is not None:
+            spec = replace(spec, levels=tuple(map(frozenset, spec.levels)))
+        tables = _galois_tables(spec)
+        self._tables = tables
+        self.spec = replace(spec, levels=tables.chain)
         self.base = base
         self.k = k
         self.e = spec.e
@@ -100,25 +224,17 @@ class Tower:
         self.zeta = spec.zeta
         self.q = base.order
         self._n = k.order - 1
-        self._mults = _frobenius_mults(base, self.f, self._n)
-        self.group = _build_group(base, self.e, self.f, k, self.zeta)
-        self.identity = GaloisElement(0, k.one())
-        self.inertia = frozenset(g for g in self.group if g.frob_power == 0)
-        if spec.levels is None:
-            trivial = frozenset([self.identity])
-            spec = replace(spec, levels=(trivial, self.group)
-                           if len(self.group) > 1 else (self.group,))
-        self.spec = spec
-        self.chain = self._validate_chain(spec.levels)
+        self._mults = tables.mults
+        self.group = tables.group
+        self.identity = tables.identity
+        self.inertia = tables.inertia
+        self.chain = tables.chain
         self.d = len(self.chain) - 1
-        self._level_data = [self.field_invariants(H) for H in self.chain]
-        self._build_action()
+        self._level_data = tables.level_data
+        self._level_action = tables.level_action
+        self._image_level = tables.image_level
         # precision of the inverse of an exact series, in s-exponent units
         self.default_prec_k = max(8, 4 * self.e) * self.e
-        self._uniformizers = {}
-        self._subfield_cache = {}
-        self._theta_cache = {}
-        self._coset_cache = {}
 
     # -- group construction ---------------------------------------------
 
@@ -133,14 +249,8 @@ class Tower:
         return GaloisElement(j, g.twist.inverse().frobenius(self.base.f, j))
 
     def is_subgroup(self, subset) -> bool:
-        """Closure under composition, tested on the (mult, log u) pairs; a
-        finite subset with 1 that is closed under products is a subgroup."""
-        s = frozenset(subset)
-        if self.identity not in s or not s <= self.group:
-            return False
-        n = self._n
-        pairs = set(map(self.action, s))
-        return all(_pair_compose(a, b, n) in pairs for a in pairs for b in pairs)
+        return _is_subgroup(frozenset(subset), self.group, self.identity,
+                            self.action, self._n)
 
     def closure(self, generators) -> frozenset:
         s = {self.identity}
@@ -154,59 +264,13 @@ class Tower:
             frontier.append(self.invert(g))
         return frozenset(s)
 
-    def _validate_chain(self, levels):
-        chain = tuple(frozenset(H) for H in levels)
-        if not chain:
-            raise BadChain("empty chain")
-        for H in chain:
-            if not self.is_subgroup(H):
-                raise NotASubgroup(f"{sorted(H, key=GaloisElement.sort_key)}")
-        for a, b in zip(chain, chain[1:]):
-            if not (a < b):
-                raise BadChain("chain subgroups must increase strictly")
-        if chain[-1] != self.group:
-            raise BadChain("last subgroup must be the full Galois group")
-        return chain
-
-    def _build_action(self):
-        """Tabulate the action on discrete logs (see the module docstring).
-
-        Each g is handled as its pair (mult_g, log u_g), which determines
-        it.  _level_action[i] holds the pairs of the non-identity elements
-        of H_i; _image_level[pair][i] is the level tag of g applied to an
-        element of E_i, or None.  Never mutated.
-        """
-        n = self._n
-        self._identity_action = self.action(self.identity)
-        chain = [frozenset(map(self.action, H)) for H in self.chain]
-        self._level_action = tuple(tuple(H - {self._identity_action})
-                                   for H in chain)
-
-        image = {}
-        for x in chain[-1]:
-            x_inv = _pair_invert(x, n, self.f)
-            tags = []
-            for H in chain:
-                conj = {_pair_compose(_pair_compose(x, h, n), x_inv, n)
-                        for h in H}
-                tags.append(next((i for i in range(self.d, -1, -1)
-                                  if chain[i] <= conj), None))
-            image[x] = tuple(tags)
-        self._image_level = MappingProxyType(image)
-
     def action(self, g: GaloisElement):
         """(mult_g, log u_g): g maps log c in c*s^k to mult_g*log c + k*log u_g."""
         return self._mults[g.frob_power % self.f], g.twist.log()
 
     def field_invariants(self, H):
-        """(degree, e, f) over F of the fixed field L^H of the subgroup H.
-
-        By Galois correspondence [L^H : F] = |G| / |H| and
-        e(L | L^H) = |H & inertia|, so e(L^H | F) = e / |H & inertia|.
-        """
-        deg = (self.e * self.f) // len(H)
-        e_H = self.e // len(H & self.inertia)
-        return deg, e_H, deg // e_H
+        """(degree, e, f) over F of the fixed field L^H of the subgroup H."""
+        return _field_invariants(self.e, self.f, self.inertia, H)
 
     # -- level data -------------------------------------------------------
 
@@ -229,24 +293,11 @@ class Tower:
 
     def residue_subfield(self, i):
         """Elements of the residue field of E_i, as a subset of k_L."""
-        i = self.check_level(i)
-        if i not in self._subfield_cache:
-            deg = self.level_residue_degree(i)
-            self._subfield_cache[i] = tuple(self.k.subfield_elements(deg))
-        return self._subfield_cache[i]
+        return self._tables.subfields[self.check_level(i)]
 
     def residue_generator(self, i) -> FqElem:
         """First element of k_{E_i} generating it over F_p."""
-        i = self.check_level(i)
-        if i not in self._theta_cache:
-            deg = self.level_residue_degree(i)
-            for a in self.residue_subfield(i):
-                if not a.is_zero() and a.orbit_size() == deg:
-                    self._theta_cache[i] = a
-                    break
-            else:
-                raise AssertionError("no residue generator found")
-        return self._theta_cache[i]
+        return self._tables.generators[self.check_level(i)]
 
     # -- series construction ----------------------------------------------
 
@@ -296,19 +347,9 @@ class Tower:
         return _make_series(self, self.d, {self.e: self.zeta}, None)
 
     def uniformizer(self, i) -> "TameSeries":
-        """A monomial uniformizer of E_i (cached, deterministic choice)."""
-        i = self.check_level(i)
-        if i not in self._uniformizers:
-            m = self.e // self.level_e(i)
-            for c in self.k.elements():
-                if c.is_zero():
-                    continue
-                if _fixes(self._level_action[i], self._n, ((m, c.log()),)):
-                    self._uniformizers[i] = _make_series(self, i, {m: c}, None)
-                    break
-            else:
-                raise AssertionError(f"no monomial uniformizer at level {i}")
-        return self._uniformizers[i]
+        """The monomial uniformizer of E_i (a deterministic choice)."""
+        k, c = self._tables.uniformizers[self.check_level(i)]
+        return TameSeries(self, i, ((k, c),), None)
 
     def galois_sorted(self, subset=None):
         return sorted(self.group if subset is None else subset,
@@ -317,25 +358,18 @@ class Tower:
     def equivalent(self, other) -> bool:
         """Same tower data; deserialized copies interoperate with originals."""
         return self is other or (isinstance(other, Tower)
-                                 and self.spec == other.spec)
+                                 and (self._tables is other._tables
+                                      or self.spec == other.spec))
 
     def coset_reps(self, H_small, H_big):
-        """Left coset representatives of H_small in H_big (cached): the
-        first element of each coset in galois_sorted order, where g joins
-        the coset of r iff r^-1 g lies in H_small, tested on log pairs."""
+        """Left coset representatives of H_small in H_big: the first element
+        of each coset in galois_sorted order.  Chain pairs are tabulated;
+        any other pair (a stabiliser, say) is split on each call."""
         key = (frozenset(H_small), frozenset(H_big))
-        if key not in self._coset_cache:
-            n = self._n
-            small = set(map(self.action, key[0]))
-            reps, rep_inverses = [], []
-            for g in self.galois_sorted(H_big):
-                x = self.action(g)
-                if not any(_pair_compose(r_inv, x, n) in small
-                           for r_inv in rep_inverses):
-                    reps.append(g)
-                    rep_inverses.append(_pair_invert(x, n, self.f))
-            self._coset_cache[key] = tuple(reps)
-        return self._coset_cache[key]
+        reps = self._tables.cosets.get(key)
+        if reps is None:
+            reps = _coset_reps(*key, self.action, self._n, self.f)
+        return reps
 
     def __repr__(self):
         return (f"Tower(p={self.base.p}, q={self.q}, e={self.e}, f={self.f}, "
@@ -355,6 +389,40 @@ def _pair_invert(x, n, f):
 def _frobenius_mults(base, f, n):
     """mult_j = p^(b*j) mod n: the j-th Frobenius power on discrete logs."""
     return tuple(pow(base.p, base.f * j, n) for j in range(f))
+
+
+def _is_subgroup(s, group, identity, action, n) -> bool:
+    """Closure under composition, tested on the (mult, log u) pairs; a
+    finite subset with 1 that is closed under products is a subgroup."""
+    if identity not in s or not s <= group:
+        return False
+    pairs = set(map(action, s))
+    return all(_pair_compose(a, b, n) in pairs for a in pairs for b in pairs)
+
+
+def _field_invariants(e, f, inertia, H):
+    """(degree, e, f) over F of the fixed field L^H of the subgroup H.
+
+    By Galois correspondence [L^H : F] = |G| / |H| and
+    e(L | L^H) = |H & inertia|, so e(L^H | F) = e / |H & inertia|.
+    """
+    deg = (e * f) // len(H)
+    e_H = e // len(H & inertia)
+    return deg, e_H, deg // e_H
+
+
+def _coset_reps(H_small, H_big, action, n, f):
+    """The first element of each left coset of H_small in H_big, in
+    galois_sorted order: g joins the coset of r iff r^-1 g lies in H_small,
+    tested on log pairs."""
+    small = set(map(action, H_small))
+    reps, rep_inverses = [], []
+    for g in sorted(H_big, key=GaloisElement.sort_key):
+        x = action(g)
+        if not any(_pair_compose(r_inv, x, n) in small for r_inv in rep_inverses):
+            reps.append(g)
+            rep_inverses.append(_pair_invert(x, n, f))
+    return tuple(reps)
 
 
 def _fixes(pairs, n, logs) -> bool:
@@ -736,16 +804,20 @@ def ord_and_nu(a: TameSeries, level: int):
 def stabilizer_within(a: TameSeries, H) -> frozenset:
     """The g in H with g(a) = a, decided termwise by the log congruence.
 
-    A non-identity g fixing every visible term of a truncated a makes
-    g(a) - a vanish to precision only, so this raises PrecisionExhausted
-    as series_equal(a.apply(g), a) does.
+    A chain subgroup H reads its (g, pair) list from the tower's tables;
+    any other H looks each pair up.  A non-identity g fixing every visible
+    term of a truncated a makes g(a) - a vanish to precision only, so this
+    raises PrecisionExhausted as series_equal(a.apply(g), a) does.
     """
     tw = a.tower
+    tables = tw._tables
+    pairs = tables.level_pairs.get(H) if isinstance(H, frozenset) else None
+    if pairs is None:
+        pairs = [(g, tw.action(g)) for g in H]
     logs = a._logs()
     out = set()
-    for g in H:
-        act = tw.action(g)
-        if act != tw._identity_action:
+    for g, act in pairs:
+        if act != tables.identity_action:
             if not _fixes((act,), tw._n, logs):
                 continue
             if a.prec_k is not None:

@@ -102,9 +102,13 @@ def _depths_ok(depths, case) -> bool:
 
 def make_bk_datum(order: OrderDesc, c_list) -> BKDatumSkeleton:
     """Type (a) skeleton from blocks; builds, verifies and factors."""
-    seq = build_defining_sequence(order, c_list)
+    return bk_datum_of(build_defining_sequence(order, c_list))
+
+
+def bk_datum_of(seq: DefiningSeq) -> BKDatumSkeleton:
+    """Type (a) skeleton of a verified defining sequence."""
     factors = tuple(char_factor_from_seq(seq, i) for i in range(seq.s + 1))
-    return BKDatumSkeleton(order, "a", seq, factors)
+    return BKDatumSkeleton(seq.order, "a", seq, factors)
 
 
 def make_bk_datum_b(order: OrderDesc) -> BKDatumSkeleton:

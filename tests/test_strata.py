@@ -5,7 +5,7 @@ import pytest
 
 from tamestrata import corpus, minimal, strata, tame
 from tamestrata.errors import (
-    NotDecomposable, NotMinimalSummand, ValuationOrder, ZeroToPrecision,
+    NotDecomposable, NotInLevel, NotMinimalSummand, ValuationOrder, ZeroToPrecision,
 )
 
 
@@ -256,3 +256,28 @@ def test_build_decides_each_block_once(monkeypatch):
         # the standalone check decides k0 of beta_s afresh and agrees
         report = strata.verify_defining_sequence(seq)
         assert report == strata._verify(seq, reports) and report.passed
+
+
+def test_nu_A_is_e_A_times_ord_on_the_corpus():
+    checked = 0
+    for _, bk in corpus.datum_corpus():
+        if bk.kind != "a":
+            continue
+        for e in bk.seq.entries:
+            for x in (e.c, e.beta):
+                assert strata.nu_A(bk.order, x) == bk.order.e_A * x.ord()
+                checked += 1
+    assert checked > 100
+
+
+def test_nu_A_raises_off_the_order_lattice():
+    # E_0 = F: the order's period is 1, and s^-1 has ord -1/2
+    tw = tame.make_tower(5, 2, 1, levels=(tame.make_tower(5, 2, 1).group,))
+    order = strata.make_order(tw, 1)
+    assert order.e_A == 1 and tw.e == 2
+    half = tame.TameSeries(tw, 0, ((-1, tw.k.one()),), None)
+    with pytest.raises(NotInLevel):
+        strata.nu_A(order, half)
+    assert strata.nu_A(order, half * half) == -1
+    with pytest.raises(ZeroToPrecision):
+        strata.nu_A(order, tame.TameSeries(tw, 0, (), 3))

@@ -6,8 +6,8 @@ import pytest
 
 from tamestrata import cli, corpus, tame
 from tamestrata.errors import (
-    BadChain, FieldMismatch, NotInLevel, NotTame, PrecisionExhausted, RootOfUnityMissing,
-    ZeroToPrecision,
+    BadChain, FieldMismatch, NotASubgroup, NotInLevel, NotTame, PrecisionExhausted,
+    RootOfUnityMissing, ZeroToPrecision,
 )
 from tamestrata.ffq import FqField
 from tamestrata.tame import GaloisElement, TowerSpec
@@ -429,3 +429,61 @@ def test_series_equality_across_deserialised_tower(desk):
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != desk.series(0, terms) and a != desk.series(0, terms[:1], prec=3)
+
+
+def test_equal_specs_share_one_read_only_table(desk):
+    doc = json.loads(json.dumps(cli.emit_tower(desk)))
+    a, b = cli.parse_tower(doc), cli.parse_tower(doc)
+    assert a is not b and a._tables is b._tables
+    assert a._image_level is b._image_level and a.chain is b.chain
+    t = a._tables
+    x = next(iter(t.image_level))
+    for table, key in [(t.image_level, x), (t.level_pairs, a.group),
+                       (t.cosets, (a.group, a.group)), (t.chain, 0),
+                       (t.level_action, 0), (t.uniformizers, 0),
+                       (t.subfields, 0), (t.generators, 0)]:
+        with pytest.raises(TypeError):
+            table[key] = None
+
+
+@pytest.mark.parametrize("name", ["desk5", "deep5", "twisted", "std2e3f2"])
+def test_towers_keep_no_mutable_container(name):
+    tw = _tower(name)
+    for i in range(tw.d + 1):        # the lookups that used to fill caches
+        tw.uniformizer(i), tw.residue_generator(i), tw.residue_subfield(i)
+        tw.coset_reps(tw.chain[i], tw.group)
+    mutable = {k: type(v).__name__ for k, v in vars(tw).items()
+               if isinstance(v, (dict, list, set))}
+    assert not mutable
+
+
+def test_bad_chain_raises_on_every_parse(desk):
+    doc = json.loads(json.dumps(cli.emit_tower(desk)))
+    # a level without the identity is no subgroup
+    g = next(g for g in desk.galois_sorted() if g != desk.identity)
+    doc["payload"]["levels"][0] = [[g.frob_power, list(g.twist.coeffs)]]
+    for _ in range(2):
+        with pytest.raises(NotASubgroup):
+            cli.parse_tower(doc)
+
+
+def _brute_coset_reps(tw, H_small, H_big):
+    reps, covered = [], set()
+    for g in tw.galois_sorted(H_big):
+        if g not in covered:
+            reps.append(g)
+            covered |= {tw.compose(g, h) for h in H_small}
+    return tuple(reps)
+
+
+@pytest.mark.parametrize("name", ["desk5", "deep5", "twisted", "std2e3f2"])
+def test_coset_reps_of_non_chain_pairs(name):
+    tw = _tower(name)
+    subgroups = {tw.closure([g]) for g in tw.group} - set(tw.chain)
+    assert subgroups
+    for H in subgroups:
+        assert (H, tw.group) not in tw._tables.cosets
+        assert tw.coset_reps(H, tw.group) == _brute_coset_reps(tw, H, tw.group)
+        for big in tw.chain:
+            if H < big:
+                assert tw.coset_reps(H, big) == _brute_coset_reps(tw, H, big)
