@@ -372,7 +372,7 @@ def _load_datum(doc):
 def _matrix_model(bk, use_oracle):
     """A matrix model for a type (a) datum within the oracle bound, unless
     the oracle is off; None otherwise."""
-    if not use_oracle or bk.kind != "a" or bk.order.N > oracle._MAX_N:
+    if not use_oracle or bk.kind != "a" or bk.order.N > oracle.MAX_N:
         return None
     return oracle.model_build(bk.order)
 
@@ -515,7 +515,7 @@ def _build_parser():
     def oracle_opt(p, default):
         p.add_argument("--oracle", choices=["on", "off", "check"], default=default,
                        help="off skips the oracle; on and check cross-check "
-                            f"wherever N <= {oracle._MAX_N}")
+                            f"wherever N <= {oracle.MAX_N}")
 
     p = add("tables", cmd_tables, help="filtration group tables")
     p.add_argument("--datum", required=True)

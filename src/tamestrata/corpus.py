@@ -184,19 +184,3 @@ def datum_corpus():
     if len(data) < 50:
         raise VerificationFailed(f"corpus too small: {len(data)}")
     return data
-
-
-@lru_cache(maxsize=None)
-def small_oracle_corpus():
-    """(label, order, beta) strata with N <= 4 for the matrix oracle."""
-    out, orders = [], {}
-    for label, bk in datum_corpus():
-        name = label.split("/")[0]
-        if name not in ("desk5", "desk3"):  # N = [E_0 : F] = 4; desk2 has 6
-            continue
-        orders[name] = bk.order
-        if bk.kind == "a":
-            out.append((label, bk.order, bk.seq.entries[0].beta))
-    for name, order in orders.items():
-        out.append((f"{name}/central", order, order.tower.pi_F() ** -1))
-    return out

@@ -130,14 +130,17 @@ def _coeff_space(p, f):
 def _log_tables(p, f, modulus):
     """(log, exp) of F_{p^f} = F_p[x]/(modulus), built once per field.
 
+    A reducible modulus raises ReducibleModulus first, on every call
+    (exceptions are not cached): a zero divisor's powers never reach 1.
     One power walk per candidate: the nonzero coefficient vectors are
     tried in elements() order, each is multiplied by itself with
     polynomial arithmetic until its power returns to 1, and the first
     whose walk takes p^f - 1 steps is the generator.  Its walk is the
     antilog table.  A candidate met on an earlier walk is a power of a
-    non-generator, so it is skipped.  The modulus must be irreducible:
-    only a zero divisor's powers never reach 1.
+    non-generator, so it is skipped.
     """
+    if not _is_irreducible(modulus, p):
+        raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
     n = p ** f - 1
     one = (1,) + (0,) * (f - 1)
     met = set()
@@ -177,8 +180,9 @@ class FqField:
     index arithmetic); the polynomial representation is only used for
     construction and for additive operations.
 
-    The tables are built at construction by ``_log_tables`` and shared by
-    every field with the same ``(p, f, modulus)``; they are read-only (a
+    The tables are built at construction by ``_log_tables``, which also
+    tests the modulus for irreducibility, and shared by every field with
+    the same ``(p, f, modulus)``; they are read-only (a
     ``MappingProxyType`` and a tuple).  The generator is the first element,
     in ``elements()`` order, whose powers run through the whole group.
     """
@@ -195,8 +199,6 @@ class FqField:
         modulus = [c % p for c in modulus]
         if len(modulus) != f + 1 or modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree f")
-        if not _is_irreducible(modulus, p):
-            raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
         self.p = p
         self.f = f
         self.modulus = tuple(modulus)

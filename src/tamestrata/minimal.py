@@ -85,8 +85,8 @@ def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
 
     cond_generates = stab == H_up
 
-    # invariants of E' = E_lower[c]
-    deg_low, e_low, f_low = tw.field_invariants(H_low)
+    # invariants of E_lower, as the tower tabulates them, and of E' = E_lower[c]
+    deg_low, e_low = tw.level_degree(lower), tw.level_e(lower)
     deg_prime, e_prime, _ = tw.field_invariants(stab)
     e_rel = e_prime // e_low
     f_rel = deg_prime // deg_low // e_rel
@@ -100,8 +100,7 @@ def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
 
     pi_low = tw.uniformizer(lower)
     residue = _unit_residue(tw, k0, c0, pi_low.leading(), nu_prime, e_rel)
-    deg_klow = tw.base.f * f_low
-    cond_residue = residue.orbit_size(deg_klow) == f_rel
+    cond_residue = residue.orbit_size(tw.level_residue_degree(lower)) == f_rel
 
     # the leading term is fixed by whatever fixes c, so it lies in E_{c.level}
     sr_series = TameSeries(tw, c.level, ((k0, c0),), None)

@@ -48,7 +48,7 @@ from .errors import (
 from .strata import DefiningSeq, OrderDesc
 from .tame import TameSeries
 
-_MAX_N = 16
+MAX_N = 16
 _PREC = 24      # t-window half-width of a model's element matrices
 
 
@@ -278,8 +278,8 @@ class LatticeHandle:
 class MatrixModel:
     def __init__(self, order: OrderDesc):
         tower = order.tower
-        if order.N > _MAX_N:
-            raise TooLarge(f"N={order.N} exceeds the oracle bound {_MAX_N}")
+        if order.N > MAX_N:
+            raise TooLarge(f"N={order.N} exceeds the oracle bound {MAX_N}")
         self.order = order
         self.tower = tower
         self.N = order.N

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import (
     BadLevel, NotDecomposable, NotInLevel, NotMinimalSummand, NotSplitForm,
-    ValuationOrder, VerificationFailed, ZeroToPrecision,
+    PrecisionExhausted, ValuationOrder, VerificationFailed, ZeroToPrecision,
 )
 from .minimal import is_minimal, minimal_over
 from .tame import TameSeries, Tower, stabilizer_within
@@ -54,14 +54,6 @@ def make_order(tower: Tower, N: int) -> OrderDesc:
 
 
 @dataclass(frozen=True)
-class Stratum:
-    order: OrderDesc
-    n: int
-    r: int
-    beta: TameSeries
-
-
-@dataclass(frozen=True)
 class SeqEntry:
     r: int
     beta: TameSeries
@@ -76,6 +68,12 @@ class DefiningSeq:
     entries: tuple    # SeqEntry, i = 0..s
     s: int
     case: str         # "A" if the terminal block lies in F, else "B"
+
+    @property
+    def depths(self) -> tuple:
+        """(r_1, ..., r_s, n): the depth -nu_A(c_i) of each block, as the
+        build's checks (b) and (f) make it."""
+        return tuple(e.r for e in self.entries[1:]) + (self.n,)
 
 
 @dataclass(frozen=True)
@@ -99,26 +97,20 @@ def nu_A(order: OrderDesc, x: TameSeries) -> int:
 
 
 def k0_closed(order: OrderDesc, beta: TameSeries) -> Optional[int]:
-    """Critical exponent; None encodes -infinity (central beta)."""
+    """Critical exponent; None encodes -infinity (central beta).
+
+    A truncated beta whose visible terms lie in F raises
+    PrecisionExhausted: an unseen term outside F would make k0 finite.
+    """
     tw = order.tower
     if beta.is_zero_to_prec() or beta.in_level(tw.d):
+        if beta.prec_k is not None:
+            raise PrecisionExhausted(
+                "k0 of a truncated beta whose visible terms lie in F")
         return None
     if minimal_over(beta, tw.d):
         return nu_A(order, beta)
-    return nu_A(order, decompose_split_form(order, beta)[0][1])
-
-
-def stratum_classify(st: Stratum) -> str:
-    """'simple', 'pure' (pure but not simple) or 'neither'."""
-    order = st.order
-    if st.n <= st.r or st.r < 0:
-        return "neither"
-    if nu_A(order, st.beta) != -st.n:
-        return "neither"
-    k0 = k0_closed(order, st.beta)
-    if k0 is None or st.r < -k0:
-        return "simple"
-    return "pure"
+    return -split_form_sequence(order, beta).depths[0]
 
 
 def decompose_split_form(order: OrderDesc, beta: TameSeries):

@@ -106,9 +106,17 @@ def make_bk_datum(order: OrderDesc, c_list) -> BKDatumSkeleton:
 
 
 def bk_datum_of(seq: DefiningSeq) -> BKDatumSkeleton:
-    """Type (a) skeleton of a verified defining sequence."""
-    factors = tuple(char_factor_from_seq(seq, i) for i in range(seq.s + 1))
-    return BKDatumSkeleton(seq.order, "a", seq, factors)
+    """Type (a) skeleton of a verified defining sequence.  Factor i is
+    phi o det on H^1's factors 0..i and psi_{c_i} beyond them, except that
+    Case A's terminal factor is phi o det on all of H^1."""
+    h1 = h_group_table(seq)["H1"].factors
+    factors = []
+    for i, (e, depth) in enumerate(zip(seq.entries, seq.depths)):
+        cut = len(h1) if seq.case == "A" and i == seq.s else i + 1
+        factors.append(CharFactor(e.level, e.c,
+                                  Fraction(depth, seq.order.e_A),
+                                  h1[:cut], h1[cut:]))
+    return BKDatumSkeleton(seq.order, "a", seq, tuple(factors))
 
 
 def make_bk_datum_b(order: OrderDesc) -> BKDatumSkeleton:
@@ -120,25 +128,19 @@ def make_bk_datum_b(order: OrderDesc) -> BKDatumSkeleton:
 # group tables
 # ---------------------------------------------------------------------------
 
-def _seq_levels_nus(seq: DefiningSeq):
-    """Levels and depths -nu_A(c_i) of the blocks."""
-    levels = [e.level for e in seq.entries]
-    nus = [-nu_A(seq.order, e.c) for e in seq.entries]
-    return levels, nus
-
-
 def h_group_table(seq: DefiningSeq):
     """Closed-form tables for H^1, J^1 and J^0 as factor lists."""
     tower = seq.order.tower
-    levels, nus = _seq_levels_nus(seq)
+    levels = [e.level for e in seq.entries]
+    depths = seq.depths
     case_b = seq.case == "B"
 
     def build(name, first_exp, exp):
         factors = [(levels[0], first_exp, None)]
         for i in range(1, seq.s + 1):
-            factors.append((levels[i], exp(nus[i - 1]), None))
+            factors.append((levels[i], exp(depths[i - 1]), None))
         if case_b:
-            factors.append((tower.d, exp(nus[seq.s]), None))
+            factors.append((tower.d, exp(depths[seq.s]), None))
         return FiltrationTable(name, seq.order, tuple(factors))
 
     h1 = build("H1", 1, lambda v: v // 2 + 1)
@@ -230,21 +232,6 @@ def _oracle_tables_equal(model, a, b) -> bool:
 # character factors and module valuations
 # ---------------------------------------------------------------------------
 
-def char_factor_from_seq(seq: DefiningSeq, i: int) -> CharFactor:
-    if not 0 <= i <= seq.s:
-        raise BadLevel(f"factor index {i} outside 0..{seq.s}")
-    tables = h_group_table(seq)
-    h1 = tables["H1"].factors
-    det = h1[:i + 1]
-    psi = h1[i + 1:]
-    if seq.case == "A" and i == seq.s:
-        det, psi = h1, ()
-    c = seq.entries[i].c
-    depth = Fraction(-nu_A(seq.order, c), seq.order.e_A)
-    return CharFactor(seq.entries[i].level, c, depth,
-                      tuple(det), tuple(psi))
-
-
 def char_module_valuation(c: TameSeries, factor, order: OrderDesc) -> int:
     """Min ord over F of Tr(c * Q_level^exponent): ceil((m + nu_A(c))/e_A).
 
@@ -272,8 +259,8 @@ def bk_to_yu(bk: BKDatumSkeleton) -> YuDatumSkeleton:
     seq = bk.seq
     if seq is None:
         raise VerificationFailed("type (a) skeleton without a sequence")
-    levels, nus = _seq_levels_nus(seq)
-    depths = [Fraction(v, order.e_A) for v in nus]
+    levels = [e.level for e in seq.entries]
+    depths = [Fraction(v, order.e_A) for v in seq.depths]
     dims = [order.N // tower.level_degree(lvl) for lvl in levels]
     chars = [(levels[i], seq.entries[i].c, depths[i]) for i in range(seq.s + 1)]
     if seq.case == "A":

@@ -108,27 +108,28 @@ def suite_valuation_lemma():
 
 
 def suite_critical_exponent():
-    """Closed-form k0 equals the commutator-space oracle on N <= 4."""
-    cases = failures = 0
-    models = {}
-    for label, order, beta in corpus.small_oracle_corpus():
-        if order.key() not in models:
-            models[order.key()] = oracle.model_build(order)
-        model = models[order.key()]
+    """Closed-form k0 equals the commutator-space oracle on N <= 4: on
+    beta_0 of every type (a) corpus datum and on pi_F^-1 of each order."""
+    data = [(l, bk) for l, bk in corpus.datum_corpus()
+            if bk.kind == "a" and bk.order.N <= 4]
+    models = _models_for(data)
+    cases = [(bk.order, bk.seq.entries[0].beta) for _, bk in data]
+    cases += [(bk.order, bk.order.tower.pi_F() ** -1)
+              for bk in {bk.order.key(): bk for _, bk in data}.values()]
+    failures = 0
+    for order, beta in cases:
         closed = strata.k0_closed(order, beta)
-        ora = oracle.oracle_k0(model, beta.at_level(0))
-        cases += 1
-        if closed != ora:
+        if closed != oracle.oracle_k0(models[order.key()], beta.at_level(0)):
             failures += 1
     return ("critical-exponent", failures == 0,
-            f"{cases} strata, {failures} disagreements")
+            f"{len(cases)} strata, {failures} disagreements")
 
 
 def _models_for(data):
     """A matrix model per order of the data within the oracle bound."""
     models = {}
     for label, bk in data:
-        if bk.order.N <= oracle._MAX_N and bk.order.key() not in models:
+        if bk.order.N <= oracle.MAX_N and bk.order.key() not in models:
             models[bk.order.key()] = oracle.model_build(bk.order)
     return models
 
@@ -156,7 +157,7 @@ def suite_index_identity():
     """Product identity and even exponents for the index ledger, on every
     type (a) datum within the oracle bound."""
     data = [(l, bk) for l, bk in corpus.datum_corpus()
-            if bk.kind == "a" and bk.order.N <= oracle._MAX_N]
+            if bk.kind == "a" and bk.order.N <= oracle.MAX_N]
     models = _models_for(data)
     cases = failures = 0
     for label, bk in data:

@@ -167,3 +167,24 @@ def test_equal_fields_share_read_only_tables():
         a._log[(0, 1)] = 0
     with pytest.raises(TypeError):
         a._exp[0] = (0, 1)
+
+
+def test_modulus_tested_once_per_equal_field(monkeypatch):
+    calls = []
+    real = ffq._is_irreducible
+
+    def counting(modulus, p):
+        calls.append((tuple(modulus), p))
+        return real(modulus, p)
+
+    monkeypatch.setattr(ffq, "_is_irreducible", counting)
+    # F_11[x]/(x^2 + 1), a field no other test builds
+    a, b = ffq.FqField(11, 2, [1, 0, 1]), ffq.FqField(11, 2, [1, 0, 1])
+    assert a == b and a._log is b._log
+    assert calls == [((1, 0, 1), 11)]
+
+
+def test_reducible_modulus_raises_on_every_construction():
+    for _ in range(2):                    # x^2 + 1 = (x - 2)(x + 2) over F_5
+        with pytest.raises(ReducibleModulus, match="reducible over F_5"):
+            ffq.FqField(5, 2, [1, 0, 1])

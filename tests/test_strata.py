@@ -5,7 +5,8 @@ import pytest
 
 from tamestrata import corpus, minimal, strata, tame
 from tamestrata.errors import (
-    NotDecomposable, NotInLevel, NotMinimalSummand, ValuationOrder, ZeroToPrecision,
+    NotDecomposable, NotInLevel, NotMinimalSummand, PrecisionExhausted,
+    ValuationOrder, ZeroToPrecision,
 )
 
 
@@ -47,12 +48,15 @@ def test_k0_closed(desk, order, beta):
     assert strata.k0_closed(order, beta) == -1
 
 
-def test_stratum_classify(desk, order, beta):
-    w = desk.k.gen()
-    assert strata.stratum_classify(strata.Stratum(order, 2, 0, beta)) == "simple"
-    assert strata.stratum_classify(strata.Stratum(order, 2, 1, beta)) == "pure"
-    assert strata.stratum_classify(
-        strata.Stratum(order, 3, 0, desk.monomial(w, -1))) == "neither"
+def test_k0_closed_truncated_central_beta_raises(desk, order):
+    # an unseen term w * s^(-1/2) would make k0 = -1, so a truncated beta
+    # whose visible terms lie in F is not taken for a central one
+    central = (desk.pi_F() ** -1).at_level(0)
+    for truncated in (central.truncate_k(-1), desk.zero().truncate_k(0)):
+        assert truncated.prec_k is not None
+        with pytest.raises(PrecisionExhausted):
+            strata.k0_closed(order, truncated)
+    assert strata.k0_closed(order, desk.zero()) is None
 
 
 def test_decompose_desk(desk, order, beta):
@@ -217,14 +221,27 @@ def test_roundtrip_decompose_build(desk, order):
         assert [e.r for e in rebuilt.entries] == [e.r for e in seq.entries]
 
 
-def test_intermediate_strata_simple(desk, order, beta):
-    # [A, n, r_{i+1}-1, beta_i] is simple for each verified sequence entry
-    seq = strata.build_defining_sequence(
-        order, strata.decompose_split_form(order, beta))
-    for i in range(seq.s):
-        st = strata.Stratum(order, seq.n, seq.entries[i + 1].r - 1,
-                            seq.entries[i].beta)
-        assert strata.stratum_classify(st) == "simple"
+def test_intermediate_strata_simple():
+    # [A, n, r_{i+1}-1, beta_i] is simple: beta_i is pure of depth n and
+    # its critical exponent is -r_{i+1}
+    for label, bk in corpus.datum_corpus():
+        if bk.kind != "a":
+            continue
+        seq = bk.seq
+        for i in range(seq.s):
+            beta_i = seq.entries[i].beta
+            assert strata.nu_A(bk.order, beta_i) == -seq.n, label
+            assert strata.k0_closed(bk.order, beta_i) == -seq.entries[i + 1].r, label
+
+
+def test_depths_read_off_the_sequence():
+    for label, bk in corpus.datum_corpus():
+        if bk.kind != "a":
+            continue
+        seq, order = bk.seq, bk.order
+        assert seq.depths == tuple(-strata.nu_A(order, e.c) for e in seq.entries)
+        assert [cf.depth for cf in bk.theta_factors] == [
+            Fraction(v, order.e_A) for v in seq.depths]
 
 
 def test_depth_monotonicity(order):

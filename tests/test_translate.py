@@ -3,9 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tamestrata import corpus, oracle, strata, translate
-from tamestrata.errors import (
-    BadLevel, DepthMismatch, NotMinimalSummand, OracleRequired,
-)
+from tamestrata.errors import DepthMismatch, NotMinimalSummand, OracleRequired
 
 
 @pytest.fixture(scope="module")
@@ -148,22 +146,21 @@ def test_table_compare(desk_bk, model):
 
 
 def test_char_factor_domains(desk_bk):
-    cf0 = translate.char_factor_from_seq(desk_bk.seq, 0)
+    cf0 = desk_bk.theta_factors[0]
     assert [f[:2] for f in cf0.det_domain] == [(0, 1)]
     assert [f[:2] for f in cf0.psi_domain] == [(1, 1), (2, 2)]
     assert cf0.depth == Fraction(1, 2)
-    cf1 = translate.char_factor_from_seq(desk_bk.seq, 1)
+    cf1 = desk_bk.theta_factors[1]
     assert [f[:2] for f in cf1.det_domain] == [(0, 1), (1, 1)]
     assert [f[:2] for f in cf1.psi_domain] == [(2, 2)]
-    with pytest.raises(BadLevel):
-        translate.char_factor_from_seq(desk_bk.seq, 5)
+    assert len(desk_bk.theta_factors) == desk_bk.seq.s + 1
 
 
 def test_char_factor_case_A_terminal(desk, order):
     w = desk.k.gen()
     bk = translate.make_bk_datum(
         order, [(1, desk.monomial(w, -1)), (2, (desk.pi_F() ** -2).at_level(2))])
-    cf = translate.char_factor_from_seq(bk.seq, 1)
+    cf = bk.theta_factors[1]
     assert cf.psi_domain == ()
     assert cf.det_domain == translate.h_group_table(bk.seq)["H1"].factors
 
