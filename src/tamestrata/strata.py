@@ -10,17 +10,23 @@ Defining sequences are built from split-form elements: every term of beta
 must lie in a chain level, and the split into blocks is forced, a new block
 starting exactly where the generated field grows.  The one split is
 accepted only when the full list of sequence conditions verifies.
+
+An order keeps each sequence that verified on it, keyed by its block
+list's content, and returns it for an equal list: per order, successes
+only.  So a decomposition, its datum, its critical exponent and its round
+trip verify once; a parsed document makes a new order and verifies afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (
     BadLevel, NotDecomposable, NotInLevel, NotMinimalSummand, NotSplitForm,
-    PrecisionExhausted, ValuationOrder, VerificationFailed, ZeroToPrecision,
+    PrecisionExhausted, TowerMismatch, ValuationOrder, VerificationFailed,
+    ZeroToPrecision,
 )
 from .minimal import is_minimal, minimal_over
 from .tame import TameSeries, Tower, stabilizer_within
@@ -28,12 +34,19 @@ from .tame import TameSeries, Tower, stabilizer_within
 
 @dataclass(frozen=True)
 class OrderDesc:
-    """Hereditary order descriptor: N, per-level matrix sizes, period."""
+    """Hereditary order descriptor: N, per-level matrix sizes, period.
+
+    verified maps the content of each block list that verified on this
+    order to its sequence (successes only), so it grows only by sequences
+    callers built on this order.  ==, hash, repr and key() ignore it.
+    """
     tower: Tower
     N: int
     m: tuple          # m_i = N / [E_i : F]
     e_A: int          # chain period over o_F, = e(E_0 | F)
     q: int            # residue cardinality of F
+    verified: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def key(self):
         return (id(self.tower), self.N)
@@ -159,9 +172,18 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
 
     c_list is [(level, c)] ordered shallowest block first; levels must be
     strictly increasing (fields strictly decreasing) and block depths
-    -nu_A(c_i) strictly increasing.
+    -nu_A(c_i) strictly increasing.  A block over another tower raises
+    TowerMismatch before any other check; a list equal to one that
+    verified on this order returns that sequence.
     """
     tw = order.tower
+    for i, (_, c) in enumerate(c_list):
+        if not tw.equivalent(c.tower):
+            raise TowerMismatch(f"block {i} lies over another tower")
+    key = tuple((lvl, c.key()) for lvl, c in c_list)
+    seq = order.verified.get(key)
+    if seq is not None:
+        return seq
     s = len(c_list) - 1
     if s < 0:
         raise ValuationOrder("empty block list")
@@ -201,6 +223,7 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
         failed = [k for k, ok in report.checks.items() if not ok]
         raise VerificationFailed(f"sequence checks failed: {failed}; "
                                  f"{report.details}")
+    order.verified[key] = seq
     return seq
 
 

@@ -40,8 +40,8 @@ need the elements themselves.
 Everything a Tower derives from its spec (the group, the chain, these
 tables, the level uniformizers and residue fields, the coset
 representatives of chain pairs) is built by one cached builder keyed on
-the spec, read-only and shared by every tower with an equal spec.  Tower
-objects stay distinct and keep no cache of their own.
+the spec's plain integers, read-only and shared by every tower with an
+equal spec.  Tower objects stay distinct and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ class _GaloisTables:
     identity: GaloisElement
     identity_action: tuple     # the pair of the identity
     inertia: frozenset
-    chain: tuple               # the resolved, validated chain H_0 < ... < H_d
+    chain: tuple               # the resolved, validated chain H_0 < ... < H_d,
+                               # with H_d the group object
     level_data: tuple          # (degree, e, f) over F of each E_i
     level_action: tuple        # pairs of the non-identity elements of H_i
     level_pairs: MappingProxyType   # H_i -> ((g, pair of g), ...) over H_i
@@ -109,28 +110,46 @@ class _GaloisTables:
     cosets: MappingProxyType   # (H_i, H_j), i <= j -> coset representatives
 
 
+def _spec_key(spec: TowerSpec) -> tuple:
+    """The spec in plain ints: each level is a frozenset of (frob_power,
+    twist coefficients); an element whose twist lies outside k_L stays
+    itself, so that the builder rejects it."""
+    base, k = spec.base, spec.residue
+    levels = spec.levels
+    if levels is not None:
+        levels = tuple(frozenset((g.frob_power, g.twist.coeffs)
+                                 if g.twist.field == k else g for g in H)
+                       for H in levels)
+    return (base.p, base.f, base.modulus, spec.e, spec.f, k.f, k.modulus,
+            spec.zeta.coeffs, levels)
+
+
 @cache
-def _galois_tables(spec: TowerSpec) -> _GaloisTables:
-    """The tables of a tower, built once per equal spec and shared by
-    every Tower with it, as ffq._log_tables is by equal fields.
+def _galois_tables(key: tuple) -> _GaloisTables:
+    """The tables of a tower, built once per equal spec (keyed by
+    _spec_key, from which the fields, zeta and chain are rebuilt) and
+    shared by every Tower with it, as ffq._log_tables is by equal fields.
 
     Raises on a bad group or chain; an exception is not cached, so every
-    construction from a bad spec raises again.  levels of the key are
-    None or a tuple of frozensets.
+    construction from a bad spec raises again.
     """
-    base, k, e, f = spec.base, spec.residue, spec.e, spec.f
+    p, base_f, base_modulus, e, f, k_f, k_modulus, zeta, levels = key
+    base, k = FqField(p, base_f, base_modulus), FqField(p, k_f, k_modulus)
     n = k.order - 1
     mults = _frobenius_mults(base, f, n)
 
     def action(g):
         return mults[g.frob_power % f], g.twist.log()
 
-    group = _build_group(base, e, f, k, spec.zeta)
+    group = _build_group(base, e, f, k, FqElem(k, zeta))
     identity = GaloisElement(0, k.one())
     inertia = frozenset(g for g in group if g.frob_power == 0)
-    levels = spec.levels
     if levels is None:
         levels = (frozenset([identity]), group) if len(group) > 1 else (group,)
+    else:
+        levels = tuple(frozenset(x if isinstance(x, GaloisElement)
+                                 else GaloisElement(x[0], FqElem(k, x[1]))
+                                 for x in H) for H in levels)
     if not levels:
         raise BadChain("empty chain")
     for H in levels:
@@ -141,7 +160,7 @@ def _galois_tables(spec: TowerSpec) -> _GaloisTables:
             raise BadChain("chain subgroups must increase strictly")
     if levels[-1] != group:
         raise BadChain("last subgroup must be the full Galois group")
-    chain, d = levels, len(levels) - 1
+    chain, d = levels[:-1] + (group,), len(levels) - 1
     level_data = tuple(_field_invariants(e, f, inertia, H) for H in chain)
 
     # the action on discrete logs (see the module docstring): image[x][i]
@@ -212,9 +231,7 @@ class Tower:
             raise RootOfUnityMissing(f"e={spec.e} does not divide |k_L^x|")
         if spec.zeta.field != k or spec.zeta.is_zero():
             raise RootOfUnityMissing("zeta must be a nonzero element of k_L")
-        if spec.levels is not None:
-            spec = replace(spec, levels=tuple(map(frozenset, spec.levels)))
-        tables = _galois_tables(spec)
+        tables = _galois_tables(_spec_key(spec))
         self._tables = tables
         self.spec = replace(spec, levels=tables.chain)
         self.base = base

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tamestrata import corpus, minimal, strata, tame
+from tamestrata import cli, corpus, minimal, strata, tame, translate
 from tamestrata.errors import (
     NotDecomposable, NotInLevel, NotMinimalSummand, PrecisionExhausted,
-    ValuationOrder, ZeroToPrecision,
+    TowerMismatch, ValuationOrder, ZeroToPrecision,
 )
 
 
@@ -260,8 +260,10 @@ def test_build_decides_each_block_once(monkeypatch):
     real = strata.minimal_over
     monkeypatch.setattr(strata, "minimal_over",
                         lambda *args: calls.append(args) or real(*args))
+    # fresh orders: the corpus orders already keep these sequences
     seqs = [strata.build_defining_sequence(
-                bk.order, [(e.level, e.c) for e in bk.seq.entries])
+                strata.make_order(bk.order.tower, bk.order.N),
+                [(e.level, e.c) for e in bk.seq.entries])
             for _, bk in corpus.datum_corpus() if bk.kind == "a"]
     assert seqs and not calls
     monkeypatch.undo()
@@ -298,3 +300,79 @@ def test_nu_A_raises_off_the_order_lattice():
     assert strata.nu_A(order, half * half) == -1
     with pytest.raises(ZeroToPrecision):
         strata.nu_A(order, tame.TameSeries(tw, 0, (), 3))
+
+
+def _counting_is_minimal(monkeypatch):
+    calls = []
+    real = strata.is_minimal
+    monkeypatch.setattr(strata, "is_minimal",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_equal_blocks_verify_once_per_order(desk, beta, monkeypatch):
+    order = strata.make_order(desk, 4)
+    bk = translate.make_bk_datum(order, strata.decompose_split_form(order, beta))
+    # equal content in new objects, as a caller rebuilding the blocks has
+    copies = [(e.level, tame.TameSeries(desk, e.c.level, e.c.terms, e.c.prec_k))
+              for e in bk.seq.entries]
+    calls = _counting_is_minimal(monkeypatch)
+    again = translate.make_bk_datum(order, copies)
+    assert strata.k0_closed(order, beta) == -bk.seq.depths[0]
+    back = translate.yu_to_bk(translate.bk_to_yu(bk))
+    assert not calls
+    assert again.seq is bk.seq and back.seq is bk.seq
+    assert [e.c.level for e in again.seq.entries] == \
+        [c.level for _, c in copies]
+    assert cli.emit_bk(again) == cli.emit_bk(bk)
+    # a new order verifies the same blocks afresh
+    strata.build_defining_sequence(strata.make_order(desk, 4), copies)
+    assert calls
+
+
+def test_failed_block_list_raises_alike_every_time(desk):
+    order = strata.make_order(desk, 4)
+    w = desk.k.gen()
+    blocks = [(0, desk.monomial(w, -1).at_level(0)),
+              (2, (desk.pi_F() ** -3).at_level(2))]
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NotMinimalSummand) as info:
+            strata.build_defining_sequence(order, blocks)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] and not order.verified
+
+
+def test_parsed_datum_verifies_again(desk, beta, monkeypatch):
+    order = strata.make_order(desk, 4)
+    bk = translate.make_bk_datum(order, strata.decompose_split_form(order, beta))
+    doc = cli.emit_bk(bk)
+    calls = _counting_is_minimal(monkeypatch)
+    parsed = cli.parse_bk(doc)
+    assert calls and parsed.order is not order and parsed.seq is not bk.seq
+    assert cli.emit_bk(parsed) == doc
+
+
+def test_order_identity_ignores_the_memo(desk, beta):
+    a, b = strata.make_order(desk, 4), strata.make_order(desk, 4)
+    strata.decompose_split_form(a, beta)
+    assert a.verified and not b.verified
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    assert repr(a) == repr(b) and "verified" not in repr(a)
+
+
+def test_blocks_over_another_tower_raise_first():
+    # desk2 and desk2b share p, e and f but not their chains
+    other = corpus.named_tower("desk2b")
+    data = [bk for label, bk in corpus.datum_corpus()
+            if label.startswith("desk2/") and bk.kind == "a"]
+    assert len(data) == 10
+    for bk in data:
+        order = strata.make_order(other, bk.order.N)
+        blocks = [(e.level, e.c) for e in bk.seq.entries]
+        with pytest.raises(TowerMismatch):
+            strata.build_defining_sequence(order, blocks)
+        # the check precedes the others: a misordered list raises it too
+        with pytest.raises(TowerMismatch):
+            strata.build_defining_sequence(order, blocks[::-1])
+        assert not order.verified

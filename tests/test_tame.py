@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -455,6 +456,26 @@ def test_towers_keep_no_mutable_container(name):
     mutable = {k: type(v).__name__ for k, v in vars(tw).items()
                if isinstance(v, (dict, list, set))}
     assert not mutable
+
+
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_chain_top_is_the_group_object(name):
+    # chain-subgroup lookups (level_pairs, cosets) then hit on identity
+    tw = _tower(name)
+    copy = cli.parse_tower(cli.emit_tower(tw))
+    for t in (tw, copy):
+        assert t.group is t.chain[-1]
+
+
+def test_twist_outside_k_L_is_no_group_element(desk):
+    # equal coefficients in another F_25 do not make the identity
+    other = FqField(5, 2)
+    assert other != desk.k
+    foreign = GaloisElement(0, other.elem(list(desk.identity.twist.coeffs)))
+    spec = replace(desk.spec, levels=(frozenset([foreign]),) + desk.chain[1:])
+    for _ in range(2):
+        with pytest.raises(NotASubgroup):
+            tame.Tower(spec)
 
 
 def test_bad_chain_raises_on_every_parse(desk):
