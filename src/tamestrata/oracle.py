@@ -13,11 +13,24 @@ arithmetic.  No code is shared with the closed-form paths, so agreement is
 evidence.
 
 Rows are sparse {column: x} dicts: at N=16 a row of Q^k has at most 16
-nonzeros, in quotients of up to 832 columns.  ``Subspace`` keeps them in reduced row echelon form with
-two indexes, pivot -> row and column -> pivots of the rows nonzero there,
-so reducing a vector touches only the pivots it hits and a new pivot is
-back-substituted only into the rows that have it (structured elimination,
-after LaMacchia and Odlyzko, CRYPTO '90).
+nonzeros, in quotients of up to 832 columns.  ``Subspace`` keeps them in
+reduced row echelon form (RREF) with two indexes, pivot -> row and column
+-> pivots of the rows nonzero there, so reducing a vector touches only the
+pivots it hits and a new pivot is back-substituted only into the rows that
+have it (structured elimination, after LaMacchia and Odlyzko, CRYPTO '90).
+
+Coordinates are numbered in order of block valuation, then (row, col, w),
+so fill-in stays within valuation layers, and:
+- A/P^M is a prefix of A/P^M' for M < M', at the same positions, so a
+  projection drops the positions past the width (``_Quotient.project``).
+  Cut there, the rows of an RREF space are still zero at each other's
+  pivots, so ``Subspace`` takes them with no reduction and no
+  back-substitution; kernel vectors are not RREF and are row-reduced.
+- P^k is a suffix.  A vector of an RREF space S is the combination of the
+  rows given by its pivot entries, and a row lies in P^k iff its pivot
+  (its smallest column) does, so S ∩ P^k is the set of rows with a pivot
+  in P^k (``_Quotient.radical_cut``); ``Subspace.intersect`` stays the
+  general reference.
 
 Every kernel the oracle solves has its equations from one routine,
 ``_ad_equations``: ad_g(x) = 0 on block valuations [lo, hi) for every
@@ -27,17 +40,14 @@ with no matrix product.  Centralisers are commutants of generating
 matrices, all solved by ``_centraliser_image``, which re-solves at
 increasing internal precision until two successive projections to the
 target quotient agree.  Each model keeps, per level, the commutant at the
-largest M stabilised so far; a smaller M is its projection, which drops
-the coordinates of block valuation >= M.  The k-scan of ``oracle_k0``
-keeps one echelon form and adds one block-valuation layer of equations
-per step.
-Cached subspaces are shared, so callers must not mutate them.  ``S ∩ P^k``
-is cut directly from the rows of S (``_Quotient.radical_cut``);
-``Subspace.intersect`` stays as the general reference.
+largest M stabilised so far; a smaller M is its truncation.  The k-scan of
+``oracle_k0`` keeps one echelon form and adds one block-valuation layer of
+equations per step.  Cached subspaces are shared: do not mutate them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -401,17 +411,20 @@ class MatrixModel:
 
     def window(self, lo: int, hi: int):
         """Position of each (row, col, w) with block valuation in [lo, hi),
-        deg_F coordinates apart, and the width of the window."""
+        deg_F coordinates apart, numbered in order of (valuation, row,
+        col, w), and the width of the window."""
         key = (lo, hi)
         if key not in self._windows:
-            index = {}
+            cells = []
             for r in range(self.N):
                 for c in range(self.N):
                     delta = self.block_of(r) - self.block_of(c)
                     w = -(-(lo - delta) // self.e_A)     # ceil
                     while self.e_A * w + delta < hi:
-                        index[(r, c, w)] = len(index) * self.deg_F
+                        cells.append((self.e_A * w + delta, r, c, w))
                         w += 1
+            cells.sort()
+            index = {cell[1:]: n * self.deg_F for n, cell in enumerate(cells)}
             self._windows[key] = (index, len(index) * self.deg_F)
         return self._windows[key]
 
@@ -482,8 +495,7 @@ class MatrixModel:
                 return space
             key = (level, quot.M)
             if key not in self._projections:
-                self._projections[key] = quot.project(
-                    space.rows, self.quotient_context(M_held))
+                self._projections[key] = quot.project(space.rows)
             return self._projections[key]
         tower = self.tower
         gens = [tower.monomial(tower.residue_generator(level), 0),
@@ -509,7 +521,7 @@ class MatrixModel:
 class _Quotient:
     """A/P^M, laid out as the window [0, M): its coordinates (row, col, w,
     i), the position of each (row, col, w) and the block valuation of each
-    coordinate."""
+    coordinate, non-decreasing (so P^k starts at bisect_left(vals, k))."""
 
     __slots__ = ("model", "M", "coords", "index", "vals")
 
@@ -528,36 +540,17 @@ class _Quotient:
             {pos: {pos: 1} for pos, v in enumerate(self.vals) if v >= k})
 
     def radical_cut(self, space: Subspace, k: int) -> Subspace:
-        """space ∩ P^k, by row-reducing the rows of space with the
-        coordinates of block valuation below k in front.
-
-        A vector of space is the combination of the RREF rows given by its
-        pivot entries, so rows with a pivot below k cannot take part.  The
-        reduced rows whose pivot falls behind the low coordinates span the
-        intersection and are already its RREF in the original order.
-        """
-        vals = self.vals
-        low = [pos for pos, v in enumerate(vals) if v < k]
-        if not low:
-            return space
-        order = low + [pos for pos, v in enumerate(vals) if v >= k]
-        front_of = {q: i for i, q in enumerate(order)}
-        p, n, n_low = self.model.p, len(order), len(low)
-        front = Subspace(p, n, [{front_of[q]: x for q, x in row.items()}
-                                for piv, row in space._rows.items()
-                                if vals[piv] >= k])
+        """space ∩ P^k: the rows of space with a pivot in P^k."""
+        start = bisect_left(self.vals, k)
         return Subspace._from_rref(
-            p, n, {order[piv]: {order[q]: x for q, x in row.items()}
-                   for piv, row in front._rows.items() if piv >= n_low})
+            self.model.p, space.width,
+            {piv: row for piv, row in space._rows.items() if piv >= start})
 
-    def project(self, rows, src: "_Quotient") -> Subspace:
-        """Span in this quotient of the images of rows of the finer
-        quotient src: the coordinates of block valuation >= M drop out."""
-        here = {src.index[(r, c, w)] + i: pos
-                for pos, (r, c, w, i) in enumerate(self.coords)}
-        return Subspace(self.model.p, len(here),
-                        [{here[q]: x for q, x in row.items() if q in here}
-                         for row in rows])
+    def project(self, rows) -> Subspace:
+        """Span of rows of a finer quotient, cut to this one's positions."""
+        n = len(self.coords)
+        return Subspace(self.model.p, n,
+                        [{q: x for q, x in row.items() if q < n} for row in rows])
 
     def order_level(self, level: int, k: int = 0) -> Subspace:
         """Image of P^k ∩ B_level = Q_level^k in this quotient."""
@@ -577,7 +570,7 @@ def _centraliser_image(model, mats, M, shift, target) -> Subspace:
         big = model.quotient_context(M + slack)
         equations = _ad_equations(model, mats, big, shift, big.M + shift)
         kernel = nullspace(list(equations.values()), len(big.coords), model.p)
-        space = target.project(kernel, big)
+        space = target.project(kernel)
         if space == prev:
             return space
         prev = space
@@ -655,7 +648,7 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
         for row in layers.get(k - 1, ()):
             equations.add(row)
         # x mod P^J with ad_beta(x) in P^k
-        sol = res.project(equations.kernel(), big)
+        sol = res.project(equations.kernel())
         if comm.contains_space(sol):
             return k - 1 if k > -n else None
     raise PrecisionExhausted("k0 scan did not terminate")

@@ -142,13 +142,17 @@ def _galois_tables(key: tuple) -> _GaloisTables:
         return mults[g.frob_power % f], g.twist.log()
 
     group = _build_group(base, e, f, k, FqElem(k, zeta))
-    identity = GaloisElement(0, k.one())
+    # every level holds the group's own element objects, so comparing a
+    # stabiliser with a level meets each element by identity
+    by_key = {g.sort_key(): g for g in group}
+    identity = by_key[(0, k.one().coeffs)]
     inertia = frozenset(g for g in group if g.frob_power == 0)
     if levels is None:
         levels = (frozenset([identity]), group) if len(group) > 1 else (group,)
     else:
         levels = tuple(frozenset(x if isinstance(x, GaloisElement)
-                                 else GaloisElement(x[0], FqElem(k, x[1]))
+                                 else by_key.get(x) or
+                                 GaloisElement(x[0], FqElem(k, x[1]))
                                  for x in H) for H in levels)
     if not levels:
         raise BadChain("empty chain")

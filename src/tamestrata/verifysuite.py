@@ -108,12 +108,14 @@ def suite_valuation_lemma():
 
 
 def suite_critical_exponent():
-    """Closed-form k0 equals the commutator-space oracle on N <= 4: on
-    beta_0 of every type (a) corpus datum and on pi_F^-1 of each order."""
+    """Closed-form k0 equals the commutator-space oracle on N <= 8: on
+    every entry beta of every type (a) corpus datum and on pi_F^-1 of each
+    order."""
     data = [(l, bk) for l, bk in corpus.datum_corpus()
-            if bk.kind == "a" and bk.order.N <= 4]
+            if bk.kind == "a" and bk.order.N <= 8]
     models = _models_for(data)
-    cases = [(bk.order, bk.seq.entries[0].beta) for _, bk in data]
+    cases = [(bk.order, entry.beta) for _, bk in data
+             for entry in bk.seq.entries]
     cases += [(bk.order, bk.order.tower.pi_F() ** -1)
               for bk in {bk.order.key(): bk for _, bk in data}.values()]
     failures = 0

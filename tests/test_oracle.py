@@ -257,15 +257,33 @@ def _equivalence_model(name):
     elif name == "q9e2f2":
         # k_F = F_9, so each matrix entry has two F_p coordinates
         tower, N = tame.make_tower(3, 2, 2, base_f=2), 4
+    elif name in CORPUS_ORDERS:
+        return oracle.model_build(_corpus_orders()[name])
     else:
         tower, N = corpus.named_tower(name), {"desk5": 4, "desk2": 6}[name]
     return oracle.model_build(strata.make_order(tower, N))
 
 
+def _corpus_orders():
+    """Label of its first datum -> order, for each corpus order with N <= 8."""
+    firsts = {}
+    for label, bk in corpus.datum_corpus():
+        if bk.order.N <= 8:
+            firsts.setdefault(bk.order.key(), (label, bk.order))
+    return dict(firsts.values())
+
+
 EQUIVALENCE_ORDERS = ("std3e2f1", "desk5", "desk2", "q9e2f2")
+CORPUS_ORDERS = ("desk5/N=4/levels=0-1/base=1", "desk3/N=4/levels=0-1/base=1",
+                 "desk2/N=6/levels=0-1/base=1", "desk2b/N=6/levels=0-1/base=1",
+                 "desk5x2/N=8/levels=0-1/base=1")
 
 
-@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_corpus_orders_are_every_small_corpus_order():
+    assert tuple(_corpus_orders()) == CORPUS_ORDERS
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS + CORPUS_ORDERS)
 def test_radical_cut_equals_intersection(name):
     model = _equivalence_model(name)
     quot = model.quotient_context(2 * model.e_A + 1)
@@ -275,6 +293,55 @@ def test_radical_cut_equals_intersection(name):
             cut = quot.radical_cut(comm, k)
             assert cut == comm.intersect(quot.radical_power(k)), (level, k)
             assert cut.pivots == sorted(cut.pivots)
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_quotients_are_prefixes_in_valuation_order(name):
+    model = _equivalence_model(name)
+    M_max = 3 * model.e_A + 1
+    big = model.quotient_context(M_max)
+    assert big.vals == sorted(big.vals)
+    for M in range(M_max):
+        quot = model.quotient_context(M)
+        assert quot.coords == big.coords[:len(quot.coords)]
+        assert all(big.index[cell] == pos for cell, pos in quot.index.items())
+        assert quot.vals == big.vals[:len(quot.coords)]
+        assert len(quot.coords) == sum(v < M for v in big.vals)
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_projections_equal_dense_reference(name):
+    # reference: a kernel of the level-0 commutant equations in
+    # A/P^(2 e_A + 1), and the RREF commutant held there, mapped to each
+    # coarser A/P^M cell by cell and re-reduced
+    model = _equivalence_model(name)
+    tower, p = model.tower, model.p
+    big = model.quotient_context(2 * model.e_A + 1)
+    gens = [tower.monomial(tower.residue_generator(0), 0),
+            tower.uniformizer(0)]
+    mats = [model.elt_to_matrix(g.at_level(0)) for g in gens]
+    equations = oracle._ad_equations(model, mats, big, 0, big.M)
+    kernel = oracle.nullspace(list(equations.values()), len(big.coords), p)
+    held = model.commutant_in_quotient(0, big)
+    for M in range(big.M + 1):
+        quot = model.quotient_context(M)
+        width = len(quot.coords)
+
+        def reference(rows):
+            dense = []
+            for row in rows:
+                vec = [0] * width
+                for q, x in row.items():
+                    r, c, w, i = big.coords[q]
+                    if (r, c, w) in quot.index:
+                        vec[quot.index[(r, c, w)] + i] = x
+                dense.append(vec)
+            return _dense_rref(dense, width, p)
+
+        got = [_dense(r, width) for r in quot.project(kernel).rows]
+        assert got == reference(kernel), M
+        got = [_dense(r, width) for r in quot.project(held.rows).rows]
+        assert got == reference(held.rows), M
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)

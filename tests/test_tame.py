@@ -467,6 +467,29 @@ def test_chain_top_is_the_group_object(name):
         assert t.group is t.chain[-1]
 
 
+@pytest.mark.parametrize("name", TOWER_NAMES)
+def test_chain_levels_hold_the_group_elements(name):
+    # a stabiliser drawn from the group then equals a level by identity
+    tw = _tower(name)
+    copy = cli.parse_tower(json.loads(json.dumps(cli.emit_tower(tw))))
+    for t in (tw, copy):
+        group = {id(g) for g in t.group}
+        assert id(t.identity) in group
+        for H in t.chain:
+            assert all(id(g) in group for g in H)
+
+
+def test_level_element_outside_the_group_raises(desk):
+    # u lies in k_L, but (0, u) does not fix t = zeta * s^e
+    doc = json.loads(json.dumps(cli.emit_tower(desk)))
+    u = next(u for u in desk.k.elements() if not u.is_zero()
+             and GaloisElement(0, u) not in desk.group)
+    doc["payload"]["levels"][0].append([0, list(u.coeffs)])
+    for _ in range(2):
+        with pytest.raises(NotASubgroup):
+            cli.parse_tower(doc)
+
+
 def test_twist_outside_k_L_is_no_group_element(desk):
     # equal coefficients in another F_25 do not make the identity
     other = FqField(5, 2)
