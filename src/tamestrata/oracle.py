@@ -2,15 +2,17 @@
 
 V is realised as E_0^{m_0} with the F-basis pi^a * theta^b * e_j (pi a
 monomial uniformizer of E_0, theta a residue generator), matrices over
-truncated t-series with coefficients in k_F.  The order \\mathfrak{A} is the
-chain order of {p_{E_0}^k}; membership in radical powers reads off block
-valuations e_A*val_t(entry) + a_row - a_col.  All lattice questions reduce
-to F_p row spaces of the finite quotient A/P^M, computed by Gaussian
-elimination in ``Subspace``, the only elimination routine here.  The F_p
-coordinates of a residue-field coefficient (over k_F, and of k_{E_0} over
-k_F) are looked up in tables each model enumerates once from k_L
-arithmetic.  No code is shared with the closed-form paths, so agreement is
-evidence.
+truncated t-series with coefficients in k_F, read off an element's terms
+with k_L arithmetic alone (no series product, power or inverse).  The
+order \\mathfrak{A} is the chain order of {p_{E_0}^k}; membership in radical
+powers reads off block valuations e_A*val_t(entry) + a_row - a_col.  Every
+lattice is a ``Subspace``, an F_p row space of a finite quotient A/P^M
+that the oracle chooses itself: callers ask whole questions (an index, a
+table equality) and never handle a quotient.  ``Subspace`` is the only
+elimination routine here.  The F_p coordinates of a residue-field
+coefficient (over k_F, and of k_{E_0} over k_F) are looked up in tables
+each model enumerates once from k_L arithmetic.  No code is shared with
+the closed-form paths, so agreement is evidence.
 
 Rows are sparse {column: x} dicts: at N=16 a row of Q^k has at most 16
 nonzeros, in quotients of up to 832 columns.  ``Subspace`` keeps them in
@@ -48,8 +50,6 @@ equations per step.  Cached subspaces are shared: do not mutate them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     NotNested, PrecisionExhausted, TooLarge, VerificationFailed,
@@ -278,13 +278,6 @@ def _clean(entries):
 # the model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeHandle:
-    """A lattice between A and P^M, as its row space in A/P^M."""
-    space: Subspace
-    M: int
-
-
 class MatrixModel:
     def __init__(self, order: OrderDesc):
         tower = order.tower
@@ -299,7 +292,9 @@ class MatrixModel:
         e0, f0 = tower.level_e(0), tower.level_f(0)
         self.e0, self.f0 = e0, f0
         self.m0 = order.m[0]
-        self.pi = tower.uniformizer(0)       # monomial uniformizer of E_0
+        # the monomial uniformizer pi = c_pi s^m_pi of E_0, and t = zeta s^e
+        (self.m_pi, self.c_pi), = tower.uniformizer(0).terms
+        self.zeta = tower.zeta
         self.theta = tower.residue_generator(0)
         # F-basis of V: index (a, b, j) -> a + e0*(b + f0*j)
         self.basis = [(a, b, j) for j in range(self.m0)
@@ -349,58 +344,41 @@ class MatrixModel:
     # -- element matrices ---------------------------------------------------
 
     def elt_to_matrix(self, x: TameSeries) -> SeriesMatrix:
-        """Matrix of multiplication by x in E_0 acting on V = E_0^{m0}."""
+        """Matrix of multiplication by x in E_0 on V = E_0^{m0}, from terms.
+
+        With pi = c_pi s^m and t = zeta s^e, column (a, b, j) is
+        x pi^a theta^b e_j: a term c s^k of x gives t^w pi^a2 gamma, where
+        k + a m = m (e0 w + a2), 0 <= a2 < e0, and gamma = c c_pi^(a - a2)
+        theta^b zeta^-w in k_{E_0}, whose theta^b2 theta_F^i coordinates
+        are the t^w entries of rows (a2, b2, j).  k -> (w, a2) is
+        injective, so the terms of one column never collide.
+        """
         key = x.key()
         if key in self._matrix_cache:
             return self._matrix_cache[key]
-        tower = self.tower
         if not x.in_level(0):
             raise ZeroToPrecision("element must lie in E_0")
-        if x.prec_k is not None and x.prec_k < (_PREC + 1) * tower.e:
+        if x.prec_k is not None and x.prec_k < (_PREC + 1) * self.tower.e:
             raise PrecisionExhausted("element precision below the model window")
+        m, deg_F = self.m_pi, self.deg_F
+        if any(k % m for k, _ in x.terms):
+            raise PrecisionExhausted("term outside E_0's value group")
         entries = {}
-        for (a, b, j) in self.basis:
-            col = self.index[(a, b, j)]
-            prod = x * (self.pi ** a) * tower.monomial(self.theta ** b, 0)
-            for w, a2, coeffs in self._expand(prod):
-                for b2, cF in coeffs:
-                    if cF.is_zero():
-                        continue
-                    row = self.index[(a2, b2, j)]
-                    acc = entries.setdefault((row, col), {})
-                    acc[w] = acc[w] + cF if w in acc else cF
-        mat = SeriesMatrix(self, _clean(
-            {k: {w: c for w, c in v.items() if not c.is_zero()}
-             for k, v in entries.items()}))
+        for col, (a, b, j) in enumerate(self.basis):
+            for k, c in x.terms:
+                w, a2 = divmod(k // m + a, self.e0)
+                coords = self.residue_coords(
+                    c * self.c_pi ** (a - a2) * self.theta ** b
+                    * self.zeta ** -w)
+                for b2 in range(self.f0):
+                    cF = self.kF_from_coords(
+                        coords[b2 * deg_F:(b2 + 1) * deg_F])
+                    if not cF.is_zero():
+                        entries.setdefault(
+                            (self.index[(a2, b2, j)], col), {})[w] = cF
+        mat = SeriesMatrix(self, entries)
         self._matrix_cache[key] = mat
         return mat
-
-    def _expand(self, x: TameSeries):
-        """Rewrite an E_0 element as sum of t^w * pi^a * (k_{E_0} residue)."""
-        tower = self.tower
-        m_pi = tower.e // self.e0
-        out = []
-        for k, c in x.terms:
-            if k % m_pi:
-                raise PrecisionExhausted("term outside E_0's value group")
-            kk = k // m_pi
-            a = kk % self.e0
-            w = (kk - a) // self.e0
-            # gamma = (c s^k) / (t^w pi^a), a constant in k_{E_0}
-            gamma_ser = tower.monomial(c, Fraction(k, tower.e)) \
-                * (self.pi ** a).inverse() * (tower.pi_F() ** w).inverse()
-            (kg, gamma), = gamma_ser.terms
-            if kg != 0:
-                raise VerificationFailed(
-                    f"residue of a model term has valuation {kg}, not 0")
-            coords = self.residue_coords(gamma)
-            coeffs = []
-            for b2 in range(self.f0):
-                cF = self.kF_from_coords(
-                    coords[b2 * self.deg_F:(b2 + 1) * self.deg_F])
-                coeffs.append((b2, cF))
-            out.append((w, a, coeffs))
-        return out
 
     # -- quotient coordinates ----------------------------------------------
 
@@ -671,13 +649,10 @@ def _lies_in_F(model, bmat):
 
 
 def oracle_hj(model: MatrixModel, seq: DefiningSeq):
-    """The h and j lattices of a defining sequence, by the recursion.
-
-    Returns a dict with LatticeHandles for h, j and the quotient bound M.
-    """
+    """The h and j lattices of a defining sequence, by the recursion, as
+    Subspaces of A/P^(n//2 + 1)."""
     n, s = seq.n, seq.s
-    M = n // 2 + 1
-    quot = model.quotient_context(M)
+    quot = _hj_quotient(model, seq)
     level_s = seq.entries[s].level
     h = quot.order_level(level_s, 0).sum(quot.radical_power(n // 2 + 1))
     j = quot.order_level(level_s, 0).sum(quot.radical_power((n + 1) // 2))
@@ -686,30 +661,58 @@ def oracle_hj(model: MatrixModel, seq: DefiningSeq):
         b_i = quot.order_level(seq.entries[i].level, 0)
         h = b_i.sum(quot.radical_cut(h, r_next // 2 + 1))
         j = b_i.sum(quot.radical_cut(j, (r_next + 1) // 2))
-    return {"h": LatticeHandle(h, M), "j": LatticeHandle(j, M),
-            "quotient": quot}
+    return h, j
 
 
-def oracle_index(model: MatrixModel, big: LatticeHandle, small: LatticeHandle):
-    """log_p of a lattice index, by dimension counting in A/P^M.
+def _hj_quotient(model, seq):
+    return model.quotient_context(seq.n // 2 + 1)
+
+
+def oracle_j1h1_index(model: MatrixModel, seq: DefiningSeq) -> int:
+    """log_p [J^1 : H^1], with J^1 = j ∩ P and H^1 = h ∩ P."""
+    h, j = oracle_hj(model, seq)
+    quot = _hj_quotient(model, seq)
+    return oracle_index(model, quot.radical_cut(j, 1), quot.radical_cut(h, 1))
+
+
+def oracle_index(model: MatrixModel, big: Subspace, small: Subspace) -> int:
+    """log_p of a lattice index, by dimension counting in one quotient A/P^M.
 
     Both lattices must have the same intersection with P^M (true for all
-    the pairs this oracle is asked about: same tail by construction).
+    the pairs this oracle is asked about: same tail by construction).  The
+    quotients are prefixes of one another, so equal widths mean one M.
     """
-    if big.M != small.M:
-        raise NotNested("handles over different quotients")
-    if not big.space.contains_space(small.space):
+    if big.width != small.width:
+        raise NotNested("lattices in different quotients")
+    if not big.contains_space(small):
         raise NotNested("claimed sublattice is not contained")
-    return big.space.dim - small.space.dim
+    return big.dim - small.dim
 
 
-def oracle_table_lattice(model: MatrixModel, factors, M: int) -> LatticeHandle:
-    """Lattice of a prefix-type factor table: sum of Q_level^exponent."""
+def oracle_step_index(model: MatrixModel, level: int, a: int, b: int) -> int:
+    """log_p [Q_level^a : Q_level^b] (a <= b), counted in A/P^(b + e_A)."""
+    quot = model.quotient_context(b + model.e_A)
+    return oracle_index(model, quot.order_level(level, a),
+                        quot.order_level(level, b))
+
+
+def oracle_table_lattice(model: MatrixModel, factors, M: int) -> Subspace:
+    """Lattice of a prefix-type factor table in A/P^M: the sum of the
+    Q_level^exponent."""
     quot = model.quotient_context(M)
     out = Subspace(model.p, len(quot.coords))
     for level, exponent in factors:
         out = out.sum(quot.order_level(level, exponent))
-    return LatticeHandle(out, M)
+    return out
+
+
+def oracle_tables_equal(model: MatrixModel, pairs_a, pairs_b) -> bool:
+    """Whether two prefix-type tables, as (level, exponent) pairs, present
+    one lattice: compared in A/P^M with M = (largest exponent) + e_A, where
+    P^M lies in both."""
+    M = max([m for _, m in pairs_a + pairs_b] + [1]) + model.e_A
+    return (oracle_table_lattice(model, pairs_a, M)
+            == oracle_table_lattice(model, pairs_b, M))
 
 
 def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,

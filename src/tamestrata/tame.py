@@ -762,12 +762,9 @@ def _min_prec(a, b):
 
 def series_equal(a: TameSeries, b: TameSeries) -> bool:
     """Exact equality test; raises PrecisionExhausted when undecidable."""
-    d = a - b
-    if d.terms:
-        return False
-    if d.prec_k is None:
-        return True
-    raise _vanishes_below(d.tower, d.prec_k)
+    if not a.tower.equivalent(b.tower):
+        raise TowerMismatch("series from different towers")
+    return first_difference(a, b) is None
 
 
 def first_difference(a: TameSeries, b: TameSeries):
@@ -775,9 +772,9 @@ def first_difference(a: TameSeries, b: TameSeries):
     when a = b exactly.
 
     Merges the two term tuples instead of building a - b, and raises
-    PrecisionExhausted where series_equal(a, b) does: when a and b agree
-    on every term below the precision of a - b.  Both series must lie
-    over the same tower.
+    PrecisionExhausted when a and b agree on every term below the
+    precision of a - b.  Both series must lie over the same tower
+    (series_equal checks that first).
     """
     prec = _min_prec(a.prec_k, b.prec_k)
     for (ka, ca), (kb, cb) in zip(a.terms, b.terms):

@@ -216,16 +216,9 @@ def table_compare(a: FiltrationTable, b: FiltrationTable, model=None) -> bool:
     if a.order is not b.order and a.order != b.order:
         raise OrderMismatch("tables over different orders")
     if model is not None:
-        return _oracle_tables_equal(model, a, b)
+        from .oracle import oracle_tables_equal
+        return oracle_tables_equal(model, a.pairs(), b.pairs())
     return normalize_table(a) == normalize_table(b)
-
-
-def _oracle_tables_equal(model, a, b) -> bool:
-    from .oracle import oracle_table_lattice
-    M = max([m for _, m, _ in a.factors + b.factors] + [1]) + model.e_A
-    la = oracle_table_lattice(model, a.pairs(), M)
-    lb = oracle_table_lattice(model, b.pairs(), M)
-    return la.space == lb.space
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +256,12 @@ def bk_to_yu(bk: BKDatumSkeleton) -> YuDatumSkeleton:
     depths = [Fraction(v, order.e_A) for v in seq.depths]
     dims = [order.N // tower.level_degree(lvl) for lvl in levels]
     chars = [(levels[i], seq.entries[i].c, depths[i]) for i in range(seq.s + 1)]
-    if seq.case == "A":
-        yu = YuDatumSkeleton(order, tuple(dims), tuple(depths),
-                             tuple(chars), "A")
-    else:
+    if seq.case == "B":
         dims.append(order.N)
         depths.append(depths[-1])
         chars.append((tower.d, None, depths[-1]))
-        yu = YuDatumSkeleton(order, tuple(dims), tuple(depths),
-                             tuple(chars), "B")
+    yu = YuDatumSkeleton(order, tuple(dims), tuple(depths), tuple(chars),
+                         seq.case)
     if not _depths_ok(yu.depths, yu.case):
         raise VerificationFailed("translated depths violate the ordering")
     return yu
@@ -384,23 +374,17 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
     if bk.kind == "b":
         return entries, verdicts
 
-    from .oracle import oracle_hj, oracle_index, LatticeHandle
+    from .oracle import oracle_j1h1_index, oracle_step_index
 
     levels = [lvl for lvl, _, _ in yu.characters]
     d = yu.d
     # step i: [U^a(B_l) : U^b(B_l)] at l = levels[i-1] and levels[i]
     vs = [int(yu.depths[i] * order.e_A) for i in range(d)]
     steps = [((v + 1) // 2, v // 2 + 1) for v in vs]
-    memo = {}
-
-    def oracle_step_index(lvl, a_exp, b_exp):
-        key = (lvl, a_exp, b_exp)
-        if key not in memo:
-            quot = model.quotient_context(b_exp + model.e_A)
-            la = LatticeHandle(quot.order_level(lvl, a_exp), quot.M)
-            lb = LatticeHandle(quot.order_level(lvl, b_exp), quot.M)
-            memo[key] = oracle_index(model, la, lb)
-        return memo[key]
+    oracle_logs = {} if model is None else {
+        (lvl, a_exp, b_exp): oracle_step_index(model, lvl, a_exp, b_exp)
+        for i, (a_exp, b_exp) in enumerate(steps, 1)
+        for lvl in (levels[i - 1], levels[i])}
 
     singles_ok = True
     for i, (a_exp, b_exp) in enumerate(steps, 1):
@@ -410,7 +394,7 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
             log = single_index_log(order, lvl, a_exp, b_exp)
             prov = "closed-form"
             if model is not None:
-                if oracle_step_index(lvl, a_exp, b_exp) != log:
+                if oracle_logs[(lvl, a_exp, b_exp)] != log:
                     singles_ok = False
                 prov = "oracle"
             entries.append(LogIndex(f"[U^{a_exp}(B_{lvl}):U^{b_exp}(B_{lvl})]",
@@ -422,19 +406,15 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
             raise OracleRequired("composite indices need the matrix model")
         return entries, verdicts
 
-    hj = oracle_hj(model, bk.seq)
-    quot = hj["quotient"]
-    j1 = LatticeHandle(quot.radical_cut(hj["j"].space, 1), hj["j"].M)
-    h1 = LatticeHandle(quot.radical_cut(hj["h"].space, 1), hj["h"].M)
-    log_j1h1 = oracle_index(model, j1, h1)
+    log_j1h1 = oracle_j1h1_index(model, bk.seq)
     entries.append(LogIndex("[J1:H1]", log_j1h1, "oracle"))
     if log_j1h1 % 2:
         verdicts["even_exponents"] = False
 
     total = 0
     for i, (a_exp, b_exp) in enumerate(steps, 1):
-        log = (oracle_step_index(levels[i], a_exp, b_exp)
-               - oracle_step_index(levels[i - 1], a_exp, b_exp))
+        log = (oracle_logs[(levels[i], a_exp, b_exp)]
+               - oracle_logs[(levels[i - 1], a_exp, b_exp)])
         entries.append(LogIndex(f"[J^{i}:J^{i}+]", log, "oracle"))
         if log % 2:
             verdicts["even_exponents"] = False

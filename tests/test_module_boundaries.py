@@ -42,3 +42,38 @@ def test_private_reads_are_detected():
                      "n = oracle._MAX_N\n")
     assert [line for _, line, _ in _private_reads("cli", tree, {"oracle", "ffq"})] \
         == [2, 3]
+
+
+def _oracle_reads(tree):
+    """(line, text) of each name translate takes from .oracle that is not
+    an oracle_* question, and of each attribute it reads off a model: the
+    closed-form side asks the oracle whole questions and leaves every
+    quotient, cut and lattice to it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [a.name for a in node.names]
+            if node.module is None:
+                names = [n for n in names if n == "oracle"]
+            elif node.module != "oracle":
+                continue
+            found += [(node.lineno, f"from .{node.module or ''} import {n}")
+                      for n in names if not n.startswith("oracle_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "model"):
+            found.append((node.lineno, f"model.{node.attr}"))
+    return found
+
+
+def test_translate_asks_the_oracle_whole_questions():
+    with open(os.path.join(SRC, "translate.py")) as fh:
+        assert not _oracle_reads(ast.parse(fh.read()))
+
+
+def test_oracle_reads_are_detected():
+    tree = ast.parse("from .oracle import oracle_index, Subspace\n"
+                     "from . import oracle, strata\n"
+                     "def f(model):\n"
+                     "    return model.quotient_context(model.e_A)\n"
+                     "from .strata import nu_A\n")
+    assert sorted(line for line, _ in _oracle_reads(tree)) == [1, 2, 4, 4]

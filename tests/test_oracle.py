@@ -5,7 +5,7 @@ import pytest
 
 from tamestrata import corpus, oracle, strata, tame, translate
 from tamestrata.errors import NotNested, PrecisionExhausted, TooLarge
-from tamestrata.oracle import LatticeHandle, Subspace
+from tamestrata.oracle import Subspace
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,14 @@ def test_matrix_valuations(desk, model):
     assert oracle.oracle_nu(model, desk.monomial(w, 0)) == 0
 
 
+def test_matrix_needs_the_model_window(desk, model):
+    # a truncated element whose unknown tail reaches into the t-window the
+    # model keeps has no matrix
+    short = desk.series(0, [(-1, desk.k.gen())], prec=3)
+    with pytest.raises(PrecisionExhausted):
+        model.elt_to_matrix(short)
+
+
 def test_field_relation_reproduced(desk, model):
     # s^e * zeta = t must hold between the generator matrices
     s_mat = model.elt_to_matrix(desk.monomial(1, Fraction(1, 2)))
@@ -158,23 +166,23 @@ def test_oracle_k0_matches_closed_form(desk, order, model):
 
 
 def test_oracle_hj_desk(model, desk_seq):
-    hj = oracle.oracle_hj(model, desk_seq)
-    quot = hj["quotient"]
+    h, j = oracle.oracle_hj(model, desk_seq)
+    quot = model.quotient_context(desk_seq.n // 2 + 1)
     # h = B_0 + Q_1 + P^2 and j = B_0 + Q_1 + P, computed independently
     b0 = quot.order_level(0, 0)
     q1 = quot.order_level(1, 1)
     h_direct = b0.sum(q1)
     j_direct = b0.sum(q1).sum(quot.radical_power(1))
-    assert hj["h"].space == h_direct
-    assert hj["j"].space == j_direct
-    assert j_direct.contains_space(hj["h"].space)
+    assert h == h_direct
+    assert j == j_direct
+    assert j_direct.contains_space(h)
 
 
 def test_oracle_index_multiplicative(model):
     quot = model.quotient_context(3)
-    p0 = LatticeHandle(quot.radical_power(0), 3)
-    p1 = LatticeHandle(quot.radical_power(1), 3)
-    p2 = LatticeHandle(quot.radical_power(2), 3)
+    p0 = quot.radical_power(0)
+    p1 = quot.radical_power(1)
+    p2 = quot.radical_power(2)
     i01 = oracle.oracle_index(model, p0, p1)
     i12 = oracle.oracle_index(model, p1, p2)
     i02 = oracle.oracle_index(model, p0, p2)
@@ -190,21 +198,73 @@ def test_h_in_j_for_corpus(desk):
         if bk.kind != "a" or bk.order.N > 4:
             continue
         model = oracle.model_build(bk.order)
-        hj = oracle.oracle_hj(model, bk.seq)
-        assert hj["j"].space.contains_space(hj["h"].space), label
+        h, j = oracle.oracle_hj(model, bk.seq)
+        assert j.contains_space(h), label
         break
 
 
 def test_table_lattice_matches_hj(model, desk_seq):
     tabs = translate.h_group_table(desk_seq)
-    hj = oracle.oracle_hj(model, desk_seq)
-    M = hj["h"].M
-    quot = hj["quotient"]
+    h, j = oracle.oracle_hj(model, desk_seq)
+    M = desk_seq.n // 2 + 1
+    quot = model.quotient_context(M)
     h_from_table = oracle.oracle_table_lattice(model, tabs["H1"].pairs(), M)
     j_from_table = oracle.oracle_table_lattice(model, tabs["J1"].pairs(), M)
     p1 = quot.radical_power(1)
-    assert h_from_table.space == hj["h"].space.intersect(p1)
-    assert j_from_table.space == hj["j"].space.intersect(p1)
+    assert h_from_table == h.intersect(p1)
+    assert j_from_table == j.intersect(p1)
+
+
+def test_whole_questions_match_their_parts(model, desk_seq):
+    # the ledger's and the tables' questions, against the lattices they
+    # are answered from
+    h, j = oracle.oracle_hj(model, desk_seq)
+    quot = model.quotient_context(desk_seq.n // 2 + 1)
+    p1 = quot.radical_power(1)
+    assert oracle.oracle_j1h1_index(model, desk_seq) \
+        == j.intersect(p1).dim - h.intersect(p1).dim == 4
+    for level in range(model.tower.d + 1):
+        for a, b in ((1, 1), (1, 2), (1, 3), (2, 3)):
+            assert oracle.oracle_step_index(model, level, a, b) \
+                == translate.single_index_log(model.order, level, a, b)
+    tabs = translate.h_group_table(desk_seq)
+    assert oracle.oracle_tables_equal(model, tabs["H1"].pairs(),
+                                      tabs["H1"].pairs())
+    assert not oracle.oracle_tables_equal(model, tabs["H1"].pairs(),
+                                          tabs["J1"].pairs())
+    with pytest.raises(NotNested):
+        oracle.oracle_index(model, model.quotient_context(3).radical_power(1),
+                            model.quotient_context(2).radical_power(1))
+
+
+def test_model_build_does_no_series_arithmetic(monkeypatch):
+    # the oracle must not run on the ring code the closed forms use: every
+    # input is prepared first, then each series operation raises
+    label, bk = next((label, bk) for label, bk in corpus.datum_corpus()
+                     if bk.kind == "a" and bk.order.N == 4)
+    order, seq = bk.order, bk.seq
+    entry = seq.entries[0]
+    exponent = 1 - strata.nu_A(order, entry.c)
+    closed = (strata.k0_closed(order, entry.beta),
+              translate.char_module_valuation(entry.c, (entry.level, exponent),
+                                              order))
+    pairs = translate.h_group_table(seq)["H1"].pairs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series arithmetic in the oracle")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__neg__", "__pow__", "inverse"):
+        monkeypatch.setattr(tame.TameSeries, name, forbidden)
+    model = oracle.model_build(order)
+    assert oracle.oracle_k0(model, entry.beta) == closed[0], label
+    assert oracle.oracle_char_module_min_ord(
+        model, entry.c, entry.level, exponent) == closed[1], label
+    M = seq.n // 2 + 1
+    lattice = oracle.oracle_table_lattice(model, pairs, M)
+    h, j = oracle.oracle_hj(model, seq)
+    assert oracle.oracle_index(model, j, h) >= 0
+    assert lattice.width == h.width
 
 
 def test_char_module_matches_closed_form(desk, order, model):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tamestrata import corpus, minimal, strata, tame
-from tamestrata.errors import PrecisionExhausted, ZeroToPrecision
+from tamestrata.errors import PrecisionExhausted, TowerMismatch, ZeroToPrecision
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,13 @@ def test_series_equal_raises_when_undecidable(desk):
     b = desk.series(2, [(0, 1)], prec=4)
     with pytest.raises(PrecisionExhausted):
         tame.series_equal(a, b)
+
+
+def test_series_equal_rejects_inequivalent_towers(desk):
+    other = corpus.desk_tower_3()
+    assert not other.equivalent(desk)
+    with pytest.raises(TowerMismatch):
+        tame.series_equal(desk.monomial(1, -1), other.monomial(1, -1))
 
 
 def test_minimality_with_enough_precision(desk):

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from tamestrata import corpus, oracle, strata, translate
-from tamestrata.errors import DepthMismatch, NotMinimalSummand, OracleRequired
+from tamestrata.errors import (
+    DepthMismatch, NotMinimalSummand, OracleRequired, OrderMismatch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,26 @@ def test_table_compare(desk_bk, model):
     assert not translate.table_compare(tabs["J1"], ytabs["Kd+"])
     assert translate.table_compare(tabs["H1"], ytabs["Kd+"], model)
     assert not translate.table_compare(tabs["J1"], ytabs["Kd+"], model)
+
+
+def _datum_over_another_order(order):
+    """A type (a) corpus datum whose order differs from order."""
+    return next(bk for _, bk in corpus.datum_corpus()
+                if bk.kind == "a" and bk.order != order)
+
+
+def test_table_compare_rejects_tables_over_different_orders(desk_bk, order):
+    other = _datum_over_another_order(order)
+    tabs = translate.h_group_table(desk_bk.seq)
+    other_tabs = translate.h_group_table(other.seq)
+    with pytest.raises(OrderMismatch):
+        translate.table_compare(tabs["H1"], other_tabs["H1"])
+
+
+def test_ledger_rejects_skeletons_over_different_orders(desk_bk, order):
+    other = _datum_over_another_order(order)
+    with pytest.raises(OrderMismatch):
+        translate.ledger_indices(desk_bk, translate.bk_to_yu(other))
 
 
 def test_char_factor_domains(desk_bk):
