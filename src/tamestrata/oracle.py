@@ -35,16 +35,24 @@ so fill-in stays within valuation layers, and:
   general reference.
 
 Every kernel the oracle solves has its equations from one routine,
-``_ad_equations``: ad_g(x) = 0 on block valuations [lo, hi) for every
-generator g, one sparse row per window position.  ``ad_g`` of an
+``_ad_equations``: ad_g(x) = 0 for every generator g, one sparse row per
+output position, grouped by the output's block valuation.  ``ad_g`` of an
 elementary matrix theta_F^i t^w e_rc is read off column r and row c of g,
 with no matrix product.  Centralisers are commutants of generating
-matrices, all solved by ``_centraliser_image``, which re-solves at
-increasing internal precision until two successive projections to the
-target quotient agree.  Each model keeps, per level, the commutant at the
-largest M stabilised so far; a smaller M is its truncation.  The k-scan of
-``oracle_k0`` keeps one echelon form and adds one block-valuation layer of
-equations per step.  Cached subspaces are shared: do not mutate them.
+matrices of block valuation >= shift, so an unknown of valuation v reaches
+only outputs of valuation v + shift or more.  Each centraliser is one
+growing echelon form (``_Layers``): unknowns enter as a prefix of
+A/P^extent, and each equation enters once, after its last unknown, in
+increasing output valuation, so the system at one extent is a prefix of
+the system at every larger one.  ``_centraliser_image`` grows the extent
+in steps of e_A until two successive extents give one image dimension in
+the target quotient (images shrink as the extent grows, so that is one
+image), then reads the image once.  Each model keeps, per level, the
+system and the commutant at the largest M stabilised so far: a smaller M
+is the commutant's truncation, a larger one extends the system.  The
+k-scan of ``oracle_k0`` is a prefix of beta's commutant system, so one
+echelon form answers both.  Cached subspaces are shared: do not mutate
+them.
 """
 
 from __future__ import annotations
@@ -309,9 +317,9 @@ class MatrixModel:
             tower.k, [(self.theta ** b) * basis for b in range(f0)
                       for basis in self._kF_basis], self.p)
         self._commutants = {}      # level -> (M, B_level ∩ A in A/P^M)
+        self._systems = {}         # level -> its commutant's _Layers
         self._projections = {}     # (level, M) -> projection of the above
         self._quotients = {}
-        self._windows = {}
         self._ad_terms_cache = {}  # matrix -> its terms by column and by row
         self._matrix_cache = {}
 
@@ -387,84 +395,38 @@ class MatrixModel:
             self._quotients[M] = _Quotient(self, M)
         return self._quotients[M]
 
-    def window(self, lo: int, hi: int):
-        """Position of each (row, col, w) with block valuation in [lo, hi),
-        deg_F coordinates apart, numbered in order of (valuation, row,
-        col, w), and the width of the window."""
-        key = (lo, hi)
-        if key not in self._windows:
-            cells = []
-            for r in range(self.N):
-                for c in range(self.N):
-                    delta = self.block_of(r) - self.block_of(c)
-                    w = -(-(lo - delta) // self.e_A)     # ceil
-                    while self.e_A * w + delta < hi:
-                        cells.append((self.e_A * w + delta, r, c, w))
-                        w += 1
-            cells.sort()
-            index = {cell[1:]: n * self.deg_F for n, cell in enumerate(cells)}
-            self._windows[key] = (index, len(index) * self.deg_F)
-        return self._windows[key]
-
-    # -- ad kernels ----------------------------------------------------------
+    # -- ad equations --------------------------------------------------------
 
     def _ad_terms(self, g: SeriesMatrix):
-        """Terms of g by column and by row: col -> [(row, w, coords)] and
-        row -> [(col, w, coords)], coords[i] the k_F coordinates of the
-        entry times theta_F^i."""
+        """Terms of g by column and by row: col -> [(row, val, coords)] and
+        row -> [(col, val, coords)], val the term's block valuation and
+        coords[i] the k_F coordinates of the entry times theta_F^i."""
         if g in self._ad_terms_cache:
             return self._ad_terms_cache[g]
         by_col, by_row = {}, {}
         for (a, b), ser in g.entries.items():
+            delta = self.block_of(a) - self.block_of(b)
             for w, coeff in ser.items():
                 vecs = [self.kF_coords(coeff * basis)
                         for basis in self._kF_basis]
-                by_col.setdefault(b, []).append((a, w, vecs))
-                by_row.setdefault(a, []).append((b, w, vecs))
+                val = self.e_A * w + delta
+                by_col.setdefault(b, []).append((a, val, vecs))
+                by_row.setdefault(a, []).append((b, val, vecs))
         self._ad_terms_cache[g] = by_col, by_row
         return by_col, by_row
-
-    def ad_vectors(self, g: SeriesMatrix, coords, lo: int, hi: int):
-        """Coordinates over block valuations [lo, hi) of ad_g(x) = gx - xg
-        for each elementary x = theta_F^i t^w e_rc in coords, as sparse
-        {position: value} dicts (values not yet reduced mod p).
-
-        gx has column c equal to column r of g times theta_F^i t^w, and xg
-        has row r equal to row c of g times theta_F^i t^w, so no matrix
-        product is formed.
-        """
-        index, _ = self.window(lo, hi)
-        by_col, by_row = self._ad_terms(g)
-        out = []
-        for r, c, w, i in coords:
-            vec = {}
-            for a, w2, vecs in by_col.get(r, ()):
-                self._ad_accumulate(vec, index, lo, (a, c, w + w2),
-                                    vecs[i], 1)
-            for b, w2, vecs in by_row.get(c, ()):
-                self._ad_accumulate(vec, index, lo, (r, b, w + w2),
-                                    vecs[i], -1)
-            out.append(vec)
-        return out
-
-    def _ad_accumulate(self, vec, index, lo, key, coords, sign):
-        base = index.get(key)
-        if base is None:
-            r, c, w = key
-            if self.e_A * w + self.block_of(r) - self.block_of(c) < lo:
-                raise NotNested("entry below the window floor")
-            return          # beyond the window: quotient by P^hi
-        for t, x in enumerate(coords):
-            if x:
-                vec[base + t] = vec.get(base + t, 0) + sign * x
 
     # -- lattice subspaces ---------------------------------------------------
 
     def commutant_in_quotient(self, level: int, quot) -> Subspace:
-        """Image of B_level ∩ A in A/P^M, stabilised over internal slack.
+        """Image of B_level ∩ A in A/P^M: the common commutant of the
+        level's generators, stabilised by ``_centraliser_image``.
 
-        Solved once per level at the largest M asked for so far; a smaller
-        M is the projection of that solution.
+        Each level keeps one growing system of its equations, extended
+        only when an M larger than any solved so far is asked for, and the
+        image at that largest M; a smaller M is the projection of that
+        image.  A caller that extends a level's system takes it out of the
+        model while it works and puts it back when done, so a concurrent
+        caller starts a system of its own instead of sharing one.
         """
         held = self._commutants.get(level)
         if held is not None and held[0] >= quot.M:
@@ -475,12 +437,16 @@ class MatrixModel:
             if key not in self._projections:
                 self._projections[key] = quot.project(space.rows)
             return self._projections[key]
-        tower = self.tower
-        gens = [tower.monomial(tower.residue_generator(level), 0),
-                tower.uniformizer(level)]
-        gen_mats = [self.elt_to_matrix(g.at_level(0)) for g in gens]
-        # the generators are integral: block valuation shift 0
-        space = _centraliser_image(self, gen_mats, quot.M, 0, quot)
+        layers = self._systems.pop(level, None)
+        if layers is None:
+            tower = self.tower
+            gens = [tower.monomial(tower.residue_generator(level), 0),
+                    tower.uniformizer(level)]
+            # the generators are integral: block valuation shift 0
+            layers = _Layers(
+                self, [self.elt_to_matrix(g.at_level(0)) for g in gens], 0)
+        space = _centraliser_image(layers, quot)
+        self._systems[level] = layers
         self._commutants[level] = (quot.M, space)
         return space
 
@@ -497,20 +463,31 @@ class MatrixModel:
 
 
 class _Quotient:
-    """A/P^M, laid out as the window [0, M): its coordinates (row, col, w,
-    i), the position of each (row, col, w) and the block valuation of each
-    coordinate, non-decreasing (so P^k starts at bisect_left(vals, k))."""
+    """A/P^M, laid out as the cells (row, col, w) of block valuation in
+    [0, M), deg_F coordinates apart, numbered in order of (valuation, row,
+    col, w): its coordinates (row, col, w, i), the position of each cell
+    and the block valuation of each coordinate, non-decreasing (so P^k
+    starts at bisect_left(vals, k))."""
 
     __slots__ = ("model", "M", "coords", "index", "vals")
 
     def __init__(self, model, M):
         self.model = model
         self.M = M
-        self.index, _ = model.window(0, M)
-        self.coords = [(r, c, w, i) for r, c, w in self.index
-                       for i in range(model.deg_F)]
-        self.vals = [model.e_A * w + model.block_of(r) - model.block_of(c)
-                     for r, c, w, _ in self.coords]
+        e_A, deg_F = model.e_A, model.deg_F
+        cells = []
+        for r in range(model.N):
+            for c in range(model.N):
+                delta = model.block_of(r) - model.block_of(c)
+                w = -(delta // e_A)       # the least w of valuation >= 0
+                while e_A * w + delta < M:
+                    cells.append((e_A * w + delta, r, c, w))
+                    w += 1
+        cells.sort()
+        self.index = {cell[1:]: n * deg_F for n, cell in enumerate(cells)}
+        self.coords = [(r, c, w, i) for _, r, c, w in cells
+                       for i in range(deg_F)]
+        self.vals = [cell[0] for cell in cells for _ in range(deg_F)]
 
     def radical_power(self, k: int) -> Subspace:
         return Subspace._from_rref(
@@ -527,8 +504,8 @@ class _Quotient:
     def project(self, rows) -> Subspace:
         """Span of rows of a finer quotient, cut to this one's positions."""
         n = len(self.coords)
-        return Subspace(self.model.p, n,
-                        [{q: x for q, x in row.items() if q < n} for row in rows])
+        cut = ({q: x for q, x in row.items() if q < n} for row in rows)
+        return Subspace(self.model.p, n, [row for row in cut if row])
 
     def order_level(self, level: int, k: int = 0) -> Subspace:
         """Image of P^k ∩ B_level = Q_level^k in this quotient."""
@@ -538,33 +515,114 @@ class _Quotient:
         return self.radical_cut(comm, k)
 
 
-def _centraliser_image(model, mats, M, shift, target) -> Subspace:
-    """Image in target (no finer than A/P^M) of the common commutant of
-    mats, of block valuation >= shift: for slack = 0, e_A, ..., 4 e_A,
-    solve ad_g(x) = 0 on block valuations [shift, M + slack + shift), which
-    x in A/P^(M+slack) determines, until two successive images agree."""
+class _Layers:
+    """The equations ad_g(x) = 0 (g in mats) for x in A/P^extent, as one
+    growing echelon form ``eqs`` over the positions of x.
+
+    Every g has block valuation >= shift, so an unknown of valuation v
+    reaches only outputs of valuation v + shift or more, and the equations
+    on outputs below extent + shift are complete.  Growing the extent adds
+    unknowns as a prefix of A/P^extent and then those equations, each once,
+    in increasing output valuation; the rest wait in ``pending``.  The rows
+    already added never change, so the system at each extent is a prefix of
+    the system at every larger one.
+    """
+
+    __slots__ = ("model", "mats", "shift", "extent", "eqs", "pending")
+
+    def __init__(self, model, mats, shift):
+        if any(v is not None and v < shift
+               for v in (g.block_val() for g in mats)):
+            raise NotNested("generator below the valuation shift")
+        self.model = model
+        self.mats = mats
+        self.shift = shift
+        self.extent = 0
+        self.eqs = Subspace(model.p, 0)
+        self.pending = {}       # output valuation -> {output: row}
+
+    def extend(self, quot, extent):
+        """Grow the unknowns to A/P^extent, a prefix of quot."""
+        if extent <= self.extent:
+            return
+        stop = bisect_left(quot.vals, extent)
+        _ad_equations(self.model, self.mats, quot, self.eqs.width, stop,
+                      self.pending)
+        for val in range(self.extent + self.shift, extent + self.shift):
+            for row in self.pending.pop(val, {}).values():
+                self.eqs.add(row)
+        self.eqs.width = stop
+        self.extent = extent
+
+
+def _image_dim(layers, width):
+    """Dimension of the solutions' image in the first width positions: the
+    free columns there, plus the rank of the other free columns' entries in
+    the rows pivoted there (an RREF row is zero at the other pivots)."""
+    eqs = layers.eqs
+    tails = [{c: x for c, x in row.items() if c >= width}
+             for piv, row in eqs._rows.items() if piv < width]
+    return (width - len(tails)
+            + Subspace(eqs.p, eqs.width, [t for t in tails if t]).dim)
+
+
+def _stable_dim(layers, M, width):
+    """The image dimension in the first width positions once it is stable:
+    layers is extended from extent max(M, its own) in steps of e_A until
+    two successive extents give the same dimension.  Images shrink as the
+    extent grows, so equal dimensions mean equal images."""
+    e_A = layers.model.e_A
+    start = max(M, layers.extent)
     prev = None
-    for slack in range(0, 4 * model.e_A + 1, model.e_A):
-        big = model.quotient_context(M + slack)
-        equations = _ad_equations(model, mats, big, shift, big.M + shift)
-        kernel = nullspace(list(equations.values()), len(big.coords), model.p)
-        space = target.project(kernel)
-        if space == prev:
-            return space
-        prev = space
+    for extent in range(start, start + 4 * e_A + 1, e_A):
+        layers.extend(layers.model.quotient_context(extent), extent)
+        dim = _image_dim(layers, width)
+        if dim == prev:
+            return dim
+        prev = dim
     raise PrecisionExhausted("centraliser image did not stabilise")
 
 
-def _ad_equations(model, mats, big, lo, hi):
-    """The equations of ad_g(x) = 0 on block valuations [lo, hi) for x in
-    big, as sparse rows {unknown: coefficient} keyed by (g's index, window
-    position); positions no unknown reaches have no row."""
-    rows = {}
+def _centraliser_image(layers, target) -> Subspace:
+    """Image in target = A/P^M of the common commutant of layers'
+    generators, once its dimension is stable (``_stable_dim``), read off
+    the rows pivoted below the target's width: the other rows involve only
+    positions past it."""
+    width = len(target.coords)
+    _stable_dim(layers, target.M, width)
+    eqs = layers.eqs
+    rows = [row for piv, row in eqs._rows.items() if piv < width]
+    return target.project(nullspace(rows, eqs.width, eqs.p))
+
+
+def _ad_equations(model, mats, quot, start, stop, pending):
+    """Add the unknowns quot.coords[start:stop] to the equations of
+    ad_g(x) = 0 for g in mats.  pending maps an output block valuation to
+    its equations {output: row}, an output (g's index, row, col, F_p
+    coordinate) and a row a sparse {unknown: coefficient}, not yet reduced
+    mod p.
+
+    For an elementary x = theta_F^i t^w e_rc, gx has column c equal to
+    column r of g times theta_F^i t^w and xg has row r equal to row c of g
+    times theta_F^i t^w, so no matrix product is formed; an output's block
+    valuation is x's plus the term's, and fixes its w.
+    """
+    N, deg_F = model.N, model.deg_F
     for n, g in enumerate(mats):
-        for j, vec in enumerate(model.ad_vectors(g, big.coords, lo, hi)):
-            for pos, x in vec.items():
-                rows.setdefault((n, pos), {})[j] = x
-    return rows
+        by_col, by_row = model._ad_terms(g)
+        for j in range(start, stop):
+            r, c, _, i = quot.coords[j]
+            v = quot.vals[j]
+            outputs = [(v + val, ((n * N + a) * N + c) * deg_F, vecs[i], 1)
+                       for a, val, vecs in by_col.get(r, ())]
+            outputs += [(v + val, ((n * N + r) * N + b) * deg_F, vecs[i], -1)
+                        for b, val, vecs in by_row.get(c, ())]
+            for val, base, coords, sign in outputs:
+                layer = pending.setdefault(val, {})
+                for t, x in enumerate(coords):
+                    if x:
+                        row = layer.setdefault(base + t, {})
+                        row[j] = row.get(j, 0) + sign * x
 
 
 def _coordinate_table(k, basis, p):
@@ -600,36 +658,32 @@ def oracle_nu(model: MatrixModel, x: TameSeries) -> int:
 
 
 def oracle_k0(model: MatrixModel, beta: TameSeries):
-    """Critical exponent by direct linear algebra; None is -infinity."""
+    """Critical exponent by direct linear algebra; None is -infinity.
+
+    The scan and the commutant share one system in x mod P^J: at extent
+    k + n it holds the equations of ad_beta(x) in P^k (the unknowns past
+    it are free), which is the scan's step k, and from extent J on it is
+    beta's commutant.  The image in A/P shrinks along the scan and contains
+    the commutant's, so the first k whose image has the commutant's
+    dimension ends the scan, and k0 is one less.
+    """
     bmat = model.elt_to_matrix(beta.at_level(0))
     if _lies_in_F(model, bmat):
         return None
     n = -bmat.block_val()
-    e_A = model.e_A
-    J = 2 * n + 2 * e_A + 1
+    J = 2 * n + 2 * model.e_A + 1
     big = model.quotient_context(J)
-    res = model.quotient_context(1)
-    # the image of beta's commutant in A/P
-    comm = _centraliser_image(model, [bmat], J, -n, res)
-    top = n + 2 * e_A
-    # the equations of ad_beta(x) in P^top, layered by the block valuation
-    # of the window position they test: the equations of ad_beta(x) in P^k
-    # are the layers below k, so one echelon form gains a layer per step
-    index, _ = model.window(-n, top)
-    val_at = [e_A * w + model.block_of(r) - model.block_of(c)
-              for r, c, w in index]
-    layers = {}
-    for (_, pos), row in _ad_equations(model, [bmat], big, -n, top).items():
-        layers.setdefault(val_at[pos // model.deg_F], []).append(row)
-    equations = Subspace(model.p, len(big.coords))
-    for k in range(-n, top + 1):
-        for row in layers.get(k - 1, ()):
-            equations.add(row)
-        # x mod P^J with ad_beta(x) in P^k
-        sol = res.project(equations.kernel())
-        if comm.contains_space(sol):
-            return k - 1 if k > -n else None
-    raise PrecisionExhausted("k0 scan did not terminate")
+    width = len(model.quotient_context(1).coords)
+    layers = _Layers(model, [bmat], -n)
+    dims = []
+    for extent in range(J):
+        layers.extend(big, extent)
+        dims.append(_image_dim(layers, width))
+    comm = _stable_dim(layers, J, width)
+    if comm not in dims:
+        raise PrecisionExhausted("k0 scan did not terminate")
+    k = dims.index(comm) - n
+    return k - 1 if k > -n else None
 
 
 def _lies_in_F(model, bmat):

@@ -54,10 +54,15 @@ def test_criterion_4_critical_exponent():
     detail = _run("critical-exponent")
     cases = int(detail.split()[0])
     assert cases >= 10
+    # every entry beta of the type (a) corpus within the oracle bound (122)
+    # and pi_F^-1 of each of its six orders
+    assert cases == 128
 
 
 def test_criterion_5_filtration_equalities():
-    _run("filtration-equalities")
+    detail = _run("filtration-equalities")
+    # every comparison is made by the oracle
+    assert detail.startswith("128 comparisons (128 with oracle)")
 
 
 def test_criterion_6_index_identity():

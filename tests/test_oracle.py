@@ -1,5 +1,8 @@
 import random
+import sys
+import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,6 +129,30 @@ def test_sparse_rref_matches_dense_reference(p):
         for v in dense_kernel:
             for row in a:
                 assert sum(x * y for x, y in zip(row, v)) % p == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_image_dim_equals_kernel_projection(p):
+    # the image of the solutions in the first `width` positions, counted
+    # off the echelon form, against the projected kernel; random rows
+    # couple the positions below the width with free positions past it
+    rng = random.Random(11 * p)
+    for _ in range(60):
+        width = rng.randrange(1, 13)
+        a = _random_matrix(rng, p, rng.randrange(0, 9), width)
+        layers = SimpleNamespace(eqs=Subspace(p, width, [_sparse(r) for r in a]))
+        kernel = layers.eqs.kernel()
+        for cut in range(width + 1):
+            image = Subspace(p, cut, [{q: x for q, x in v.items() if q < cut}
+                                      for v in kernel])
+            assert oracle._image_dim(layers, cut) == image.dim, (a, cut)
+            # the rows pivoted past the cut do not change the image, which
+            # _centraliser_image reads off the others
+            low = [row for piv, row in zip(layers.eqs.pivots, layers.eqs.rows)
+                   if piv < cut]
+            assert image == Subspace(p, cut, [
+                {q: x for q, x in v.items() if q < cut}
+                for v in oracle.nullspace(low, width, p)]), (a, cut)
 
 
 def test_model_build_too_large(desk):
@@ -380,8 +407,9 @@ def test_projections_equal_dense_reference(name):
     gens = [tower.monomial(tower.residue_generator(0), 0),
             tower.uniformizer(0)]
     mats = [model.elt_to_matrix(g.at_level(0)) for g in gens]
-    equations = oracle._ad_equations(model, mats, big, 0, big.M)
-    kernel = oracle.nullspace(list(equations.values()), len(big.coords), p)
+    layers = oracle._Layers(model, mats, 0)
+    layers.extend(big, big.M)
+    kernel = oracle.nullspace(layers.eqs.rows, len(big.coords), p)
     held = model.commutant_in_quotient(0, big)
     for M in range(big.M + 1):
         quot = model.quotient_context(M)
@@ -441,7 +469,7 @@ def _assert_commutes_mod(model, level, space, M):
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
 def test_direct_ad_equals_matrix_products(name):
     model = _equivalence_model(name)
-    tower = model.tower
+    tower, N, deg_F = model.tower, model.N, model.deg_F
     quot = model.quotient_context(model.e_A + 1)
     elements = [tower.uniformizer(0) ** -1]
     for level in range(tower.d + 1):
@@ -449,23 +477,29 @@ def test_direct_ad_equals_matrix_products(name):
                      tower.uniformizer(level)]
     for x in elements:
         g = model.elt_to_matrix(x.at_level(0))
-        lo = min(0, g.block_val())
-        hi = lo + quot.M
-        index, width = model.window(lo, hi)
-        direct = model.ad_vectors(g, quot.coords, lo, hi)
-        for (r, c, w, i), vec in zip(quot.coords, direct):
+        pending = {}
+        oracle._ad_equations(model, [g], quot, 0, len(quot.coords), pending)
+        # each unknown's column of the equations, by (row, col, w, t)
+        direct = [{} for _ in quot.coords]
+        for val, layer in pending.items():
+            for out, row in layer.items():
+                cell, t = divmod(out, deg_F)
+                a, b = divmod(cell, N)
+                w, rest = divmod(val - model.block_of(a) + model.block_of(b),
+                                 model.e_A)
+                assert rest == 0 and cell < N * N, (val, out)
+                for j, y in row.items():
+                    if y % model.p:
+                        direct[j][(a, b, w, t)] = y % model.p
+        for (r, c, w, i), got in zip(quot.coords, direct):
             e = oracle.SeriesMatrix(model, {(r, c): {w: model._kF_basis[i]}})
             ad = g.mul(e).sub(e.mul(g))
-            want = [0] * width
+            want = {}
             for (a, b), ser in ad.entries.items():
                 for w2, coeff in ser.items():
-                    if (a, b, w2) in index:
-                        base = index[(a, b, w2)]
-                        for t, y in enumerate(model.kF_coords(coeff)):
-                            want[base + t] = y % model.p
-            got = [0] * width
-            for pos, y in vec.items():
-                got[pos] = y % model.p
+                    for t, y in enumerate(model.kF_coords(coeff)):
+                        if y % model.p:
+                            want[(a, b, w2, t)] = y % model.p
             assert got == want, (x, (r, c, w, i))
 
 
@@ -552,3 +586,193 @@ def test_coordinate_tables_rebuild_their_fields(name):
             with pytest.raises(PrecisionExhausted):
                 model.residue_coords(c)
     assert (len(k_E0) < tower.k.order) == (name == "desk2-fixed-phi")
+
+
+# -- the layered elimination ---------------------------------------------------
+
+def _small_strata():
+    """(order, beta) of every entry beta of the N <= 8 type (a) corpus data
+    and pi_F^-1 of each of their orders, with one model per order."""
+    data = [bk for _, bk in corpus.datum_corpus()
+            if bk.kind == "a" and bk.order.N <= 8]
+    models = {}
+    for bk in data:
+        models.setdefault(bk.order.key(), oracle.model_build(bk.order))
+    cases = [(bk.order, entry.beta) for bk in data for entry in bk.seq.entries]
+    cases += [(bk.order, bk.order.tower.pi_F() ** -1)
+              for bk in {bk.order.key(): bk for bk in data}.values()]
+    return [(models[order.key()], beta.at_level(0)) for order, beta in cases]
+
+
+def test_scan_dimensions_equal_kernel_projections():
+    # the k-scan reads the image dimension in A/P off the growing echelon
+    # form at extent k + n; the reference solves x mod P^J against the
+    # equations of ad_beta(x) in P^k in a Subspace of its own and projects
+    # the kernel
+    cases = _small_strata()
+    assert len(cases) == 95
+    strata_seen = 0
+    for model, beta in cases:
+        bmat = model.elt_to_matrix(beta)
+        if oracle._lies_in_F(model, bmat):
+            continue
+        strata_seen += 1
+        n = -bmat.block_val()
+        J = 2 * n + 2 * model.e_A + 1
+        big, res = model.quotient_context(J), model.quotient_context(1)
+        width = len(res.coords)
+        equations = {}
+        oracle._ad_equations(model, [bmat], big, 0, len(big.coords), equations)
+        layers = oracle._Layers(model, [bmat], -n)
+        reference = Subspace(model.p, len(big.coords))
+        for k in range(-n, J - n):
+            layers.extend(big, k + n)
+            for row in equations.get(k - 1, {}).values():
+                reference.add(row)
+            want = res.project(reference.kernel()).dim
+            assert oracle._image_dim(layers, width) == want, (beta, k)
+    assert strata_seen == 60        # the rest lie in F
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_commutant_grows_one_system_per_level(name):
+    # one model asked for M = 1, 2, ..., 2 e_A + 1 in turn extends each
+    # level's system and answers as a fresh model solving at that M
+    model = _equivalence_model(name)
+    levels = range(model.tower.d + 1)
+    systems = {}
+    for M in range(1, 2 * model.e_A + 2):
+        fresh = _equivalence_model(name)
+        for level in levels:
+            got = model.commutant_in_quotient(level, model.quotient_context(M))
+            want = fresh.commutant_in_quotient(level, fresh.quotient_context(M))
+            assert got == want, (level, M)
+            held = model._systems[level]
+            assert systems.setdefault(level, held) is held
+            assert held.extent >= M + model.e_A
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
+def test_concurrent_callers_agree(name, monkeypatch):
+    # two threads ask one model for different M of one level: the first is
+    # held inside its solve until the second has finished, so the second
+    # finds the level's system taken out and solves in a system of its own
+    image_dim = oracle._image_dim
+    e_A = _equivalence_model(name).e_A
+    inside, second_done = threading.Event(), threading.Event()
+
+    def held_back(layers, width):
+        if threading.current_thread().name == "first":
+            inside.set()
+            assert second_done.wait(10)
+        return image_dim(layers, width)
+
+    monkeypatch.setattr(oracle, "_image_dim", held_back)
+    wants = {}
+    for first, second in ((2 * e_A + 1, e_A + 1), (e_A + 1, 2 * e_A + 1)):
+        model = _equivalence_model(name)
+        for level in range(model.tower.d + 1):
+            got = {1: model.commutant_in_quotient(
+                level, model.quotient_context(1))}
+            inside.clear()
+            second_done.clear()
+
+            def ask(M):
+                got[M] = model.commutant_in_quotient(
+                    level, model.quotient_context(M))
+
+            thread = threading.Thread(target=ask, args=(first,), name="first")
+            thread.start()
+            assert inside.wait(10)
+            assert level not in model._systems
+            ask(second)
+            second_done.set()
+            thread.join(10)
+            assert not thread.is_alive()
+            assert level in model._systems
+            for M in (1, first, second):
+                if (level, M) not in wants:
+                    fresh = _equivalence_model(name)
+                    wants[level, M] = fresh.commutant_in_quotient(
+                        level, fresh.quotient_context(M))
+                assert got[M] == wants[level, M], (level, M)
+
+
+def test_concurrent_callers_stress():
+    # rounds of more threads than cores, released together with a short
+    # switch interval, each asking one model for another M of one level;
+    # every answer must be a fresh model's
+    name = "desk2"
+    e_A = _equivalence_model(name).e_A
+    Ms = [e_A + 1, e_A + 2, 2 * e_A + 1, 3 * e_A + 1]
+    got, errors = [], []
+
+    def work(model, level, M, barrier):
+        try:
+            barrier.wait(10)
+            got.append((level, M, model.commutant_in_quotient(
+                level, model.quotient_context(M))))
+        except Exception as exc:        # reported below, in the main thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            model = _equivalence_model(name)
+            for level in range(model.tower.d + 1):
+                # the level's system exists, so every thread extends it
+                model.commutant_in_quotient(level, model.quotient_context(1))
+                barrier = threading.Barrier(len(Ms))
+                threads = [threading.Thread(target=work,
+                                            args=(model, level, M, barrier))
+                           for M in Ms]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors
+    fresh = {}
+    for level, M, space in got:
+        if (level, M) not in fresh:
+            other = _equivalence_model(name)
+            fresh[level, M] = other.commutant_in_quotient(
+                level, other.quotient_context(M))
+        assert space == fresh[level, M], (level, M)
+    assert len(got) == 5 * (model.tower.d + 1) * len(Ms)
+
+
+def test_stopping_rule_still_bites(monkeypatch, model):
+    # an image dimension that never repeats must exhaust the five extents,
+    # each compared with the one e_A before it, also when the held system
+    # already reaches past M + 4 e_A
+    seen = []
+
+    def never_repeats(layers, width):
+        seen.append(layers.extent)
+        return len(seen)
+
+    e_A, M = model.e_A, 2
+    tower = model.tower
+    mats = [model.elt_to_matrix(g.at_level(0))
+            for g in (tower.monomial(tower.residue_generator(0), 0),
+                      tower.uniformizer(0))]
+    target = model.quotient_context(M)
+    held = oracle._Layers(model, mats, 0)
+    far = M + 6 * e_A
+    held.extend(model.quotient_context(far), far)
+    monkeypatch.setattr(oracle, "_image_dim", never_repeats)
+    for layers, start in ((oracle._Layers(model, mats, 0), M), (held, far)):
+        seen.clear()
+        with pytest.raises(PrecisionExhausted):
+            oracle._centraliser_image(layers, target)
+        assert seen == [start + s * e_A for s in range(5)]
+    seen.clear()
+    fresh = oracle.model_build(model.order)
+    with pytest.raises(PrecisionExhausted):
+        fresh.commutant_in_quotient(0, fresh.quotient_context(M))
+    assert seen == [M + s * e_A for s in range(5)]
+    assert 0 not in fresh._systems
