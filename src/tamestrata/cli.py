@@ -12,6 +12,9 @@ for a usage error (a missing or unknown option, an invalid choice), any
 other TameStrataError, and OSError, KeyError, ValueError or TypeError (bad
 input).  Both failure codes come with an error document naming the
 exception class and its message.
+
+A launch loads the oracle only once a model is built (tables --oracle
+on/check, ledger with a model, verify) and the suites only in verify.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import corpus, minimal, oracle, strata, tame, translate, verifysuite
+from . import corpus, minimal, strata, tame, translate
 from .errors import TameStrataError, UsageError, VerificationError
 from .ffq import FqField
 
@@ -372,8 +375,9 @@ def _load_datum(doc):
 def _matrix_model(bk, use_oracle):
     """A matrix model for a type (a) datum within the oracle bound, unless
     the oracle is off; None otherwise."""
-    if not use_oracle or bk.kind != "a" or bk.order.N > oracle.MAX_N:
+    if not use_oracle or bk.kind != "a" or bk.order.N > strata.ORACLE_MAX_N:
         return None
+    from . import oracle
     return oracle.model_build(bk.order)
 
 
@@ -410,6 +414,7 @@ def cmd_verify(args):
     if args.corpus:
         results = _verify_user_corpus(args.corpus, args.use_oracle)
     else:
+        from . import verifysuite
         names = None if args.suite == "all" else args.suite.split(",")
         results = verifysuite.run_suites(names, args.use_oracle)
     ok = all(passed for _, passed, _ in results)
@@ -515,7 +520,7 @@ def _build_parser():
     def oracle_opt(p, default):
         p.add_argument("--oracle", choices=["on", "off", "check"], default=default,
                        help="off skips the oracle; on and check cross-check "
-                            f"wherever N <= {oracle.MAX_N}")
+                            f"wherever N <= {strata.ORACLE_MAX_N}")
 
     p = add("tables", cmd_tables, help="filtration group tables")
     p.add_argument("--datum", required=True)

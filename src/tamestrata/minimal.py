@@ -25,16 +25,15 @@ series_equal would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NotInLevel, VerificationFailed, ZeroToPrecision
 from .tame import TameSeries, Tower, first_difference, stabilizer_within
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     cond_generates: bool       # E_lower[c] equals the target E_upper
     cond_gcd: bool             # gcd(nu(c), e(E_lower[c] | E_lower)) = 1
     cond_residue: bool         # pi^-nu c^e generates the residue extension
@@ -51,8 +50,7 @@ class MinimalityReport:
         return self.minimal == self.via_sr == self.via_galois
 
 
-@dataclass(frozen=True)
-class Ge1Report:
+class Ge1Report(NamedTuple):
     depth: Fraction
     pairs: tuple               # (g, g', ord of difference or None for +inf)
     passed: bool

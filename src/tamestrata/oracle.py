@@ -63,10 +63,9 @@ from .errors import (
     NotNested, PrecisionExhausted, TooLarge, VerificationFailed,
     ZeroToPrecision,
 )
-from .strata import DefiningSeq, OrderDesc
+from .strata import ORACLE_MAX_N as MAX_N, DefiningSeq, OrderDesc
 from .tame import TameSeries
 
-MAX_N = 16
 _PREC = 24      # t-window half-width of a model's element matrices
 
 

@@ -19,9 +19,8 @@ trip verify once; a parsed document makes a new order and verifies afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadLevel, NotDecomposable, NotInLevel, NotMinimalSummand, NotSplitForm,
@@ -31,22 +30,40 @@ from .errors import (
 from .minimal import is_minimal, minimal_over
 from .tame import TameSeries, Tower, stabilizer_within
 
+ORACLE_MAX_N = 16       # oracle.MAX_N, readable without loading the oracle
 
-@dataclass(frozen=True)
+
 class OrderDesc:
-    """Hereditary order descriptor: N, per-level matrix sizes, period.
-
-    verified maps the content of each block list that verified on this
-    order to its sequence (successes only), so it grows only by sequences
-    callers built on this order.  ==, hash, repr and key() ignore it.
+    """Immutable hereditary order descriptor: tower, N, m (m_i = N /
+    [E_i : F]), e_A (the chain period over o_F, = e(E_0 | F)), q (the
+    residue cardinality of F).  verified maps the content of each block
+    list that verified on this order to its sequence (successes only), so
+    it grows only by sequences callers built on this order.  ==, hash,
+    repr and key() ignore it.
     """
-    tower: Tower
-    N: int
-    m: tuple          # m_i = N / [E_i : F]
-    e_A: int          # chain period over o_F, = e(E_0 | F)
-    q: int            # residue cardinality of F
-    verified: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
+    __slots__ = ("tower", "N", "m", "e_A", "q", "verified")
+
+    def __init__(self, tower: Tower, N: int, m: tuple, e_A: int, q: int):
+        for name, value in zip(self.__slots__, (tower, N, m, e_A, q, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"OrderDesc fields are read-only: {name!r}")
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return (self.tower, self.N, self.m, self.e_A, self.q)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return ("OrderDesc(tower={!r}, N={!r}, m={!r}, e_A={!r}, q={!r})"
+                .format(*self._values()))
 
     def key(self):
         return (id(self.tower), self.N)
@@ -66,16 +83,14 @@ def make_order(tower: Tower, N: int) -> OrderDesc:
     return OrderDesc(tower, N, m, tower.level_e(0), tower.q)
 
 
-@dataclass(frozen=True)
-class SeqEntry:
+class SeqEntry(NamedTuple):
     r: int
     beta: TameSeries
     level: int
     c: TameSeries
 
 
-@dataclass(frozen=True)
-class DefiningSeq:
+class DefiningSeq(NamedTuple):
     order: OrderDesc
     n: int
     entries: tuple    # SeqEntry, i = 0..s
@@ -89,8 +104,7 @@ class DefiningSeq:
         return tuple(e.r for e in self.entries[1:]) + (self.n,)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: dict
     details: dict
 

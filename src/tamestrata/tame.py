@@ -46,11 +46,11 @@ equal spec.  Tower objects stay distinct and keep no cache of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     BadChain, BadLevel, NotASubgroup, NotInLevel, NotTame, PrecisionExhausted,
@@ -59,8 +59,7 @@ from .errors import (
 from .ffq import FqElem, FqField
 
 
-@dataclass(frozen=True)
-class GaloisElement:
+class GaloisElement(NamedTuple):
     """Automorphism (j, u): Frobenius power j on k_L, s -> u*s."""
     frob_power: int
     twist: FqElem
@@ -72,8 +71,7 @@ class GaloisElement:
         return f"Gal(j={self.frob_power}, u={list(self.twist.coeffs)})"
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(NamedTuple):
     """The data of a tower.  levels=None means the default chain
     {1} <= Gal(L/F) (Gal(L/F) alone when it is trivial); Tower resolves it
     and keeps the resolved chain in its spec."""
@@ -85,8 +83,7 @@ class TowerSpec:
     levels: tuple              # chain of subgroups H_0 <= ... <= H_d = Gal(L/F)
 
 
-@dataclass(frozen=True)
-class _GaloisTables:
+class _GaloisTables(NamedTuple):
     """Everything a tower derives from its spec (see _galois_tables).
 
     Read-only throughout: tuples, frozensets and MappingProxyTypes.  A
@@ -237,7 +234,7 @@ class Tower:
             raise RootOfUnityMissing("zeta must be a nonzero element of k_L")
         tables = _galois_tables(_spec_key(spec))
         self._tables = tables
-        self.spec = replace(spec, levels=tables.chain)
+        self.spec = spec._replace(levels=tables.chain)
         self.base = base
         self.k = k
         self.e = spec.e
@@ -844,15 +841,15 @@ def stabilizer_within(a: TameSeries, H) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class CMonomial:
+class CMonomial(NamedTuple("CMonomial", [("coeff", FqElem),
+                                          ("exponent", Fraction)])):
     """Root of unity times a power of s: the canonical monomial form."""
-    coeff: FqElem
-    exponent: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coeff.is_zero():
+    def __new__(cls, coeff, exponent):
+        if coeff.is_zero():
             raise ZeroToPrecision("monomials have nonzero coefficients")
+        return super().__new__(cls, coeff, exponent)
 
     def to_series(self, tower: Tower, level=None) -> TameSeries:
         return tower.monomial(self.coeff, self.exponent, level)

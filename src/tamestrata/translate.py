@@ -20,9 +20,8 @@ radical powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadLevel, DepthMismatch, NotMinimalSummand, OracleRequired, OrderMismatch,
@@ -36,8 +35,7 @@ from .tame import TameSeries, series_equal
 OUT_OF_SCOPE = "out-of-scope (representation-level)"
 
 
-@dataclass(frozen=True)
-class CharFactor:
+class CharFactor(NamedTuple):
     """Realisation data for one factor of a simple character."""
     level: int
     c: TameSeries
@@ -46,8 +44,7 @@ class CharFactor:
     psi_domain: tuple          # factors where the piece is psi_c
 
 
-@dataclass(frozen=True)
-class FiltrationTable:
+class FiltrationTable(NamedTuple):
     name: str
     order: OrderDesc
     factors: tuple             # (level, exponent, depth label or None)
@@ -56,25 +53,26 @@ class FiltrationTable:
         return tuple((lvl, m) for lvl, m, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class LogIndex:
+class LogIndex(NamedTuple):
     name: str
     value: int                 # the index is p^value
     provenance: str            # "closed-form" | "oracle"
 
 
-@dataclass(frozen=True)
-class BKDatumSkeleton:
-    order: OrderDesc
-    kind: str                  # "a" (simple stratum) or "b" (depth zero)
-    seq: Optional[DefiningSeq]
-    theta_factors: tuple
-    notes: dict = field(default_factory=lambda: {
-        "kappa": OUT_OF_SCOPE, "sigma": OUT_OF_SCOPE, "Lambda": OUT_OF_SCOPE})
+class BKDatumSkeleton(NamedTuple("BKDatumSkeleton", [
+        ("order", OrderDesc), ("kind", str),    # "a" (simple) or "b" (depth 0)
+        ("seq", Optional[DefiningSeq]), ("theta_factors", tuple),
+        ("notes", dict)])):                     # a new dict per skeleton
+    __slots__ = ()
+
+    def __new__(cls, order, kind, seq, theta_factors, notes=None):
+        if notes is None:
+            notes = {"kappa": OUT_OF_SCOPE, "sigma": OUT_OF_SCOPE,
+                     "Lambda": OUT_OF_SCOPE}
+        return super().__new__(cls, order, kind, seq, theta_factors, notes)
 
 
-@dataclass(frozen=True)
-class YuDatumSkeleton:
+class YuDatumSkeleton(NamedTuple):
     point: OrderDesc           # stands for the building point y
     dims: tuple                # m_i = N / [E_i : F] along the Levi sequence
     depths: tuple              # r_0 < ... < r_{d-1} <= r_d

@@ -435,7 +435,7 @@ def test_ledger_on_type_b_datum_builds_no_model(tmp_path, monkeypatch):
     path.write_text(json.dumps(cli.emit_bk(translate.make_bk_datum_b(order))))
     _, off = run_cli(["ledger", "--datum", str(path), "--oracle", "off"])
     built = []
-    monkeypatch.setattr(cli.oracle, "model_build",
+    monkeypatch.setattr(oracle, "model_build",
                         lambda *args: built.append(args))
     for mode in ("on", "check"):
         code, doc = run_cli(["ledger", "--datum", str(path), "--oracle", mode])
@@ -484,8 +484,8 @@ def test_tables_oracle_on_and_check_are_one_setting(tmp_path, monkeypatch):
     # "off" skips the oracle; "on" and "check" both build the model
     path, _ = _defseq_datum(tmp_path)
     built = []
-    build = cli.oracle.model_build
-    monkeypatch.setattr(cli.oracle, "model_build",
+    build = oracle.model_build
+    monkeypatch.setattr(oracle, "model_build",
                         lambda order: built.append(order) or build(order))
     docs, builds = {}, {}
     for mode in ("off", "on", "check"):

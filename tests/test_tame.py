@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -495,7 +494,7 @@ def test_twist_outside_k_L_is_no_group_element(desk):
     other = FqField(5, 2)
     assert other != desk.k
     foreign = GaloisElement(0, other.elem(list(desk.identity.twist.coeffs)))
-    spec = replace(desk.spec, levels=(frozenset([foreign]),) + desk.chain[1:])
+    spec = desk.spec._replace(levels=(frozenset([foreign]),) + desk.chain[1:])
     for _ in range(2):
         with pytest.raises(NotASubgroup):
             tame.Tower(spec)
