@@ -82,7 +82,7 @@ class Subspace:
     vector touches only the pivots it hits, and ``_occ`` maps each
     non-pivot column to the pivots of the rows that are nonzero there, so
     back-substituting a new pivot touches only the rows it changes.
-    ``rows`` and ``pivots`` list them in pivot order.
+    ``rows`` lists them in pivot order.
 
     A row dict is never changed in place, so subspaces may share rows.
     """
@@ -110,10 +110,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self._rows)
-
-    @property
-    def pivots(self):
-        return sorted(self._rows)
 
     @property
     def rows(self):
@@ -464,11 +460,11 @@ class MatrixModel:
 class _Quotient:
     """A/P^M, laid out as the cells (row, col, w) of block valuation in
     [0, M), deg_F coordinates apart, numbered in order of (valuation, row,
-    col, w): its coordinates (row, col, w, i), the position of each cell
-    and the block valuation of each coordinate, non-decreasing (so P^k
-    starts at bisect_left(vals, k))."""
+    col, w): its coordinates (row, col, w, i) and the block valuation of
+    each coordinate, non-decreasing (so P^k starts at bisect_left(vals,
+    k))."""
 
-    __slots__ = ("model", "M", "coords", "index", "vals")
+    __slots__ = ("model", "M", "coords", "vals")
 
     def __init__(self, model, M):
         self.model = model
@@ -483,7 +479,6 @@ class _Quotient:
                     cells.append((e_A * w + delta, r, c, w))
                     w += 1
         cells.sort()
-        self.index = {cell[1:]: n * deg_F for n, cell in enumerate(cells)}
         self.coords = [(r, c, w, i) for _, r, c, w in cells
                        for i in range(deg_F)]
         self.vals = [cell[0] for cell in cells for _ in range(deg_F)]

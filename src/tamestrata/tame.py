@@ -369,10 +369,6 @@ class Tower:
         k, c = self._tables.uniformizers[self.check_level(i)]
         return TameSeries(self, i, ((k, c),), None)
 
-    def galois_sorted(self, subset=None):
-        return sorted(self.group if subset is None else subset,
-                      key=GaloisElement.sort_key)
-
     def equivalent(self, other) -> bool:
         """Same tower data; deserialized copies interoperate with originals."""
         return self is other or (isinstance(other, Tower)
@@ -381,7 +377,7 @@ class Tower:
 
     def coset_reps(self, H_small, H_big):
         """Left coset representatives of H_small in H_big: the first element
-        of each coset in galois_sorted order.  Chain pairs are tabulated;
+        of each coset in sort_key order.  Chain pairs are tabulated;
         any other pair (a stabiliser, say) is split on each call."""
         key = (frozenset(H_small), frozenset(H_big))
         reps = self._tables.cosets.get(key)
@@ -431,7 +427,7 @@ def _field_invariants(e, f, inertia, H):
 
 def _coset_reps(H_small, H_big, action, n, f):
     """The first element of each left coset of H_small in H_big, in
-    galois_sorted order: g joins the coset of r iff r^-1 g lies in H_small,
+    sort_key order: g joins the coset of r iff r^-1 g lies in H_small,
     tested on log pairs."""
     small = set(map(action, H_small))
     reps, rep_inverses = [], []

@@ -270,6 +270,16 @@ def yu_to_bk(yu: YuDatumSkeleton) -> BKDatumSkeleton:
     tower = order.tower
     if not _depths_ok(yu.depths, yu.case):
         raise DepthMismatch("depth vector violates the required ordering")
+    if not len(yu.dims) == len(yu.depths) == len(yu.characters):
+        raise VerificationFailed("dims, depths and characters differ in length")
+    for i, (m, depth, (lvl, _, r)) in enumerate(
+            zip(yu.dims, yu.depths, yu.characters)):
+        if m != order.N // tower.level_degree(lvl):
+            raise VerificationFailed(f"dims[{i}] = {m} but level {lvl} gives "
+                                     f"{order.N // tower.level_degree(lvl)}")
+        if depth != r:
+            raise DepthMismatch(f"depths[{i}] = {depth} but character {i} "
+                                f"has depth {r}")
     if yu.d == 0 and yu.characters[0][1] is None:
         return make_bk_datum_b(order)
     realized = [(lvl, c, r) for lvl, c, r in yu.characters if c is not None]

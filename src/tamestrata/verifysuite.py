@@ -1,9 +1,13 @@
 """Property suites behind the acceptance criteria and the verify command.
 
-Each suite returns (name, passed, detail).  The suites are exact: every
-comparison is integer or rational equality, and wherever a closed form is
-checked the comparison target comes from an independent route (exhaustive
-enumeration, Galois differences, or the matrix oracle).
+Every suite is called as suite(models) and returns (passed, detail); its
+name is its key in ALL_SUITES.  models is the run's map from order.key()
+to a matrix model, or None when the oracle is off: a run builds each
+order's model once, on first use, and every suite reads the same one.
+The suites are exact: every comparison is integer or rational equality,
+and wherever a closed form is checked the comparison target comes from an
+independent route (exhaustive enumeration, Galois differences, or the
+matrix oracle).
 """
 
 from __future__ import annotations
@@ -24,12 +28,29 @@ def _enum_towers():
     return towers
 
 
+def _model(models, order):
+    """The run's model of order, built on first use; None when the oracle
+    is off or order is beyond its bound."""
+    if models is None or order.N > oracle.MAX_N:
+        return None
+    key = order.key()
+    if key not in models:
+        models[key] = oracle.model_build(order)
+    return models[key]
+
+
+def _type_a(models):
+    """(datum, model or None) for every type (a) corpus datum."""
+    return [(bk, _model(models, bk.order))
+            for _, bk in corpus.datum_corpus() if bk.kind == "a"]
+
+
 def _level_pairs(tower):
     return [(u, l) for u in range(tower.d)
             for l in range(u + 1, tower.d + 1)]
 
 
-def suite_minimal_equivalence():
+def suite_minimal_equivalence(models):
     """Definition, standard-representative and Galois routes agree."""
     cases = failures = 0
     for name, tower in _enum_towers():
@@ -38,11 +59,10 @@ def suite_minimal_equivalence():
                 cases += 1
                 if not minimal.is_minimal(mono, upper, lower).consistent:
                     failures += 1
-    return ("minimal-equivalence", failures == 0,
-            f"{cases} cases, {failures} disagreements")
+    return failures == 0, f"{cases} cases, {failures} disagreements"
 
 
-def suite_generic_iff_minimal():
+def suite_generic_iff_minimal(models):
     """GE1 passes exactly on the minimal elements."""
     cases = failures = 0
     for name, tower in _enum_towers():
@@ -53,8 +73,7 @@ def suite_generic_iff_minimal():
                 mini = minimal.is_minimal(mono, upper, lower).minimal
                 if ge1 != mini:
                     failures += 1
-    return ("generic-iff-minimal", failures == 0,
-            f"{cases} cases, {failures} disagreements")
+    return failures == 0, f"{cases} cases, {failures} disagreements"
 
 
 def _random_level_element(rng, tower, level):
@@ -72,14 +91,13 @@ def _random_level_element(rng, tower, level):
                                 for k, c in terms.items()])
 
 
-def suite_valuation_lemma():
+def suite_valuation_lemma(models):
     """nu_A * e(E|F) = e_A * nu_E on 1000 random elements, 150 of them
     cross-checked against matrix valuations."""
     rng = random.Random(20240811)
-    towers = [(n, t) for n, t in _enum_towers()]
+    towers = _enum_towers()
     orders = {}
     checked = oracle_checked = failures = 0
-    models = {}
     while checked < 1000:
         name, tower = towers[checked % len(towers)]
         level = rng.randint(0, tower.d)
@@ -94,96 +112,72 @@ def suite_valuation_lemma():
         rhs = order.e_A * nu_E
         if lhs != rhs:
             failures += 1
-        if oracle_checked < 150 and order.N <= 4 and x.in_level(0):
-            if id(tower) not in models:
-                models[id(tower)] = oracle.model_build(order)
-            if oracle.oracle_nu(models[id(tower)], x.at_level(0)) != \
-                    strata.nu_A(order, x):
+        model = (_model(models, order) if oracle_checked < 150
+                 and order.N <= 4 and x.in_level(0) else None)
+        if model is not None:
+            if oracle.oracle_nu(model, x.at_level(0)) != strata.nu_A(order, x):
                 failures += 1
             oracle_checked += 1
         checked += 1
-    return ("valuation-lemma", failures == 0,
-            f"{checked} identities, {oracle_checked} oracle matrix checks, "
-            f"{failures} failures")
+    return failures == 0, (f"{checked} identities, {oracle_checked} oracle "
+                           f"matrix checks, {failures} failures")
 
 
-def suite_critical_exponent():
+def suite_critical_exponent(models):
     """Closed-form k0 equals the commutator-space oracle on every entry
     beta of every type (a) corpus datum within the oracle bound and on
     pi_F^-1 of each such order."""
-    data = [(l, bk) for l, bk in corpus.datum_corpus()
-            if bk.kind == "a" and bk.order.N <= oracle.MAX_N]
-    models = _models_for(data)
-    cases = [(bk.order, entry.beta) for _, bk in data
-             for entry in bk.seq.entries]
+    data = [bk for bk, model in _type_a(models) if model is not None]
+    cases = [(bk.order, entry.beta) for bk in data for entry in bk.seq.entries]
     cases += [(bk.order, bk.order.tower.pi_F() ** -1)
-              for bk in {bk.order.key(): bk for _, bk in data}.values()]
+              for bk in {bk.order.key(): bk for bk in data}.values()]
     failures = 0
     for order, beta in cases:
-        closed = strata.k0_closed(order, beta)
-        if closed != oracle.oracle_k0(models[order.key()], beta.at_level(0)):
+        if strata.k0_closed(order, beta) != oracle.oracle_k0(
+                _model(models, order), beta.at_level(0)):
             failures += 1
-    return ("critical-exponent", failures == 0,
-            f"{len(cases)} strata, {failures} disagreements")
+    return failures == 0, f"{len(cases)} strata, {failures} disagreements"
 
 
-def _models_for(data):
-    """A matrix model per order of the data within the oracle bound."""
-    models = {}
-    for label, bk in data:
-        if bk.order.N <= oracle.MAX_N and bk.order.key() not in models:
-            models[bk.order.key()] = oracle.model_build(bk.order)
-    return models
-
-
-def suite_filtration_equalities(use_oracle=True):
+def suite_filtration_equalities(models):
     """H1 = Kd+ and J0 = oKd on every type (a) corpus datum, compared as
     lattices by the oracle on every datum within its bound."""
-    data = [(l, bk) for l, bk in corpus.datum_corpus() if bk.kind == "a"]
-    models = _models_for(data) if use_oracle else {}
     cases = with_oracle = failures = 0
-    for label, bk in data:
+    for bk, model in _type_a(models):
         yu = translate.bk_to_yu(bk)
         tabs = translate.h_group_table(bk.seq)
         ytabs = translate.yu_group_table(yu)
-        model = models.get(bk.order.key())
         for a, b in (("H1", "Kd+"), ("J0", "oKd")):
             cases += 1
             with_oracle += model is not None
             if not translate.table_compare(tabs[a], ytabs[b], model):
                 failures += 1
-    return ("filtration-equalities", failures == 0,
-            f"{cases} comparisons ({with_oracle} with oracle), {failures} failed")
+    return failures == 0, (f"{cases} comparisons ({with_oracle} with oracle), "
+                           f"{failures} failed")
 
 
-def suite_index_identity():
+def suite_index_identity(models):
     """Product identity and even exponents for the index ledger, on every
     type (a) datum within the oracle bound."""
-    data = [(l, bk) for l, bk in corpus.datum_corpus()
-            if bk.kind == "a" and bk.order.N <= oracle.MAX_N]
-    models = _models_for(data)
     cases = failures = 0
-    for label, bk in data:
-        yu = translate.bk_to_yu(bk)
-        model = models[bk.order.key()]
-        entries, verdicts = translate.ledger_indices(bk, yu, model)
+    for bk, model in _type_a(models):
+        if model is None:
+            continue
+        _, verdicts = translate.ledger_indices(bk, translate.bk_to_yu(bk),
+                                               model)
         cases += 1
         if not (verdicts["product_identity"] and verdicts["even_exponents"]
                 and verdicts["singles_match_oracle"]):
             failures += 1
-    return ("index-identity", failures == 0,
-            f"{cases} data, {failures} failed verdicts")
+    return failures == 0, f"{cases} data, {failures} failed verdicts"
 
 
-def suite_character_depth(use_oracle=True):
+def suite_character_depth(models):
     """psi_c trivial one step above its depth, nontrivial at it; the
     trace-module valuations are cross-checked against the oracle on every
     datum within its bound."""
-    data = [(l, bk) for l, bk in corpus.datum_corpus() if bk.kind == "a"]
-    models = _models_for(data) if use_oracle else {}
     cases = failures = 0
-    for label, bk in data:
-        model = models.get(bk.order.key())
+    for bk, model in _type_a(models):
         for i in range(bk.seq.s + 1):
             entry = bk.seq.entries[i]
             v = -strata.nu_A(bk.order, entry.c)
@@ -201,23 +195,20 @@ def suite_character_depth(use_oracle=True):
                     model, entry.c, entry.level, v)
                 if o_hi != hi or o_lo != lo:
                     failures += 1
-    return ("character-depth", failures == 0,
-            f"{cases} levels, {failures} failures")
+    return failures == 0, f"{cases} levels, {failures} failures"
 
 
-def suite_round_trips():
+def suite_round_trips(models):
     """yu_to_bk . bk_to_yu and back are identities on skeleton fields."""
-    data = corpus.datum_corpus()
     cases = failures = 0
-    for label, bk in data:
+    for _, bk in corpus.datum_corpus():
         cases += 1
         if not translate.round_trip_agrees(bk, translate.bk_to_yu(bk)):
             failures += 1
-    return ("round-trips", failures == 0,
-            f"{cases} data (>= 50 required), {failures} failures")
+    return failures == 0, f"{cases} data (>= 50 required), {failures} failures"
 
 
-def suite_monomial_group():
+def suite_monomial_group(models):
     """The monomial group is choice-free and sr is multiplicative on it.
 
     Every admissible uniformizer choice generates the same monomial set
@@ -262,8 +253,7 @@ def suite_monomial_group():
             if srab != tame.CMonomial(sra.coeff * srb.coeff,
                                       sra.exponent + srb.exponent):
                 failures += 1
-    return ("monomial-group", failures == 0,
-            f"{checks} checks, {failures} failures")
+    return failures == 0, f"{checks} checks, {failures} failures"
 
 
 ALL_SUITES = {
@@ -283,24 +273,23 @@ _ORACLE_ONLY = ("valuation-lemma", "critical-exponent", "index-identity")
 
 
 def run_suites(names=None, use_oracle=True):
-    """Run the named suites.
+    """(name, passed, detail) of each named suite, all reading one map of
+    models.
 
     Without the oracle, the suites that can run without it drop their
     oracle cross-checks and the suites whose whole point is the oracle
     are skipped.
     """
-    results = []
     names = names or list(ALL_SUITES)
     unknown = [name for name in names if name not in ALL_SUITES]
     if unknown:
         raise KeyError(f"unknown suite {unknown[0]!r}; "
                        f"choose from {list(ALL_SUITES)}")
+    models = {} if use_oracle else None
+    results = []
     for name in names:
-        fn = ALL_SUITES[name]
-        if name in ("filtration-equalities", "character-depth"):
-            results.append(fn(use_oracle=use_oracle))
-        elif not use_oracle and name in _ORACLE_ONLY:
+        if models is None and name in _ORACLE_ONLY:
             results.append((name, True, "skipped (oracle off)"))
         else:
-            results.append(fn())
+            results.append((name, *ALL_SUITES[name](models)))
     return results

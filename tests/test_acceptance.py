@@ -18,16 +18,16 @@ _BUDGETS = {
 }
 
 
-def _run(name, **kwargs):
+def _run(name):
     start = time.time()
-    label, passed, detail = verifysuite.ALL_SUITES[name](**kwargs)
+    passed, detail = verifysuite.ALL_SUITES[name]({})
     elapsed = time.time() - start
-    print(f"{'PASS' if passed else 'FAIL'} {label}: {detail} "
+    print(f"{'PASS' if passed else 'FAIL'} {name}: {detail} "
           f"[{elapsed:.1f}s]")
-    assert passed, f"{label}: {detail}"
+    assert passed, f"{name}: {detail}"
     budget = _BUDGETS.get(name)
     if budget is not None:
-        assert elapsed < budget, f"{label} exceeded {budget}s ({elapsed:.1f}s)"
+        assert elapsed < budget, f"{name} exceeded {budget}s ({elapsed:.1f}s)"
     return detail
 
 

@@ -81,6 +81,36 @@ def test_bk2yu_yu2bk_round_trip(tmp_path):
     assert bk_doc2 == bk_doc
 
 
+def _append_dim(payload):
+    payload["dims"].append(99)
+
+
+def _wrong_dim(payload):
+    payload["dims"][0] += 1
+
+
+def _wrong_depth(payload):
+    payload["depths"][0] = [1, 3]
+
+
+@pytest.mark.parametrize("tamper, error", [
+    (_append_dim, "VerificationFailed"),
+    (_wrong_dim, "VerificationFailed"),
+    (_wrong_depth, "DepthMismatch"),
+], ids=["dims-length", "dims-value", "depths-value"])
+def test_tampered_yu_document_is_rejected(tmp_path, tamper, error):
+    # dims and depths must agree with the characters, not only be ordered
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
+    tamper(yu_doc["payload"])
+    path = tmp_path / "yu.json"
+    path.write_text(json.dumps(yu_doc))
+    for command in ("yu2bk", "tables", "ledger"):
+        code, doc = run_cli([command, "--datum", str(path)])
+        assert code == cli.EXIT_VERIFICATION, command
+        assert doc["payload"]["error"] == error, command
+
+
 def test_tables_and_ledger(tmp_path):
     element = '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'
     _, bk_doc = run_cli(["defseq", "--tower", "desk5", "--N", "4",

@@ -77,3 +77,39 @@ def test_oracle_reads_are_detected():
                      "    return model.quotient_context(model.e_A)\n"
                      "from .strata import nu_A\n")
     assert sorted(line for line, _ in _oracle_reads(tree)) == [1, 2, 4, 4]
+
+
+_BUILDERS = ("model_build", "MatrixModel")
+
+
+def _stray_model_builds(tree, helper="_model"):
+    """Line of each mention of a model builder outside the helper that
+    builds a run's models: a suite takes its models from the run."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == helper:
+            inside |= {id(n) for n in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside
+                  and (isinstance(node, ast.Attribute) and node.attr in _BUILDERS
+                       or isinstance(node, ast.Name) and node.id in _BUILDERS
+                       or isinstance(node, ast.alias) and node.name in _BUILDERS))
+
+
+def test_verify_suites_build_models_only_in_the_run_helper():
+    with open(os.path.join(SRC, "verifysuite.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert not _stray_model_builds(tree)
+    helper = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_model")
+    assert _stray_model_builds(helper, helper="")
+
+
+def test_stray_model_builds_are_detected():
+    tree = ast.parse("from . import oracle\n"
+                     "from .oracle import model_build\n"
+                     "def _model(models, order):\n"
+                     "    return oracle.model_build(order)\n"
+                     "def suite_x(models):\n"
+                     "    build = oracle.MatrixModel\n"
+                     "    return oracle.model_build(order)\n")
+    assert _stray_model_builds(tree) == [2, 6, 7]
