@@ -431,7 +431,7 @@ def _verify_user_corpus(path, use_oracle):
     if not isinstance(docs, list):
         raise ValueError("a corpus is a list of documents, not a "
                          + type(docs).__name__)
-    results = []
+    results, models = [], {}       # one model per order for the whole run
     for idx, doc in enumerate(docs):
         bk, yu = _load_datum(doc)
         name = f"corpus[{idx}]"
@@ -439,7 +439,9 @@ def _verify_user_corpus(path, use_oracle):
         ok = translate.round_trip_agrees(first, second)
         detail = "round trip"
         if bk.kind == "a":
-            model = _matrix_model(bk, use_oracle)
+            if bk.order not in models:
+                models[bk.order] = _matrix_model(bk, use_oracle)
+            model = models[bk.order]
             tabs = translate.h_group_table(bk.seq)
             ytabs = translate.yu_group_table(yu)
             ok = ok and translate.table_compare(tabs["H1"], ytabs["Kd+"], model)

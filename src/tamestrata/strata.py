@@ -66,7 +66,7 @@ class OrderDesc:
                 .format(*self._values()))
 
     def key(self):
-        return (id(self.tower), self.N)
+        return (self.tower, self.N)
 
     def e_B(self, level: int) -> int:
         """Chain period of the level's order over its own integers."""
@@ -192,7 +192,7 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
     """
     tw = order.tower
     for i, (_, c) in enumerate(c_list):
-        if not tw.equivalent(c.tower):
+        if tw != c.tower:
             raise TowerMismatch(f"block {i} lies over another tower")
     key = tuple((lvl, c.key()) for lvl, c in c_list)
     seq = order.verified.get(key)

@@ -41,7 +41,10 @@ Everything a Tower derives from its spec (the group, the chain, these
 tables, the level uniformizers and residue fields, the coset
 representatives of chain pairs) is built by one cached builder keyed on
 the spec's plain integers, read-only and shared by every tower with an
-equal spec.  Tower objects stay distinct and keep no cache of their own.
+equal spec.  Tower objects stay distinct and keep no cache of their own,
+but a tower is its spec: two towers compare equal, and hash alike,
+exactly when their specs are equal, so records over towers compare by
+value.
 """
 
 from __future__ import annotations
@@ -217,7 +220,8 @@ class Tower:
     The group, the chain, the action tables, the level uniformizers and
     residue fields and the coset representatives of chain pairs come from
     _galois_tables: read-only, and shared by every tower with an equal
-    spec.  A tower fills no cache of its own.
+    spec.  A tower fills no cache of its own.  Towers are distinct objects
+    that compare and hash by spec, so a parsed copy equals its original.
     """
 
     def __init__(self, spec: TowerSpec):
@@ -235,6 +239,7 @@ class Tower:
         tables = _galois_tables(_spec_key(spec))
         self._tables = tables
         self.spec = spec._replace(levels=tables.chain)
+        self._hash = hash(self.spec)
         self.base = base
         self.k = k
         self.e = spec.e
@@ -369,12 +374,6 @@ class Tower:
         k, c = self._tables.uniformizers[self.check_level(i)]
         return TameSeries(self, i, ((k, c),), None)
 
-    def equivalent(self, other) -> bool:
-        """Same tower data; deserialized copies interoperate with originals."""
-        return self is other or (isinstance(other, Tower)
-                                 and (self._tables is other._tables
-                                      or self.spec == other.spec))
-
     def coset_reps(self, H_small, H_big):
         """Left coset representatives of H_small in H_big: the first element
         of each coset in sort_key order.  Chain pairs are tabulated;
@@ -384,6 +383,15 @@ class Tower:
         if reps is None:
             reps = _coset_reps(*key, self.action, self._n, self.f)
         return reps
+
+    def __eq__(self, other):
+        """Equal specs; deserialized copies interoperate with originals."""
+        return self is other or (isinstance(other, Tower)
+                                 and (self._tables is other._tables
+                                      or self.spec == other.spec))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return (f"Tower(p={self.base.p}, q={self.q}, e={self.e}, f={self.f}, "
@@ -553,7 +561,7 @@ class TameSeries:
 
     def _coerce(self, other) -> "TameSeries":
         if isinstance(other, TameSeries):
-            if not self.tower.equivalent(other.tower):
+            if self.tower != other.tower:
                 raise TowerMismatch("series from different towers")
             return other
         if isinstance(other, (int, FqElem)):
@@ -572,14 +580,7 @@ class TameSeries:
         prec = _min_prec(self.prec_k, other.prec_k)
         acc = self._dict()
         for k, c in other.terms:
-            if k in acc:
-                s = acc[k] + c
-                if s.is_zero():
-                    del acc[k]
-                else:
-                    acc[k] = s
-            else:
-                acc[k] = c
+            acc[k] = acc[k] + c if k in acc else c
         return _make_series(self.tower, min(self.level, other.level), acc, prec)
 
     __radd__ = __add__
@@ -609,8 +610,6 @@ class TameSeries:
                     continue  # exact zero: product exact
                 cand = a.prec_k + lead
                 prec = cand if prec is None else min(prec, cand)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return _make_series(self.tower, min(self.level, other.level), {}, None)
         acc = {}
         for k1, c1 in self.terms:
             for k2, c2 in other.terms:
@@ -618,14 +617,7 @@ class TameSeries:
                 if prec is not None and k >= prec:
                     continue
                 c = c1 * c2
-                if k in acc:
-                    s = acc[k] + c
-                    if s.is_zero():
-                        del acc[k]
-                    else:
-                        acc[k] = s
-                elif not c.is_zero():
-                    acc[k] = c
+                acc[k] = acc[k] + c if k in acc else c
         return _make_series(self.tower, min(self.level, other.level), acc, prec)
 
     __rmul__ = __mul__
@@ -719,7 +711,7 @@ class TameSeries:
 
     def __eq__(self, other):
         return (isinstance(other, TameSeries)
-                and self.tower.equivalent(other.tower)
+                and self.tower == other.tower
                 and self.terms == other.terms and self.prec_k == other.prec_k)
 
     def __hash__(self):
@@ -755,7 +747,7 @@ def _min_prec(a, b):
 
 def series_equal(a: TameSeries, b: TameSeries) -> bool:
     """Exact equality test; raises PrecisionExhausted when undecidable."""
-    if not a.tower.equivalent(b.tower):
+    if a.tower != b.tower:
         raise TowerMismatch("series from different towers")
     return first_difference(a, b) is None
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .minimal import is_minimal
 from .strata import DefiningSeq, OrderDesc, build_defining_sequence, nu_A
-from .tame import TameSeries, series_equal
+from .tame import TameSeries
 
 
 OUT_OF_SCOPE = "out-of-scope (representation-level)"
@@ -211,7 +211,7 @@ def table_compare(a: FiltrationTable, b: FiltrationTable, model=None) -> bool:
     which also settles any case absorption cannot; without one the
     closed-form normalizations are compared.
     """
-    if a.order is not b.order and a.order != b.order:
+    if a.order != b.order:
         raise OrderMismatch("tables over different orders")
     if model is not None:
         from .oracle import oracle_tables_equal
@@ -300,33 +300,8 @@ def yu_to_bk(yu: YuDatumSkeleton) -> BKDatumSkeleton:
 
 
 def skeletons_agree(a, b) -> bool:
-    """Field-by-field agreement of two skeletons of the same flavour."""
-    if isinstance(a, YuDatumSkeleton) and isinstance(b, YuDatumSkeleton):
-        if (a.dims, a.depths, a.case) != (b.dims, b.depths, b.case):
-            return False
-        for (l1, c1, r1), (l2, c2, r2) in zip(a.characters, b.characters):
-            if (l1, r1) != (l2, r2):
-                return False
-            if (c1 is None) != (c2 is None):
-                return False
-            if c1 is not None and not series_equal(c1, c2):
-                return False
-        return True
-    if isinstance(a, BKDatumSkeleton) and isinstance(b, BKDatumSkeleton):
-        if (a.kind, a.order.N) != (b.kind, b.order.N):
-            return False
-        if a.kind == "b":
-            return True
-        sa, sb = a.seq, b.seq
-        if (sa.n, sa.s, sa.case) != (sb.n, sb.s, sb.case):
-            return False
-        for ea, eb in zip(sa.entries, sb.entries):
-            if (ea.r, ea.level) != (eb.r, eb.level):
-                return False
-            if not series_equal(ea.c, eb.c):
-                return False
-        return True
-    return False
+    """Two skeletons of the same flavour with equal fields."""
+    return type(a) is type(b) and a == b
 
 
 def round_trip_agrees(first, second) -> bool:
@@ -374,7 +349,7 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
     dimension square roots are integral powers of p.
     """
     order = bk.order
-    if yu.point is not order and yu.point != order:
+    if yu.point != order:
         raise OrderMismatch("skeletons over different orders")
     entries = []
     verdicts = {"product_identity": True, "even_exponents": True,

@@ -104,9 +104,9 @@ def suite_valuation_lemma(models):
         x = _random_level_element(rng, tower, level)
         if x.is_zero_to_prec():
             continue
-        if id(tower) not in orders:
-            orders[id(tower)] = strata.make_order(tower, tower.level_degree(0))
-        order = orders[id(tower)]
+        if tower not in orders:
+            orders[tower] = strata.make_order(tower, tower.level_degree(0))
+        order = orders[tower]
         o, nu_E = tame.ord_and_nu(x, level)
         lhs = strata.nu_A(order, x) * tower.level_e(level)
         rhs = order.e_A * nu_E

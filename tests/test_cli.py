@@ -237,6 +237,41 @@ def test_verify_user_corpus(tmp_path):
     assert suites[2]["detail"] == suites[0]["detail"]
 
 
+def test_verify_corpus_builds_one_model_per_order(tmp_path, monkeypatch):
+    # each document parses its own tower; one order still gets one model
+    data = [bk for _, bk in corpus.datum_corpus()]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([cli.emit_bk(bk) for bk in data]))
+    built = []
+    build = oracle.model_build
+    monkeypatch.setattr(oracle, "model_build",
+                        lambda order: built.append(order) or build(order))
+    code, doc = run_cli(["verify", "--corpus", str(path), "--oracle", "check"])
+    assert code == 0 and len(doc["payload"]["suites"]) == len(data) == 70
+    orders = {bk.order.key() for bk in data
+              if bk.kind == "a" and bk.order.N <= oracle.MAX_N}
+    assert len(built) == len(orders) == 6
+    assert {order.key() for order in built} == orders
+
+
+def test_truncated_block_round_trips(tmp_path):
+    # a round trip hands back the very series it was given, precision too
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    doc = cli.emit_bk(bk)
+    doc["payload"]["blocks"][0][1]["prec"] = [3, 1]
+    datum, docs = tmp_path / "bk.json", tmp_path / "corpus.json"
+    datum.write_text(json.dumps(doc))
+    docs.write_text(json.dumps([doc]))
+    for command in ("bk2yu", "tables"):
+        assert run_cli([command, "--datum", str(datum)])[0] == cli.EXIT_OK
+    for mode, detail in (("off", "round trip, tables"),
+                         ("check", "round trip, tables, ledger")):
+        code, out = run_cli(["verify", "--corpus", str(docs), "--oracle", mode])
+        assert code == cli.EXIT_OK, out
+        assert out["payload"]["suites"] == [
+            {"name": "corpus[0]", "passed": True, "detail": detail}]
+
+
 def test_tower_file_default_moduli(tmp_path):
     doc = cli.emit_tower(corpus.desk_tower_3())
     del doc["payload"]["base_modulus"]

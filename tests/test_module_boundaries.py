@@ -113,3 +113,25 @@ def test_stray_model_builds_are_detected():
                      "    build = oracle.MatrixModel\n"
                      "    return oracle.model_build(order)\n")
     assert _stray_model_builds(tree) == [2, 6, 7]
+
+
+def _identity_keys(tree):
+    """Line of each call of the builtin id: towers, orders and records
+    compare by value, so nothing in the package keys by object identity."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "id"]
+
+
+def test_no_module_keys_by_object_identity():
+    found = []
+    for name in _modules():
+        with open(os.path.join(SRC, name + ".py")) as fh:
+            found += [(name, line) for line in _identity_keys(ast.parse(fh.read()))]
+    assert not found
+
+
+def test_identity_keys_are_detected():
+    tree = ast.parse("key = (id(tower), N)\nn = order.id\nk = ident(x)\n"
+                     "if id(a) not in seen:\n    pass\n")
+    assert _identity_keys(tree) == [1, 4]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamestrata import cli, corpus, tame
+from tamestrata import cli, corpus, strata, tame
 from tamestrata.errors import (
     BadChain, FieldMismatch, NotASubgroup, NotInLevel, NotTame, PrecisionExhausted,
     RootOfUnityMissing, ZeroToPrecision,
@@ -47,7 +47,7 @@ def test_tower_make_rejects_nonpositive_ramification():
 def test_default_chain_towers_round_trip_through_documents():
     for tw in [tame.make_tower(3, 2, 2), *corpus.standard_towers()]:
         copy = cli.parse_tower(json.loads(json.dumps(cli.emit_tower(tw))))
-        assert copy.equivalent(tw) and tw.equivalent(copy)
+        assert copy == tw and tw == copy
         a, b = tw.monomial(1, -1), copy.monomial(1, -1)
         assert a + b == b + a == 2 * a
 
@@ -424,7 +424,7 @@ def test_trivial_unit_group():
 
 def test_series_equality_across_deserialised_tower(desk):
     copy = cli.parse_tower(cli.emit_tower(desk))
-    assert copy is not desk and copy.equivalent(desk)
+    assert copy is not desk and copy == desk
     w = desk.k.gen()
     terms = [(-1, w), (Fraction(-1, 2), 1)]
     a = desk.series(0, terms, prec=3)
@@ -432,6 +432,17 @@ def test_series_equality_across_deserialised_tower(desk):
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != desk.series(0, terms) and a != desk.series(0, terms[:1], prec=3)
+
+
+def test_towers_compare_and_hash_by_spec(desk):
+    # a parsed copy is another object equal to its original, as a key too
+    copy = cli.parse_tower(cli.emit_tower(desk))
+    assert copy is not desk and copy.spec == desk.spec
+    assert copy == desk and hash(copy) == hash(desk) and {desk: 1}[copy] == 1
+    other = corpus.desk_tower_3()
+    assert other != desk and desk != other and desk != desk.spec
+    a, b = strata.make_order(desk, 4), strata.make_order(copy, 4)
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
 
 
 def test_equal_specs_share_one_read_only_table(desk):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamestrata import corpus, oracle, strata, translate
+from tamestrata import cli, corpus, oracle, strata, translate
 from tamestrata.errors import (
     DepthMismatch, NotMinimalSummand, OracleRequired, OrderMismatch,
 )
@@ -109,6 +109,80 @@ def test_round_trips_on_corpus():
         assert translate.skeletons_agree(bk, bk2), label
         yu2 = translate.bk_to_yu(bk2)
         assert translate.skeletons_agree(yu, yu2), label
+
+
+def _with_entry(bk, i, **fields):
+    entries = list(bk.seq.entries)
+    entries[i] = entries[i]._replace(**fields)
+    return bk._replace(seq=bk.seq._replace(entries=tuple(entries)))
+
+
+def _with_character(yu, i, *fields):
+    chars = list(yu.characters)
+    chars[i] = fields
+    return yu._replace(characters=tuple(chars))
+
+
+def test_skeletons_agree_can_say_no(desk, desk_bk):
+    # one field changed at a time; every copy disagrees with the original
+    yu = translate.bk_to_yu(desk_bk)
+    lvl, c, r = yu.characters[0]
+    seq, e0 = desk_bk.seq, desk_bk.seq.entries[0]
+    yu_copies = [
+        yu._replace(dims=yu.dims[:-1] + (yu.dims[-1] + 1,)),
+        yu._replace(depths=(yu.depths[0] + 1,) + yu.depths[1:]),
+        yu._replace(case="A" if yu.case == "B" else "B"),
+        _with_character(yu, 0, lvl + 1, c, r),
+        _with_character(yu, 0, lvl, c + 1, r),
+        _with_character(yu, 0, lvl, c, r + 1),
+        _with_character(yu, 0, lvl, None, r),
+    ]
+    bk_copies = [
+        desk_bk._replace(kind="b"),
+        desk_bk._replace(order=strata.make_order(desk, 8)),
+        desk_bk._replace(seq=seq._replace(n=seq.n + 1)),
+        _with_entry(desk_bk, 0, r=e0.r + 1),
+        _with_entry(desk_bk, 0, level=e0.level + 1),
+        _with_entry(desk_bk, 0, c=e0.c + 1),
+        desk_bk._replace(seq=seq._replace(case="A" if seq.case == "B" else "B")),
+    ]
+    for i, x in enumerate(yu_copies + bk_copies):
+        original = yu if i < len(yu_copies) else desk_bk
+        assert not translate.skeletons_agree(original, x), i
+        assert not translate.skeletons_agree(x, original), i
+    assert not translate.skeletons_agree(desk_bk, yu)
+    # a parsed copy lies over a new Tower object and still agrees
+    bk_copy = cli.parse_bk(cli.emit_bk(desk_bk))
+    yu_copy = cli.parse_yu(cli.emit_yu(yu))
+    assert bk_copy.order.tower is not desk and yu_copy.point.tower is not desk
+    assert translate.skeletons_agree(desk_bk, bk_copy)
+    assert translate.skeletons_agree(yu, yu_copy)
+
+
+def test_skeletons_over_other_towers_disagree():
+    # desk5 and desk3 data of one shape differ only in their towers
+    data = dict(corpus.datum_corpus())
+    a = data["desk5/N=4/levels=0-1/base=1"]
+    b = data["desk3/N=4/levels=0-1/base=1"]
+    assert (a.kind, a.order.N, a.seq.n, a.seq.case) == (
+        b.kind, b.order.N, b.seq.n, b.seq.case)
+    assert not translate.skeletons_agree(a, b)
+    assert not translate.skeletons_agree(translate.bk_to_yu(a),
+                                         translate.bk_to_yu(b))
+
+
+def test_parsed_copies_of_one_order_compare(desk_bk, model):
+    # two documents parse to two towers; their tables and ledger still pair
+    bk1, bk2 = (cli.parse_bk(cli.emit_bk(desk_bk)) for _ in range(2))
+    assert bk1.order.tower is not bk2.order.tower
+    yu2 = translate.bk_to_yu(bk2)
+    tabs, ytabs = translate.h_group_table(bk1.seq), translate.yu_group_table(yu2)
+    for m in (None, model):
+        assert translate.table_compare(tabs["H1"], ytabs["Kd+"], m)
+        assert translate.table_compare(tabs["J0"], ytabs["oKd"], m)
+    assert (translate.ledger_indices(bk1, yu2, model)
+            == translate.ledger_indices(desk_bk, translate.bk_to_yu(desk_bk),
+                                        model))
 
 
 def test_h_group_table_desk(desk_bk):

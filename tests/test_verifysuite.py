@@ -1,7 +1,10 @@
 """A verify run builds each order's matrix model once and hands the same
-model to every suite that asks for it."""
+model to every suite that asks for it; a suite fails when the closed form
+it checks is broken."""
 
-from tamestrata import oracle, verifysuite
+import pytest
+
+from tamestrata import oracle, strata, translate, verifysuite
 
 
 def _builds(monkeypatch, use_oracle):
@@ -28,3 +31,32 @@ def test_a_run_builds_one_model_per_order(monkeypatch):
 
 def test_a_run_without_the_oracle_builds_no_model(monkeypatch):
     assert _builds(monkeypatch, False) == []
+
+
+@pytest.fixture(scope="module")
+def models():
+    return {}
+
+
+def _shifted(closed_form):
+    return lambda *args: (None if (v := closed_form(*args)) is None
+                          else v + 1)
+
+
+def _yu_factor_dropped(normalize):
+    # the Yu-side tables lose their last factor, the BK side keeps it
+    return lambda t: normalize(t)[:-1] if t.name in ("Kd+", "oKd") else normalize(t)
+
+
+@pytest.mark.parametrize("module, name, broken, suite, use_oracle", [
+    (translate, "single_index_log", _shifted, "index-identity", True),
+    (strata, "k0_closed", _shifted, "critical-exponent", True),
+    (translate, "normalize_table", _yu_factor_dropped,
+     "filtration-equalities", False),
+], ids=["index-identity", "critical-exponent", "filtration-equalities"])
+def test_a_broken_closed_form_fails_its_suite(monkeypatch, models, module,
+                                              name, broken, suite, use_oracle):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    passed, detail = verifysuite.ALL_SUITES[suite](
+        models if use_oracle else None)
+    assert not passed, detail
