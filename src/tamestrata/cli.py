@@ -27,7 +27,8 @@ import sys
 from fractions import Fraction
 
 from . import corpus, minimal, strata, tame, translate
-from .errors import TameStrataError, UsageError, VerificationError
+from .errors import (TameStrataError, UsageError, VerificationError,
+                     VerificationFailed)
 from .ffq import FqField
 
 SCHEMA_VERSION = "1"
@@ -119,27 +120,39 @@ def emit_bk(bk: translate.BKDatumSkeleton) -> dict:
         "notes": dict(bk.notes),
     }
     if bk.kind == "a":
-        seq = bk.seq
-        payload["blocks"] = [[e.level, emit_series(e.c)] for e in seq.entries]
-        payload["n"] = seq.n
-        payload["r"] = [e.r for e in seq.entries]
-        payload["case"] = seq.case
-        payload["theta_factors"] = [
-            {"level": cf.level, "c": emit_series(cf.c), "depth": _frac(cf.depth),
-             "det_domain": [[l, m] for l, m, _ in cf.det_domain],
-             "psi_domain": [[l, m] for l, m, _ in cf.psi_domain]}
-            for cf in bk.theta_factors]
+        payload["blocks"] = [[e.level, emit_series(e.c)] for e in bk.seq.entries]
+        payload.update(_derived(bk, [emit_series(cf.c) for cf in bk.theta_factors]))
     return document("bk_datum", payload)
 
 
+def _derived(bk, factor_cs) -> dict:
+    """A type (a) document's fields that its blocks determine."""
+    seq = bk.seq
+    return {"n": seq.n, "r": [e.r for e in seq.entries], "case": seq.case,
+            "theta_factors": [
+                {"level": cf.level, "c": c, "depth": _frac(cf.depth),
+                 "det_domain": [[l, m] for l, m, _ in cf.det_domain],
+                 "psi_domain": [[l, m] for l, m, _ in cf.psi_domain]}
+                for cf, c in zip(bk.theta_factors, factor_cs)]}
+
+
 def parse_bk(doc) -> translate.BKDatumSkeleton:
+    """The datum the blocks build; each other field stated must equal the
+    built one as JSON, bar factor i's element, a copy of block i."""
     payload = _payload(doc, "bk_datum")
     tower = parse_tower(document("tower", payload["tower"]))
     order = strata.make_order(tower, payload["N"])
     if payload.get("kind", "a") == "b":
         return translate.make_bk_datum_b(order)
     c_list = [(lvl, parse_series(tower, ser)) for lvl, ser in payload["blocks"]]
-    return translate.make_bk_datum(order, c_list)
+    bk = translate.make_bk_datum(order, c_list)
+    for key, value in _derived(bk, [None] * len(c_list)).items():
+        stated = payload.get(key, value)
+        if key == "theta_factors":
+            stated = [dict(cf, c=None) for cf in stated]
+        if stated != value:
+            raise VerificationFailed(f"stated {key} is not what the blocks build")
+    return bk
 
 
 def emit_yu(yu: translate.YuDatumSkeleton) -> dict:

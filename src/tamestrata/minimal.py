@@ -2,7 +2,8 @@
 
 An element c of E_upper is minimal relative to E_upper/E_lower when it
 generates the step and its leading data are as spread out as possible.
-Three equivalent routes decide this:
+Three equivalent routes decide this.  is_minimal decides the first; its
+report decides the other two, cross-checks, only when they are read:
 
   * the definition: generation, gcd(nu(c), e) = 1, and the normalised
     power of c generating the residue extension;
@@ -26,6 +27,7 @@ series_equal would.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -33,21 +35,83 @@ from .errors import NotInLevel, VerificationFailed, ZeroToPrecision
 from .tame import TameSeries, Tower, first_difference, stabilizer_within
 
 
-class MinimalityReport(NamedTuple):
-    cond_generates: bool       # E_lower[c] equals the target E_upper
-    cond_gcd: bool             # gcd(nu(c), e(E_lower[c] | E_lower)) = 1
-    cond_residue: bool         # pi^-nu c^e generates the residue extension
-    via_sr: bool               # the leading monomial generates E_upper
-    via_galois: bool           # all embedding pairs separate c at depth -ord(c)
-    depth: Fraction            # -ord(c)
+class MinimalityReport:
+    """Minimality of c for the target subgroup H_up over the chain subgroup
+    H_low of level lower (H_up = c's stabiliser in H_low asks whether c is
+    minimal over the base).  The definition is decided here: cond_generates
+    (E_lower[c] is the target), cond_gcd (gcd(nu(c), e(E_lower[c] |
+    E_lower)) = 1), cond_residue (pi^-nu c^e generates the residue
+    extension) and depth = -ord(c).  The cross-checks via_sr (the leading
+    monomial generates the target) and via_galois (all embedding pairs
+    separate c at depth -ord(c)) are decided on first read, each once.
+
+    Neither can raise where the definition did not.  via_sr reads an exact
+    monomial.  If a truncated c has conjugates g(c), h(c) that agree on
+    every visible term, g != h coset representatives of H_up in H_low,
+    then h^-1 g, a non-identity element of H_low, fixes every visible
+    term, and stabilizer_within(c, H_low) has already raised
+    PrecisionExhausted.
+    """
+
+    def __init__(self, c: TameSeries, lower: int, H_up):
+        tw = c.tower
+        self.depth = -c.ord()
+        self._c, self._H_up = c, H_up
+        self._H_low = H_low = tw.chain[lower]
+        stab = stabilizer_within(c, H_low)
+
+        self.cond_generates = stab == H_up
+
+        # invariants of E_lower, as the tower tabulates them, and of E' = E_lower[c]
+        deg_low, e_low = tw.level_degree(lower), tw.level_e(lower)
+        deg_prime, e_prime, _ = tw.field_invariants(stab)
+        e_rel = e_prime // e_low
+        f_rel = deg_prime // deg_low // e_rel
+
+        k0, c0 = c.leading()
+        nu_prime, rem = divmod(k0 * e_prime, tw.e)
+        if rem:
+            raise VerificationFailed(
+                f"valuation {Fraction(k0 * e_prime, tw.e)} in E' is not integral")
+        self.cond_gcd = gcd(nu_prime, e_rel) == 1
+
+        pi_low = tw.uniformizer(lower)
+        residue = _unit_residue(tw, k0, c0, pi_low.leading(), nu_prime, e_rel)
+        self.cond_residue = (residue.orbit_size(tw.level_residue_degree(lower))
+                             == f_rel)
 
     @property
     def minimal(self) -> bool:
         return self.cond_generates and self.cond_gcd and self.cond_residue
 
+    @cached_property
+    def via_sr(self) -> bool:
+        # the leading term is fixed by whatever fixes c, so it lies in E_{c.level}
+        c = self._c
+        sr_series = TameSeries(c.tower, c.level, c.terms[:1], None)
+        return stabilizer_within(sr_series, self._H_low) == self._H_up
+
+    @cached_property
+    def via_galois(self) -> bool:
+        # an exact agreement (None) fails
+        c = self._c
+        reps = c.tower.coset_reps(self._H_up, self._H_low)
+        return all(o == c.ord_k() for _, _, o in _pair_orders(c, reps))
+
     @property
     def consistent(self) -> bool:
         return self.minimal == self.via_sr == self.via_galois
+
+    def _fields(self):
+        return (self.cond_generates, self.cond_gcd, self.cond_residue,
+                self.via_sr, self.via_galois, self.depth)
+
+    def __eq__(self, other):
+        return (isinstance(other, MinimalityReport)
+                and self._fields() == other._fields())
+
+    def __repr__(self):
+        return f"MinimalityReport{self._fields()}"
 
 
 class Ge1Report(NamedTuple):
@@ -57,7 +121,7 @@ class Ge1Report(NamedTuple):
 
 
 def is_minimal(c: TameSeries, upper: int, lower: int) -> MinimalityReport:
-    """Decide minimality of c relative to E_upper/E_lower by all routes."""
+    """Minimality of c relative to E_upper/E_lower (see MinimalityReport)."""
     tw = c.tower
     upper, lower = tw.check_level(upper), tw.check_level(lower)
     if upper > lower:
@@ -66,51 +130,7 @@ def is_minimal(c: TameSeries, upper: int, lower: int) -> MinimalityReport:
         raise ZeroToPrecision("minimality of a series with no visible terms")
     if not c.in_level(upper):
         raise NotInLevel(f"element does not lie in level {upper}")
-    return _routes(c, lower, tw.chain[upper])
-
-
-def _routes(c: TameSeries, lower: int, H_up) -> MinimalityReport:
-    """All three minimality criteria for c, target subgroup H_up over the
-    chain subgroup H_low of level lower.
-
-    H_up = the stabiliser of c in H_low turns the target into the generated
-    field itself, which is how "minimal over the base" is phrased.
-    """
-    tw = c.tower
-    H_low = tw.chain[lower]
-    r = -c.ord()
-    stab = stabilizer_within(c, H_low)
-
-    cond_generates = stab == H_up
-
-    # invariants of E_lower, as the tower tabulates them, and of E' = E_lower[c]
-    deg_low, e_low = tw.level_degree(lower), tw.level_e(lower)
-    deg_prime, e_prime, _ = tw.field_invariants(stab)
-    e_rel = e_prime // e_low
-    f_rel = deg_prime // deg_low // e_rel
-
-    k0, c0 = c.leading()
-    nu_prime, rem = divmod(k0 * e_prime, tw.e)
-    if rem:
-        raise VerificationFailed(
-            f"valuation {Fraction(k0 * e_prime, tw.e)} in E' is not integral")
-    cond_gcd = gcd(nu_prime, e_rel) == 1
-
-    pi_low = tw.uniformizer(lower)
-    residue = _unit_residue(tw, k0, c0, pi_low.leading(), nu_prime, e_rel)
-    cond_residue = residue.orbit_size(tw.level_residue_degree(lower)) == f_rel
-
-    # the leading term is fixed by whatever fixes c, so it lies in E_{c.level}
-    sr_series = TameSeries(tw, c.level, ((k0, c0),), None)
-    via_sr = stabilizer_within(sr_series, H_low) == H_up
-
-    # every pair is scanned (a list, not a short-circuit), so an undecidable
-    # pair raises even after a failing one; an exact agreement (None) fails
-    via_galois = all([o == c.ord_k() for _, _, o in
-                      _pair_orders(c, tw.coset_reps(H_up, H_low))])
-
-    return MinimalityReport(cond_generates, cond_gcd, cond_residue,
-                            via_sr, via_galois, r)
+    return MinimalityReport(c, lower, tw.chain[upper])
 
 
 def _unit_residue(tw: Tower, k0, c0, pi_lead, nu, e_rel):
@@ -145,7 +165,7 @@ def _pair_orders(c: TameSeries, elems):
 def minimal_over(c: TameSeries, lower: int) -> bool:
     """Minimality of c relative to E_lower[c]/E_lower."""
     H_low = c.tower.chain[lower]
-    return _routes(c, lower, stabilizer_within(c, H_low)).minimal
+    return MinimalityReport(c, lower, stabilizer_within(c, H_low)).minimal
 
 
 def ge1_check(c: TameSeries, level_i: int, level_iplus1: int) -> Ge1Report:

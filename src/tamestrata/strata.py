@@ -266,7 +266,7 @@ def _verify(seq: DefiningSeq, reports) -> VerifyReport:
     the minimality reports of c_0..c_s for their steps, as
     build_defining_sequence decided them; (f) reads them instead of
     deciding minimality again, and so does the terminal k0: beta_s is c_s,
-    and report s ran the routes minimal_over(beta_s, d) would run."""
+    and report s decided the definition minimal_over(beta_s, d) decides."""
     order, tw = seq.order, seq.order.tower
     s, entries, n = seq.s, seq.entries, seq.n
     checks, details = {}, {}

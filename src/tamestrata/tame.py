@@ -533,9 +533,6 @@ class TameSeries:
     def is_zero_to_prec(self) -> bool:
         return not self.terms
 
-    def is_exact_zero(self) -> bool:
-        return not self.terms and self.prec_k is None
-
     def key(self):
         return (self.level, tuple((k, c.coeffs) for k, c in self.terms), self.prec_k)
 

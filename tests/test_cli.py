@@ -111,6 +111,30 @@ def test_tampered_yu_document_is_rejected(tmp_path, tamper, error):
         assert doc["payload"]["error"] == error, command
 
 
+_BK_TAMPERS = {
+    "r": lambda payload: payload.__setitem__("r", [0, 99]),
+    "n": lambda payload: payload.__setitem__("n", 77),
+    "case": lambda payload: payload.__setitem__(
+        "case", {"A": "B", "B": "A"}[payload["case"]]),
+    "theta-depth": lambda payload: payload["theta_factors"][0].__setitem__(
+        "depth", [7, 3]),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(_BK_TAMPERS))
+@pytest.mark.parametrize("command", ["bk2yu", "tables", "ledger"])
+def test_tampered_bk_document_is_rejected(tmp_path, command, tamper):
+    # n, r, case and the character factors must be the ones the blocks build
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    bk_doc = cli.emit_bk(bk)
+    _BK_TAMPERS[tamper](bk_doc["payload"])
+    path = tmp_path / "bk.json"
+    path.write_text(json.dumps(bk_doc))
+    code, doc = run_cli([command, "--datum", str(path)])
+    assert code == cli.EXIT_VERIFICATION
+    assert doc["payload"]["error"] == "VerificationFailed"
+
+
 def test_tables_and_ledger(tmp_path):
     element = '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'
     _, bk_doc = run_cli(["defseq", "--tower", "desk5", "--N", "4",

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from tamestrata import corpus, minimal, tame
-from tamestrata.errors import NotInLevel, ZeroToPrecision
+from tamestrata import corpus, minimal, strata, tame, translate
+from tamestrata.errors import (
+    NotInLevel, PrecisionExhausted, TameStrataError, ZeroToPrecision,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +101,71 @@ def test_scaling_by_one_units(desk):
         before = minimal.is_minimal(mono, 0, 2).minimal
         after = minimal.is_minimal(mono * u, 0, 2).minimal
         assert before == after
+
+
+def _type_a_data():
+    return [bk for _, bk in corpus.datum_corpus() if bk.kind == "a"]
+
+
+def _steps(bk):
+    """(element, upper, lower) of each block of a datum for its step, and
+    of each beta_i for its level over F."""
+    seq, d = bk.seq, bk.order.tower.d
+    entries = seq.entries
+    for i, e in enumerate(entries):
+        low = entries[i + 1].level if i < seq.s else d
+        yield e.c, e.level, low
+        yield e.beta, e.level, d
+
+
+def test_a_build_decides_no_cross_check(monkeypatch):
+    # a build and k0 read only the definition route: no Galois conjugate
+    data = _type_a_data()
+    assert len(data) == 64
+    applies = []
+    real = tame.TameSeries.apply
+    monkeypatch.setattr(tame.TameSeries, "apply",
+                        lambda self, g: applies.append(g) or real(self, g))
+    for bk in data:
+        blocks = [(e.level, e.c) for e in bk.seq.entries]
+        order = strata.make_order(bk.order.tower, bk.order.N)
+        assert translate.make_bk_datum(order, blocks) == bk
+        for e in bk.seq.entries:
+            fresh = strata.make_order(bk.order.tower, bk.order.N)
+            strata.k0_closed(fresh, e.beta)
+    assert applies == []
+    # the cross-checks still run when read, in either order, to one report
+    c, upper, lower = next(_steps(data[0]))
+    sr_first = minimal.is_minimal(c, upper, lower)
+    assert sr_first.via_sr and sr_first.via_galois
+    galois_first = minimal.is_minimal(c, upper, lower)
+    assert galois_first.via_galois and galois_first.via_sr
+    assert applies and sr_first == galois_first and galois_first.consistent
+
+
+def _outcome(x, upper, lower):
+    try:
+        return minimal.is_minimal(x, upper, lower)
+    except TameStrataError as exc:
+        return type(exc)
+
+
+def test_is_minimal_on_truncations_raises_or_agrees():
+    # a truncation either raises PrecisionExhausted at the call or gives the
+    # exact element's report, every field (the cross-checks too) readable
+    agreed = 0
+    for bk in _type_a_data():
+        for x, upper, lower in _steps(bk):
+            exact = _outcome(x, upper, lower)
+            for prec in range(x.ord_k() + 1, x.terms[-1][0] + 2):
+                cut = tame.TameSeries(x.tower, x.level,
+                                      tuple(t for t in x.terms if t[0] < prec),
+                                      prec)
+                got = _outcome(cut, upper, lower)
+                if got is PrecisionExhausted:
+                    continue
+                assert got == exact, (x, prec)
+                if isinstance(got, minimal.MinimalityReport):
+                    assert got.consistent == exact.consistent
+                    agreed += 1
+    assert agreed

@@ -135,3 +135,32 @@ def test_identity_keys_are_detected():
     tree = ast.parse("key = (id(tower), N)\nn = order.id\nk = ident(x)\n"
                      "if id(a) not in seen:\n    pass\n")
     assert _identity_keys(tree) == [1, 4]
+
+
+_CROSS_CHECKS = ("via_sr", "via_galois", "consistent")
+
+
+def _cross_check_reads(tree):
+    """Line of each read of a minimality cross-check: a build decides
+    minimality by its definition, and the two other routes run only when
+    a report's reader asks for them."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _CROSS_CHECKS)
+
+
+def test_builds_read_no_minimality_cross_check():
+    found = []
+    for name in ("strata", "translate", "corpus"):
+        with open(os.path.join(SRC, name + ".py")) as fh:
+            found += [(name, line) for line in _cross_check_reads(ast.parse(fh.read()))]
+    assert not found
+
+
+def test_cross_check_reads_are_detected():
+    tree = ast.parse("rep = is_minimal(c, 0, 1)\n"
+                     "ok = rep.minimal and rep.via_sr\n"
+                     "via_galois = rep.cond_gcd\n"
+                     "if is_minimal(c, 0, 2).consistent:\n"
+                     "    pass\n"
+                     "g = getattr(rep, 'via_galois_count', rep.via_galois)\n")
+    assert _cross_check_reads(tree) == [2, 4, 6]

@@ -42,9 +42,9 @@ def test_exact_monomial_inverse_stays_exact(desk):
 
 def test_zero_to_precision_vs_exact_zero(desk):
     exact = desk.zero()
-    assert exact.is_exact_zero()
+    assert not exact.terms and exact.prec_k is None
     fuzzy = desk.series(0, [], prec=3)
-    assert fuzzy.is_zero_to_prec() and not fuzzy.is_exact_zero()
+    assert fuzzy.is_zero_to_prec() and not (not fuzzy.terms and fuzzy.prec_k is None)
     with pytest.raises(ZeroToPrecision):
         fuzzy.ord()
 
