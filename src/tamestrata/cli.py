@@ -48,6 +48,8 @@ def _frac(x) -> list:
 
 
 def _unfrac(pair) -> Fraction:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"rational {pair!r} is not a [num, den] pair")
     if pair[1] == 0:
         raise ValueError(f"rational {list(pair)} has a zero denominator")
     return Fraction(pair[0], pair[1])
@@ -137,21 +139,30 @@ def _derived(bk, factor_cs) -> dict:
 
 
 def parse_bk(doc) -> translate.BKDatumSkeleton:
-    """The datum the blocks build; each other field stated must equal the
-    built one as JSON, bar factor i's element, a copy of block i."""
+    """The datum the blocks (type (a)) or the order (type (b)) build; a
+    stated field must be one emit_bk writes and equal the built one as
+    JSON, bar factor i's element, a copy of block i."""
     payload = _payload(doc, "bk_datum")
     tower = parse_tower(document("tower", payload["tower"]))
     order = strata.make_order(tower, payload["N"])
     if payload.get("kind", "a") == "b":
-        return translate.make_bk_datum_b(order)
-    c_list = [(lvl, parse_series(tower, ser)) for lvl, ser in payload["blocks"]]
-    bk = translate.make_bk_datum(order, c_list)
-    for key, value in _derived(bk, [None] * len(c_list)).items():
+        bk, built = translate.make_bk_datum_b(order), {}
+    else:
+        c_list = [(lvl, parse_series(tower, ser))
+                  for lvl, ser in payload["blocks"]]
+        bk = translate.make_bk_datum(order, c_list)
+        built = dict(_derived(bk, [None] * len(c_list)),
+                     blocks=payload["blocks"])
+    built["notes"] = dict(bk.notes)
+    extra = payload.keys() - built.keys() - {"tower", "N", "kind"}
+    if extra:
+        raise VerificationFailed(f"a type ({bk.kind}) datum has no {min(extra)}")
+    for key, value in built.items():
         stated = payload.get(key, value)
         if key == "theta_factors":
             stated = [dict(cf, c=None) for cf in stated]
         if stated != value:
-            raise VerificationFailed(f"stated {key} is not what the blocks build")
+            raise VerificationFailed(f"stated {key} is not what the datum builds")
     return bk
 
 

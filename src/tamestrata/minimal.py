@@ -37,13 +37,13 @@ from .tame import TameSeries, Tower, first_difference, stabilizer_within
 
 class MinimalityReport:
     """Minimality of c for the target subgroup H_up over the chain subgroup
-    H_low of level lower (H_up = c's stabiliser in H_low asks whether c is
-    minimal over the base).  The definition is decided here: cond_generates
-    (E_lower[c] is the target), cond_gcd (gcd(nu(c), e(E_lower[c] |
-    E_lower)) = 1), cond_residue (pi^-nu c^e generates the residue
-    extension) and depth = -ord(c).  The cross-checks via_sr (the leading
-    monomial generates the target) and via_galois (all embedding pairs
-    separate c at depth -ord(c)) are decided on first read, each once.
+    H_low of level lower (H_up left out is c's stabiliser in H_low, which
+    asks whether c is minimal over the base).  The definition is decided
+    here: cond_generates (E_lower[c] is the target), cond_gcd (gcd(nu(c),
+    e(E_lower[c] | E_lower)) = 1), cond_residue (pi^-nu c^e generates the
+    residue extension) and depth = -ord(c).  The cross-checks via_sr (the
+    leading monomial generates the target) and via_galois (all embedding
+    pairs separate c at depth -ord(c)) are decided on first read, each once.
 
     Neither can raise where the definition did not.  via_sr reads an exact
     monomial.  If a truncated c has conjugates g(c), h(c) that agree on
@@ -53,14 +53,14 @@ class MinimalityReport:
     PrecisionExhausted.
     """
 
-    def __init__(self, c: TameSeries, lower: int, H_up):
+    def __init__(self, c: TameSeries, lower: int, H_up=None):
         tw = c.tower
         self.depth = -c.ord()
-        self._c, self._H_up = c, H_up
         self._H_low = H_low = tw.chain[lower]
         stab = stabilizer_within(c, H_low)
+        self._c, self._H_up = c, stab if H_up is None else H_up
 
-        self.cond_generates = stab == H_up
+        self.cond_generates = stab == self._H_up
 
         # invariants of E_lower, as the tower tabulates them, and of E' = E_lower[c]
         deg_low, e_low = tw.level_degree(lower), tw.level_e(lower)
@@ -164,8 +164,7 @@ def _pair_orders(c: TameSeries, elems):
 
 def minimal_over(c: TameSeries, lower: int) -> bool:
     """Minimality of c relative to E_lower[c]/E_lower."""
-    H_low = c.tower.chain[lower]
-    return MinimalityReport(c, lower, stabilizer_within(c, H_low)).minimal
+    return MinimalityReport(c, lower).minimal
 
 
 def ge1_check(c: TameSeries, level_i: int, level_iplus1: int) -> Ge1Report:

@@ -24,15 +24,22 @@ have it (structured elimination, after LaMacchia and Odlyzko, CRYPTO '90).
 Coordinates are numbered in order of block valuation, then (row, col, w),
 so fill-in stays within valuation layers, and:
 - A/P^M is a prefix of A/P^M' for M < M', at the same positions, so a
-  projection drops the positions past the width (``_Quotient.project``).
-  Cut there, the rows of an RREF space are still zero at each other's
-  pivots, so ``Subspace`` takes them with no reduction and no
-  back-substitution; kernel vectors are not RREF and are row-reduced.
+  projection drops the positions past the width.  The rows of an RREF
+  space pivoted below it, cut there, are still RREF and span the image
+  (``_Quotient.truncate``); kernel vectors are row-reduced (``project``).
 - P^k is a suffix.  A vector of an RREF space S is the combination of the
   rows given by its pivot entries, and a row lies in P^k iff its pivot
   (its smallest column) does, so S ∩ P^k is the set of rows with a pivot
   in P^k (``_Quotient.radical_cut``); ``Subspace.intersect`` stays the
   general reference.
+
+No row is eliminated whose result is already known.  A generator that
+acts as an F-scalar (``_lies_in_F``: the top level's, desk5's t) has
+ad_g = 0 and adds no equation.  A held commutant is truncated to a smaller
+M as above.  A table's lattice is summed from its largest level down: for
+l <= l', B_l ⊂ B_l', so once Q_l'^k is in the sum, so is every row of a
+later Q_l^m pivoted in P^k (it lies in Q_l^m ∩ P^k ⊂ Q_l'^k); only rows
+pivoted below every start taken are added.
 
 Every kernel the oracle solves has its equations from one routine,
 ``_ad_equations``: ad_g(x) = 0 for every generator g, one sparse row per
@@ -418,7 +425,7 @@ class MatrixModel:
 
         Each level keeps one growing system of its equations, extended
         only when an M larger than any solved so far is asked for, and the
-        image at that largest M; a smaller M is the projection of that
+        image at that largest M; a smaller M is the truncation of that
         image.  A caller that extends a level's system takes it out of the
         model while it works and puts it back when done, so a concurrent
         caller starts a system of its own instead of sharing one.
@@ -430,16 +437,17 @@ class MatrixModel:
                 return space
             key = (level, quot.M)
             if key not in self._projections:
-                self._projections[key] = quot.project(space.rows)
+                self._projections[key] = quot.truncate(space)
             return self._projections[key]
         layers = self._systems.pop(level, None)
         if layers is None:
             tower = self.tower
             gens = [tower.monomial(tower.residue_generator(level), 0),
                     tower.uniformizer(level)]
-            # the generators are integral: block valuation shift 0
+            mats = [self.elt_to_matrix(g.at_level(0)) for g in gens]
+            # integral generators: shift 0; an F-scalar adds no equation
             layers = _Layers(
-                self, [self.elt_to_matrix(g.at_level(0)) for g in gens], 0)
+                self, [g for g in mats if not _lies_in_F(self, g)], 0)
         space = _centraliser_image(layers, quot)
         self._systems[level] = layers
         self._commutants[level] = (quot.M, space)
@@ -494,6 +502,13 @@ class _Quotient:
         return Subspace._from_rref(
             self.model.p, space.width,
             {piv: row for piv, row in space._rows.items() if piv >= start})
+
+    def truncate(self, space: Subspace) -> Subspace:
+        """An RREF space of a finer quotient cut to this one: still RREF."""
+        n = len(self.coords)
+        return Subspace._from_rref(
+            self.model.p, n, {piv: {q: x for q, x in row.items() if q < n}
+                              for piv, row in space._rows.items() if piv < n})
 
     def project(self, rows) -> Subspace:
         """Span of rows of a finer quotient, cut to this one's positions."""
@@ -746,11 +761,21 @@ def oracle_step_index(model: MatrixModel, level: int, a: int, b: int) -> int:
 
 def oracle_table_lattice(model: MatrixModel, factors, M: int) -> Subspace:
     """Lattice of a prefix-type factor table in A/P^M: the sum of the
-    Q_level^exponent."""
+    Q_level^exponent from the largest level down (see the module
+    docstring), the first nonzero factor taken whole."""
     quot = model.quotient_context(M)
     out = Subspace(model.p, len(quot.coords))
-    for level, exponent in factors:
-        out = out.sum(quot.order_level(level, exponent))
+    taken = out.width
+    for level, exponent in sorted(factors, reverse=True):
+        comm = quot.order_level(level)
+        start = bisect_left(quot.vals, exponent)
+        if not out.dim:
+            out = quot.radical_cut(comm, exponent)      # a new space
+        else:
+            for piv, row in comm._rows.items():
+                if start <= piv < taken:
+                    out.add(row)
+        taken = min(taken, start)
     return out
 
 

@@ -86,6 +86,8 @@ class YuDatumSkeleton(NamedTuple):
 
 
 def _depths_ok(depths, case) -> bool:
+    if not depths:
+        return False
     if len(depths) == 1:
         return depths[0] >= 0
     head = depths[:-1]

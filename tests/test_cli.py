@@ -93,13 +93,26 @@ def _wrong_depth(payload):
     payload["depths"][0] = [1, 3]
 
 
-@pytest.mark.parametrize("tamper, error", [
-    (_append_dim, "VerificationFailed"),
-    (_wrong_dim, "VerificationFailed"),
-    (_wrong_depth, "DepthMismatch"),
-], ids=["dims-length", "dims-value", "depths-value"])
-def test_tampered_yu_document_is_rejected(tmp_path, tamper, error):
-    # dims and depths must agree with the characters, not only be ordered
+def _short_depth(payload):
+    payload["depths"][0] = [1]
+
+
+def _no_steps(payload):
+    payload["depths"] = payload["dims"] = payload["characters"] = []
+
+
+@pytest.mark.parametrize("tamper, error, exit_code", [
+    (_append_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
+    (_wrong_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
+    (_wrong_depth, "DepthMismatch", cli.EXIT_VERIFICATION),
+    (_short_depth, "ValueError", cli.EXIT_INPUT),
+    (_no_steps, "DepthMismatch", cli.EXIT_VERIFICATION),
+], ids=["dims-length", "dims-value", "depths-value", "depths-one-entry",
+        "depths-empty"])
+def test_tampered_yu_document_is_rejected(tmp_path, tamper, error, exit_code):
+    # dims and depths must agree with the characters, not only be ordered;
+    # a malformed rational or an empty depth vector ends in an error
+    # document, not a traceback
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
     tamper(yu_doc["payload"])
@@ -107,7 +120,7 @@ def test_tampered_yu_document_is_rejected(tmp_path, tamper, error):
     path.write_text(json.dumps(yu_doc))
     for command in ("yu2bk", "tables", "ledger"):
         code, doc = run_cli([command, "--datum", str(path)])
-        assert code == cli.EXIT_VERIFICATION, command
+        assert code == exit_code, command
         assert doc["payload"]["error"] == error, command
 
 
@@ -118,6 +131,7 @@ _BK_TAMPERS = {
         "case", {"A": "B", "B": "A"}[payload["case"]]),
     "theta-depth": lambda payload: payload["theta_factors"][0].__setitem__(
         "depth", [7, 3]),
+    "notes": lambda payload: payload.__setitem__("notes", {"kappa": "tampered"}),
 }
 
 
@@ -131,6 +145,24 @@ def test_tampered_bk_document_is_rejected(tmp_path, command, tamper):
     path = tmp_path / "bk.json"
     path.write_text(json.dumps(bk_doc))
     code, doc = run_cli([command, "--datum", str(path)])
+    assert code == cli.EXIT_VERIFICATION
+    assert doc["payload"]["error"] == "VerificationFailed"
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda payload: payload.__setitem__("n", 77),
+    lambda payload: payload.__setitem__("notes", {"kappa": "tampered"}),
+], ids=["n", "notes"])
+def test_tampered_type_b_document_is_rejected(tmp_path, tamper):
+    # a type (b) datum states its tower, N, kind and notes, and nothing else
+    bk = dict(corpus.datum_corpus())["desk5/N=4/type-b"]
+    bk_doc = cli.emit_bk(bk)
+    path = tmp_path / "bk.json"
+    path.write_text(json.dumps(bk_doc))
+    assert run_cli(["bk2yu", "--datum", str(path)])[0] == cli.EXIT_OK
+    tamper(bk_doc["payload"])
+    path.write_text(json.dumps(bk_doc))
+    code, doc = run_cli(["bk2yu", "--datum", str(path)])
     assert code == cli.EXIT_VERIFICATION
     assert doc["payload"]["error"] == "VerificationFailed"
 

@@ -28,6 +28,16 @@ def test_base_field_element_not_minimal(desk):
     assert not rep.minimal and rep.consistent
 
 
+def test_minimal_over_decides_the_stabiliser_once(desk, monkeypatch):
+    # minimal_over's target is c's stabiliser: the report computes it once
+    calls = []
+    real = minimal.stabilizer_within
+    monkeypatch.setattr(minimal, "stabilizer_within",
+                        lambda c, H: calls.append(H) or real(c, H))
+    assert minimal.minimal_over(desk.monomial(desk.k.gen(), Fraction(-1, 2)), 2)
+    assert calls == [desk.chain[2]]
+
+
 def test_minimal_relative_intermediate(desk):
     rep = minimal.is_minimal(desk.monomial(1, Fraction(-1, 2)), 0, 1)
     assert rep.minimal and rep.consistent

@@ -242,6 +242,67 @@ def test_table_lattice_matches_hj(model, desk_seq):
     assert j_from_table == j.intersect(p1)
 
 
+def _plain_table_lattice(model, factors, M):
+    quot = model.quotient_context(M)
+    out = Subspace(model.p, len(quot.coords))
+    for level, exponent in factors:
+        out = out.sum(quot.order_level(level, exponent))
+    return out
+
+
+def test_table_lattice_equals_plain_sum():
+    # the lattice summed from the largest level down, each factor adding
+    # only its rows below the starts already taken, is the plain sum of
+    # every factor: on every table of every corpus order with N <= 8, on
+    # the factors reversed, and with the first level repeated
+    models, tables_seen = {}, 0
+    for label, bk in corpus.datum_corpus():
+        order = bk.order
+        if order.N > 8:
+            continue
+        if order not in models:
+            models[order] = oracle.model_build(order)
+        model = models[order]
+        tables = {("yu", name): table for name, table
+                  in translate.yu_group_table(translate.bk_to_yu(bk)).items()}
+        if bk.kind == "a":
+            tables.update({("bk", name): table for name, table
+                           in translate.h_group_table(bk.seq).items()})
+        for name, table in tables.items():
+            pairs = table.pairs()
+            M = max([m for _, m in pairs] + [1]) + model.e_A
+            level, exponent = pairs[0]
+            for factors in (pairs, pairs[::-1],
+                            pairs + ((level, exponent + 1),)):
+                assert oracle.oracle_table_lattice(model, factors, M) \
+                    == _plain_table_lattice(model, factors, M), \
+                    (label, name, factors)
+            tables_seen += 1
+        assert oracle.oracle_table_lattice(model, (), 2).dim == 0
+    assert len(models) == len(CORPUS_ORDERS)
+    assert tables_seen == 380
+    # and no held commutant was changed on the way
+    for order, model in models.items():
+        fresh = oracle.model_build(order)
+        for level, (M, space) in model._commutants.items():
+            assert space == fresh.commutant_in_quotient(
+                level, fresh.quotient_context(M)), (order, level, M)
+
+
+def test_scalar_generators_add_no_equations():
+    # both generators of the top level act as F-scalars, and so does
+    # desk5's level-1 uniformizer t = pi_F: none enters a system
+    for name in EQUIVALENCE_ORDERS + CORPUS_ORDERS:
+        model = _equivalence_model(name)
+        d = model.tower.d
+        model.commutant_in_quotient(d, model.quotient_context(2))
+        top = model._systems[d]
+        assert top.mats == [] and top.eqs.dim == 0, name
+    model = _equivalence_model("desk5")
+    model.commutant_in_quotient(1, model.quotient_context(2))
+    assert len(model._systems[1].mats) == 1
+
+
 def test_whole_questions_match_their_parts(model, desk_seq):
     # the ledger's and the tables' questions, against the lattices they
     # are answered from
