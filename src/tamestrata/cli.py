@@ -50,6 +50,9 @@ def _frac(x) -> list:
 def _unfrac(pair) -> Fraction:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ValueError(f"rational {pair!r} is not a [num, den] pair")
+    if any(type(x) is not int for x in pair):      # bool is not an int here
+        raise ValueError(f"rational {pair!r} has an entry that is not an "
+                         "integer")
     if pair[1] == 0:
         raise ValueError(f"rational {list(pair)} has a zero denominator")
     return Fraction(pair[0], pair[1])
@@ -145,7 +148,10 @@ def parse_bk(doc) -> translate.BKDatumSkeleton:
     payload = _payload(doc, "bk_datum")
     tower = parse_tower(document("tower", payload["tower"]))
     order = strata.make_order(tower, payload["N"])
-    if payload.get("kind", "a") == "b":
+    kind = payload.get("kind", "a")
+    if kind not in ("a", "b"):
+        raise ValueError(f"datum kind {kind!r} is not \"a\" or \"b\"")
+    if kind == "b":
         bk, built = translate.make_bk_datum_b(order), {}
     else:
         c_list = [(lvl, parse_series(tower, ser))
@@ -188,10 +194,12 @@ def parse_yu(doc) -> translate.YuDatumSkeleton:
     characters = tuple(
         (lvl, None if ser is None else parse_series(tower, ser), _unfrac(r))
         for lvl, ser, r in payload["characters"])
+    case = payload["case"]
+    if case not in ("A", "B"):
+        raise ValueError(f"case {case!r} is not \"A\" or \"B\"")
     return translate.YuDatumSkeleton(
         order, tuple(payload["dims"]),
-        tuple(_unfrac(r) for r in payload["depths"]),
-        characters, payload["case"])
+        tuple(_unfrac(r) for r in payload["depths"]), characters, case)
 
 
 def emit_table(table: translate.FiltrationTable) -> dict:

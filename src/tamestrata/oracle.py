@@ -30,8 +30,7 @@ so fill-in stays within valuation layers, and:
 - P^k is a suffix.  A vector of an RREF space S is the combination of the
   rows given by its pivot entries, and a row lies in P^k iff its pivot
   (its smallest column) does, so S ∩ P^k is the set of rows with a pivot
-  in P^k (``_Quotient.radical_cut``); ``Subspace.intersect`` stays the
-  general reference.
+  in P^k (``_Quotient.radical_cut``).
 
 No row is eliminated whose result is already known.  A generator that
 acts as an F-scalar (``_lies_in_F``: the top level's, desk5's t) has
@@ -58,8 +57,8 @@ image), then reads the image once.  Each model keeps, per level, the
 system and the commutant at the largest M stabilised so far: a smaller M
 is the commutant's truncation, a larger one extends the system.  The
 k-scan of ``oracle_k0`` is a prefix of beta's commutant system, so one
-echelon form answers both.  Cached subspaces are shared: do not mutate
-them.
+echelon form answers both.  Cached matrices and subspaces are shared: do
+not mutate them.
 """
 
 from __future__ import annotations
@@ -200,18 +199,6 @@ class Subspace:
             out.add(r)
         return out
 
-    def intersect(self, other) -> "Subspace":
-        # Zassenhaus: row-reduce [A|A; B|0]; the rows whose pivot lies in
-        # the right half span the intersection there, already in RREF
-        w = self.width
-        combined = [{**r, **{c + w: x for c, x in r.items()}}
-                    for r in self._rows.values()]
-        combined += other._rows.values()
-        big = Subspace(self.p, 2 * w, combined)
-        return Subspace._from_rref(
-            self.p, w, {piv - w: {c - w: x for c, x in row.items()}
-                        for piv, row in big._rows.items() if piv >= w})
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.p == other.p
                 and self.width == other.width and self._rows == other._rows)
@@ -220,68 +207,6 @@ class Subspace:
 def nullspace(rows, width, p):
     """Basis of the right nullspace of the given sparse matrix over F_p."""
     return Subspace(p, width, rows).kernel()
-
-
-# ---------------------------------------------------------------------------
-# matrices over truncated t-series
-# ---------------------------------------------------------------------------
-
-class SeriesMatrix:
-    """N x N matrix; each entry maps t-exponent -> k_L element (in k_F)."""
-
-    __slots__ = ("model", "entries")
-
-    def __init__(self, model, entries):
-        self.model = model
-        self.entries = entries     # dict (row, col) -> dict w -> FqElem
-
-    def mul(self, other) -> "SeriesMatrix":
-        N = self.model.N
-        out = {}
-        for (r, k), ser1 in self.entries.items():
-            for c in range(N):
-                ser2 = other.entries.get((k, c))
-                if not ser2:
-                    continue
-                acc = out.setdefault((r, c), {})
-                for w1, c1 in ser1.items():
-                    for w2, c2 in ser2.items():
-                        w = w1 + w2
-                        v = acc.get(w)
-                        v = c1 * c2 if v is None else v + c1 * c2
-                        if v.is_zero():
-                            acc.pop(w, None)
-                        else:
-                            acc[w] = v
-        return SeriesMatrix(self.model, _clean(out))
-
-    def sub(self, other) -> "SeriesMatrix":
-        out = {k: dict(v) for k, v in self.entries.items()}
-        for key, ser in other.entries.items():
-            acc = out.setdefault(key, {})
-            for w, c in ser.items():
-                v = acc.get(w)
-                v = -c if v is None else v - c
-                if v.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = v
-        return SeriesMatrix(self.model, _clean(out))
-
-    def block_val(self):
-        """nu_A of the matrix: min over entries of e_A*w + a_row - a_col."""
-        best = None
-        model = self.model
-        for (r, c), ser in self.entries.items():
-            delta = model.block_of(r) - model.block_of(c)
-            for w in ser:
-                v = model.e_A * w + delta
-                best = v if best is None or v < best else best
-        return best
-
-
-def _clean(entries):
-    return {k: v for k, v in entries.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +247,7 @@ class MatrixModel:
         self._systems = {}         # level -> its commutant's _Layers
         self._projections = {}     # (level, M) -> projection of the above
         self._quotients = {}
-        self._ad_terms_cache = {}  # matrix -> its terms by column and by row
-        self._matrix_cache = {}
+        self._matrix_cache = {}    # element key -> its matrix
 
     # -- coefficient coordinate helpers -----------------------------------
 
@@ -353,8 +277,19 @@ class MatrixModel:
 
     # -- element matrices ---------------------------------------------------
 
-    def elt_to_matrix(self, x: TameSeries) -> SeriesMatrix:
-        """Matrix of multiplication by x in E_0 on V = E_0^{m0}, from terms.
+    def block_val(self, mat):
+        """nu_A of a matrix: min over entries of e_A*w + a_row - a_col."""
+        best = None
+        for (r, c), ser in mat.items():
+            delta = self.block_of(r) - self.block_of(c)
+            for w in ser:
+                v = self.e_A * w + delta
+                best = v if best is None or v < best else best
+        return best
+
+    def elt_to_matrix(self, x: TameSeries) -> dict:
+        """Matrix of multiplication by x in E_0 on V = E_0^{m0}, from terms:
+        {(row, col): {w: k_F element}}, the nonzero t^w entries.
 
         With pi = c_pi s^m and t = zeta s^e, column (a, b, j) is
         x pi^a theta^b e_j: a term c s^k of x gives t^w pi^a2 gamma, where
@@ -386,9 +321,8 @@ class MatrixModel:
                     if not cF.is_zero():
                         entries.setdefault(
                             (self.index[(a2, b2, j)], col), {})[w] = cF
-        mat = SeriesMatrix(self, entries)
-        self._matrix_cache[key] = mat
-        return mat
+        self._matrix_cache[key] = entries
+        return entries
 
     # -- quotient coordinates ----------------------------------------------
 
@@ -399,14 +333,12 @@ class MatrixModel:
 
     # -- ad equations --------------------------------------------------------
 
-    def _ad_terms(self, g: SeriesMatrix):
+    def _ad_terms(self, g):
         """Terms of g by column and by row: col -> [(row, val, coords)] and
         row -> [(col, val, coords)], val the term's block valuation and
         coords[i] the k_F coordinates of the entry times theta_F^i."""
-        if g in self._ad_terms_cache:
-            return self._ad_terms_cache[g]
         by_col, by_row = {}, {}
-        for (a, b), ser in g.entries.items():
+        for (a, b), ser in g.items():
             delta = self.block_of(a) - self.block_of(b)
             for w, coeff in ser.items():
                 vecs = [self.kF_coords(coeff * basis)
@@ -414,7 +346,6 @@ class MatrixModel:
                 val = self.e_A * w + delta
                 by_col.setdefault(b, []).append((a, val, vecs))
                 by_row.setdefault(a, []).append((b, val, vecs))
-        self._ad_terms_cache[g] = by_col, by_row
         return by_col, by_row
 
     # -- lattice subspaces ---------------------------------------------------
@@ -452,17 +383,6 @@ class MatrixModel:
         self._systems[level] = layers
         self._commutants[level] = (quot.M, space)
         return space
-
-    def _vec_to_matrix(self, vec, coords) -> SeriesMatrix:
-        entries = {}
-        for pos, x in vec.items():
-            r, c, w, i = coords[pos]
-            acc = entries.setdefault((r, c), {})
-            add = self._kF_basis[i] * x
-            acc[w] = acc[w] + add if w in acc else add
-        return SeriesMatrix(self, _clean(
-            {k: {w: c for w, c in v.items() if not c.is_zero()}
-             for k, v in entries.items()}))
 
 
 class _Quotient:
@@ -526,7 +446,8 @@ class _Quotient:
 
 class _Layers:
     """The equations ad_g(x) = 0 (g in mats) for x in A/P^extent, as one
-    growing echelon form ``eqs`` over the positions of x.
+    growing echelon form ``eqs`` over the positions of x; ``terms`` holds
+    each g's ``_ad_terms``, read off once.
 
     Every g has block valuation >= shift, so an unknown of valuation v
     reaches only outputs of valuation v + shift or more, and the equations
@@ -537,14 +458,14 @@ class _Layers:
     the system at every larger one.
     """
 
-    __slots__ = ("model", "mats", "shift", "extent", "eqs", "pending")
+    __slots__ = ("model", "terms", "shift", "extent", "eqs", "pending")
 
     def __init__(self, model, mats, shift):
         if any(v is not None and v < shift
-               for v in (g.block_val() for g in mats)):
+               for v in (model.block_val(g) for g in mats)):
             raise NotNested("generator below the valuation shift")
         self.model = model
-        self.mats = mats
+        self.terms = [model._ad_terms(g) for g in mats]
         self.shift = shift
         self.extent = 0
         self.eqs = Subspace(model.p, 0)
@@ -555,7 +476,7 @@ class _Layers:
         if extent <= self.extent:
             return
         stop = bisect_left(quot.vals, extent)
-        _ad_equations(self.model, self.mats, quot, self.eqs.width, stop,
+        _ad_equations(self.model, self.terms, quot, self.eqs.width, stop,
                       self.pending)
         for val in range(self.extent + self.shift, extent + self.shift):
             for row in self.pending.pop(val, {}).values():
@@ -604,12 +525,12 @@ def _centraliser_image(layers, target) -> Subspace:
     return target.project(nullspace(rows, eqs.width, eqs.p))
 
 
-def _ad_equations(model, mats, quot, start, stop, pending):
+def _ad_equations(model, terms, quot, start, stop, pending):
     """Add the unknowns quot.coords[start:stop] to the equations of
-    ad_g(x) = 0 for g in mats.  pending maps an output block valuation to
-    its equations {output: row}, an output (g's index, row, col, F_p
-    coordinate) and a row a sparse {unknown: coefficient}, not yet reduced
-    mod p.
+    ad_g(x) = 0 for the generators g whose ``_ad_terms`` are terms.  pending
+    maps an output block valuation to its equations {output: row}, an
+    output (g's index, row, col, F_p coordinate) and a row a sparse
+    {unknown: coefficient}, not yet reduced mod p.
 
     For an elementary x = theta_F^i t^w e_rc, gx has column c equal to
     column r of g times theta_F^i t^w and xg has row r equal to row c of g
@@ -617,8 +538,7 @@ def _ad_equations(model, mats, quot, start, stop, pending):
     valuation is x's plus the term's, and fixes its w.
     """
     N, deg_F = model.N, model.deg_F
-    for n, g in enumerate(mats):
-        by_col, by_row = model._ad_terms(g)
+    for n, (by_col, by_row) in enumerate(terms):
         for j in range(start, stop):
             r, c, _, i = quot.coords[j]
             v = quot.vals[j]
@@ -660,7 +580,7 @@ def model_build(order: OrderDesc) -> MatrixModel:
 
 
 def oracle_nu(model: MatrixModel, x: TameSeries) -> int:
-    v = model.elt_to_matrix(x.at_level(0)).block_val()
+    v = model.block_val(model.elt_to_matrix(x.at_level(0)))
     if v is None:
         raise ZeroToPrecision("zero matrix has no valuation")
     return v
@@ -679,7 +599,7 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
     bmat = model.elt_to_matrix(beta.at_level(0))
     if _lies_in_F(model, bmat):
         return None
-    n = -bmat.block_val()
+    n = -model.block_val(bmat)
     J = 2 * n + 2 * model.e_A + 1
     big = model.quotient_context(J)
     width = len(model.quotient_context(1).coords)
@@ -699,10 +619,10 @@ def _lies_in_F(model, bmat):
     # beta acts as an F-scalar iff its matrix is scalar with F-entries;
     # multiplication by an E_0 element is scalar iff the element is in F.
     N = model.N
-    diag = bmat.entries.get((0, 0), {})
+    diag = bmat.get((0, 0), {})
     for r in range(N):
         for c in range(N):
-            ser = bmat.entries.get((r, c), {})
+            ser = bmat.get((r, c), {})
             if r == c:
                 if ser != diag:
                     return False
@@ -796,7 +716,7 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
     probe X directly; no matrix product is formed.
     """
     cmat = model.elt_to_matrix(c.at_level(0))
-    nu_c = cmat.block_val()
+    nu_c = model.block_val(cmat)
     M = exponent + abs(nu_c) + 3 * model.e_A
     quot = model.quotient_context(M)
     sub = quot.order_level(level, exponent)
@@ -805,7 +725,7 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
         acc = {}
         for pos, x in row.items():
             r, col, w, i = quot.coords[pos]
-            ser = cmat.entries.get((col, r))
+            ser = cmat.get((col, r))
             if not ser:
                 continue
             scale = model._kF_basis[i] * x

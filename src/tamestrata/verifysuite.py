@@ -1,9 +1,10 @@
 """Property suites behind the acceptance criteria and the verify command.
 
 Every suite is called as suite(models) and returns (passed, detail); its
-name is its key in ALL_SUITES.  models is the run's map from order.key()
-to a matrix model, or None when the oracle is off: a run builds each
-order's model once, on first use, and every suite reads the same one.
+name is its key in ALL_SUITES.  models is the run's map from an order
+(orders compare by value) to its matrix model, or None when the oracle is
+off: a run builds each order's model once, on first use, and every suite
+reads the same one.
 The suites are exact: every comparison is integer or rational equality,
 and wherever a closed form is checked the comparison target comes from an
 independent route (exhaustive enumeration, Galois differences, or the
@@ -33,10 +34,9 @@ def _model(models, order):
     is off or order is beyond its bound."""
     if models is None or order.N > oracle.MAX_N:
         return None
-    key = order.key()
-    if key not in models:
-        models[key] = oracle.model_build(order)
-    return models[key]
+    if order not in models:
+        models[order] = oracle.model_build(order)
+    return models[order]
 
 
 def _type_a(models):
@@ -130,7 +130,7 @@ def suite_critical_exponent(models):
     data = [bk for bk, model in _type_a(models) if model is not None]
     cases = [(bk.order, entry.beta) for bk in data for entry in bk.seq.entries]
     cases += [(bk.order, bk.order.tower.pi_F() ** -1)
-              for bk in {bk.order.key(): bk for bk in data}.values()]
+              for bk in {bk.order: bk for bk in data}.values()]
     failures = 0
     for order, beta in cases:
         if strata.k0_closed(order, beta) != oracle.oracle_k0(

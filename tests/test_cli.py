@@ -167,6 +167,93 @@ def test_tampered_type_b_document_is_rejected(tmp_path, tamper):
     assert doc["payload"]["error"] == "VerificationFailed"
 
 
+def _run_on(tmp_path, command, doc):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    return run_cli([command, "--datum", str(path)])
+
+
+@pytest.mark.parametrize("label", ["desk5/N=4/levels=0-1/base=1",
+                                   "desk5/N=4/type-b"])
+@pytest.mark.parametrize("kind", ["x", ["a"], None, "A"])
+def test_bk_kind_outside_its_vocabulary_is_an_input_error(tmp_path, label, kind):
+    bk_doc = cli.emit_bk(dict(corpus.datum_corpus())[label])
+    bk_doc["payload"]["kind"] = kind
+    code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert code == cli.EXIT_INPUT
+    assert doc["payload"]["error"] == "ValueError"
+
+
+def test_absent_bk_kind_means_type_a(tmp_path):
+    bk_doc = cli.emit_bk(dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"])
+    want = _run_on(tmp_path, "bk2yu", bk_doc)
+    del bk_doc["payload"]["kind"]
+    assert _run_on(tmp_path, "bk2yu", bk_doc) == want
+    assert want[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("case", ["x", "a", None, ["A"]])
+def test_yu_case_outside_its_vocabulary_is_an_input_error(tmp_path, case):
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
+    yu_doc["payload"]["case"] = case
+    code, doc = _run_on(tmp_path, "yu2bk", yu_doc)
+    assert code == cli.EXIT_INPUT
+    assert doc["payload"]["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("pair", [[True, 2], [1, None], [1.0, 2], ["1", 2],
+                                  [1, False]])
+def test_rational_of_non_integers_is_an_input_error(tmp_path, pair):
+    # in the first depth and in a term exponent: bool, null, float and
+    # string entries are not read as numbers
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
+    yu_doc["payload"]["depths"][0] = pair
+    code, doc = _run_on(tmp_path, "yu2bk", yu_doc)
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+    bk_doc = cli.emit_bk(bk)
+    bk_doc["payload"]["blocks"][0][1]["terms"][0][0] = pair
+    code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+
+
+def _set_character(i, terms, level=None):
+    def tamper(payload):
+        char = payload["characters"][i]
+        char[1] = {"level": char[0] if level is None else level,
+                   "terms": terms, "prec": None}
+    return tamper
+
+
+def _deepen_first(payload):
+    payload["depths"][0] = payload["characters"][0][2] = [3, 4]
+
+
+@pytest.mark.parametrize("label, tamper, error, exit_code", [
+    # t^-1 is an F-scalar, not minimal for levels 1/2
+    ("desk5/N=4/levels=0-1-2/base=1", _set_character(1, [[[-1, 1], [1, 0]]]),
+     "NotMinimalSummand", cli.EXIT_VERIFICATION),
+    # the stated depths agree, but ord(c_0) = -1/2
+    ("desk5/N=4/levels=0-1-2/base=1", _deepen_first,
+     "DepthMismatch", cli.EXIT_VERIFICATION),
+    ("desk5/N=4/levels=0-1-2/base=1", _set_character(1, []),
+     "ZeroToPrecision", cli.EXIT_INPUT),
+    # case B with a realised top character
+    ("desk5/N=4/levels=0-1/base=1", _set_character(2, [[[-1, 1], [1, 0]]], 2),
+     "DepthMismatch", cli.EXIT_VERIFICATION),
+], ids=["not-minimal", "order-vs-depth", "no-terms", "case-b-top"])
+def test_yu_to_bk_rejects_a_character_that_builds_no_datum(
+        tmp_path, label, tamper, error, exit_code):
+    bk = dict(corpus.datum_corpus())[label]
+    yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
+    assert _run_on(tmp_path, "yu2bk", yu_doc)[0] == cli.EXIT_OK
+    tamper(yu_doc["payload"])
+    code, doc = _run_on(tmp_path, "yu2bk", yu_doc)
+    assert code == exit_code
+    assert doc["payload"]["error"] == error
+
+
 def test_tables_and_ledger(tmp_path):
     element = '[[[-1,1],[0,1]],[[-1,2],[1,0]]]'
     _, bk_doc = run_cli(["defseq", "--tower", "desk5", "--N", "4",

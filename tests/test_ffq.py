@@ -38,6 +38,22 @@ def test_arith(F25):
         w + ffq.FqField(3, 1).one()
 
 
+def test_operators_with_ints_and_zero_powers(F25):
+    w, zero = F25.gen(), F25.zero()
+    # an int on the left of - and on either side of / and ==
+    assert 3 - w == F25.elem([3, 4]) == -(w - 3)
+    assert w / 3 == w * F25.elem(3).inverse() == F25.elem([0, 2])
+    assert w / w == 1
+    with pytest.raises(DivisionByZero):
+        w / 0
+    assert zero ** 0 == F25.one()
+    assert zero ** 3 == zero
+    with pytest.raises(DivisionByZero):
+        zero ** -1
+    assert w != 3 and not (w == 3)
+    assert F25.elem(8) == 3 and 3 == F25.elem(8)
+
+
 def test_frobenius(F25):
     w = F25.gen()
     assert w.frobenius(1, 1) == w ** 5

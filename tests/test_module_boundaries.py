@@ -164,3 +164,86 @@ def test_cross_check_reads_are_detected():
                      "    pass\n"
                      "g = getattr(rep, 'via_galois_count', rep.via_galois)\n")
     assert _cross_check_reads(tree) == [2, 4, 6]
+
+
+# Public names no module of the package reads, each with its reason.  An
+# entry that gains a caller in the package, or whose name is gone, is stale.
+API = {
+    "ffq.FqField.gen": "the README's tour builds elements from it",
+    "tame.Tower.is_subgroup": "the chain enumeration the ROADMAP plans "
+                              "finds subgroups with it",
+    "tame.series_equal": "perfbench traces it by name",
+    "tame.trace_norm": "perfbench traces it by name",
+    "strata.verify_defining_sequence": "perfbench traces it by name",
+}
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each module-level def or class and each
+    method of such a class, whose name does not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_"))
+
+
+def _mentions(tree, skip=frozenset()):
+    """Every name, attribute and imported name in tree, outside the nodes
+    whose ids are in skip."""
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def _uncalled(trees):
+    """module.name of each public def that no module mentions outside the
+    def's own body; trees maps a module name to its parsed source."""
+    everywhere = {name: _mentions(tree) for name, tree in trees.items()}
+    found = set()
+    for module, tree in trees.items():
+        for qualname, node in _public_defs(tree):
+            short = qualname.rsplit(".", 1)[-1]
+            body = {id(n) for n in ast.walk(node)}
+            if not (short in _mentions(tree, body) or any(
+                    short in names for other, names in everywhere.items()
+                    if other != module)):
+                found.add(f"{module}.{qualname}")
+    return found
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    trees = {}
+    for name in _modules():
+        with open(os.path.join(SRC, name + ".py")) as fh:
+            trees[name] = ast.parse(fh.read())
+    uncalled = _uncalled(trees)
+    assert not uncalled - API.keys(), "public names without a caller"
+    assert not API.keys() - uncalled, "stale API entries"
+    assert all(API.values())
+
+
+def test_uncalled_public_names_are_detected():
+    trees = {
+        "a": ast.parse("def used():\n    return 1\n"
+                       "def unused():\n    return unused()\n"
+                       "def _private():\n    return 0\n"
+                       "class Box:\n"
+                       "    def get(self):\n        return self.put()\n"
+                       "    def put(self):\n        return used()\n"
+                       "    def _hidden(self):\n        pass\n"
+                       "class _Inner:\n    def lonely(self):\n        pass\n"),
+        "b": ast.parse("from .a import Box\nx = Box().get()\n"),
+    }
+    assert _uncalled(trees) == {"a.unused"}
