@@ -32,13 +32,19 @@ so fill-in stays within valuation layers, and:
   (its smallest column) does, so S ∩ P^k is the set of rows with a pivot
   in P^k (``_Quotient.radical_cut``).
 
-No row is eliminated whose result is already known.  A generator that
-acts as an F-scalar (``_lies_in_F``: the top level's, desk5's t) has
-ad_g = 0 and adds no equation.  A held commutant is truncated to a smaller
-M as above.  A table's lattice is summed from its largest level down: for
-l <= l', B_l ⊂ B_l', so once Q_l'^k is in the sum, so is every row of a
-later Q_l^m pivoted in P^k (it lies in Q_l^m ∩ P^k ⊂ Q_l'^k); only rows
-pivoted below every start taken are added.
+No row is eliminated whose result is already known:
+1. A kernel is read off the rows of a system pivoted below a width, which
+   are RREF already (``nullspace``).
+2. A generator that acts as an F-scalar (``_lies_in_F``: the top level's,
+   desk5's t) has ad_g = 0 and adds no equation; a level with no equation
+   is the whole quotient, and has no system.
+3. A model lays out its coordinates once: a smaller A/P^M is a slice of
+   the largest layout, and a larger one appends the cells past it.
+A held commutant is truncated to a smaller M as above.  A table's lattice
+is summed from its largest level down: for l <= l', B_l ⊂ B_l', so once
+Q_l'^k is in the sum, so is every row of a later Q_l^m pivoted in P^k (it
+lies in Q_l^m ∩ P^k ⊂ Q_l'^k); only rows pivoted below every start taken
+are added.  ``oracle_hj`` adds the same way.
 
 Every kernel the oracle solves has its equations from one routine,
 ``_ad_equations``: ad_g(x) = 0 for every generator g, one sparse row per
@@ -103,15 +109,23 @@ class Subspace:
 
     @classmethod
     def _from_rref(cls, p, width, rows) -> "Subspace":
-        """Wrap a pivot -> row map already in RREF (rows not copied)."""
+        """Wrap a pivot -> row map already in RREF (rows not copied); its
+        ``_occ`` is built when ``add`` or ``kernel`` first needs it."""
         out = cls(p, width)
         out._rows = rows
-        occ = out._occ
-        for piv, row in rows.items():
-            for c in row:
-                if c != piv:
-                    occ.setdefault(c, set()).add(piv)
+        out._occ = None
         return out
+
+    def _index(self):
+        occ = self._occ
+        if occ is None:
+            occ = {}
+            for piv, row in self._rows.items():
+                for c in row:
+                    if c != piv:
+                        occ.setdefault(c, set()).add(piv)
+            self._occ = occ
+        return occ
 
     @property
     def dim(self):
@@ -155,7 +169,7 @@ class Subspace:
         inv = pow(vec[piv], p - 2, p)
         del vec[piv]
         tail = [(c, (x * inv) % p) for c, x in vec.items()]
-        rows, occ = self._rows, self._occ
+        rows, occ = self._rows, self._index()
         new = {piv: 1}
         for c, y in tail:
             new[c] = y
@@ -180,7 +194,7 @@ class Subspace:
     def kernel(self):
         """Basis of {x : r . x = 0 for every row r}, one vector per free
         column f: e_f minus f's entries of the rows, at their pivots."""
-        p, rows, occ = self.p, self._rows, self._occ
+        p, rows, occ = self.p, self._rows, self._index()
         return [{f: 1, **{q: (-rows[q][f]) % p for q in occ.get(f, ())}}
                 for f in range(self.width) if f not in rows]
 
@@ -190,23 +204,15 @@ class Subspace:
     def contains_space(self, other) -> bool:
         return all(self.contains(r) for r in other._rows.values())
 
-    def sum(self, other) -> "Subspace":
-        big, small = (self, other) if self.dim >= other.dim else (other, self)
-        out = Subspace(self.p, self.width)
-        out._rows = dict(big._rows)
-        out._occ = {c: set(qs) for c, qs in big._occ.items()}
-        for r in small._rows.values():
-            out.add(r)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.p == other.p
                 and self.width == other.width and self._rows == other._rows)
 
 
 def nullspace(rows, width, p):
-    """Basis of the right nullspace of the given sparse matrix over F_p."""
-    return Subspace(p, width, rows).kernel()
+    """Basis of the right nullspace over F_p of rows, a pivot -> row map
+    already in RREF: read off the rows, with no elimination."""
+    return Subspace._from_rref(p, width, rows).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +253,7 @@ class MatrixModel:
         self._systems = {}         # level -> its commutant's _Layers
         self._projections = {}     # (level, M) -> projection of the above
         self._quotients = {}
+        self._layout = (0, [], [])  # (M, coords, vals) of the largest A/P^M
         self._matrix_cache = {}    # element key -> its matrix
 
     # -- coefficient coordinate helpers -----------------------------------
@@ -327,9 +334,21 @@ class MatrixModel:
     # -- quotient coordinates ----------------------------------------------
 
     def quotient_context(self, M: int):
-        if M not in self._quotients:
-            self._quotients[M] = _Quotient(self, M)
-        return self._quotients[M]
+        """A/P^M: a prefix of the largest layout laid out so far, which a
+        larger M extends by the cells of valuation in [its M, M)."""
+        quot = self._quotients.get(M)
+        if quot is None:
+            laid, coords, vals = self._layout
+            if M > laid:
+                cells = _cells(self, laid, M)
+                coords = coords + [(r, c, w, i) for _, r, c, w in cells
+                                   for i in range(self.deg_F)]
+                vals = vals + [v for v, *_ in cells for _ in range(self.deg_F)]
+                self._layout = (M, coords, vals)
+            n = bisect_left(vals, M)
+            quot = self._quotients[M] = _Quotient(self, M, coords[:n],
+                                                  vals[:n])
+        return quot
 
     # -- ad equations --------------------------------------------------------
 
@@ -377,8 +396,11 @@ class MatrixModel:
                     tower.uniformizer(level)]
             mats = [self.elt_to_matrix(g.at_level(0)) for g in gens]
             # integral generators: shift 0; an F-scalar adds no equation
-            layers = _Layers(
-                self, [g for g in mats if not _lies_in_F(self, g)], 0)
+            mats = [g for g in mats if not _lies_in_F(self, g)]
+            if not mats:
+                self._commutants[level] = (quot.M, quot.radical_power(0))
+                return self._commutants[level][1]
+            layers = _Layers(self, mats, 0)
         space = _centraliser_image(layers, quot)
         self._systems[level] = layers
         self._commutants[level] = (quot.M, space)
@@ -394,22 +416,8 @@ class _Quotient:
 
     __slots__ = ("model", "M", "coords", "vals")
 
-    def __init__(self, model, M):
-        self.model = model
-        self.M = M
-        e_A, deg_F = model.e_A, model.deg_F
-        cells = []
-        for r in range(model.N):
-            for c in range(model.N):
-                delta = model.block_of(r) - model.block_of(c)
-                w = -(delta // e_A)       # the least w of valuation >= 0
-                while e_A * w + delta < M:
-                    cells.append((e_A * w + delta, r, c, w))
-                    w += 1
-        cells.sort()
-        self.coords = [(r, c, w, i) for _, r, c, w in cells
-                       for i in range(deg_F)]
-        self.vals = [cell[0] for cell in cells for _ in range(deg_F)]
+    def __init__(self, model, M, coords, vals):
+        self.model, self.M, self.coords, self.vals = model, M, coords, vals
 
     def radical_power(self, k: int) -> Subspace:
         return Subspace._from_rref(
@@ -442,6 +450,21 @@ class _Quotient:
         if k <= 0:
             return comm
         return self.radical_cut(comm, k)
+
+
+def _cells(model, lo, hi):
+    """The cells (valuation, row, col, w) of valuation in [lo, hi), sorted."""
+    e_A = model.e_A
+    cells = []
+    for r in range(model.N):
+        for c in range(model.N):
+            delta = model.block_of(r) - model.block_of(c)
+            w = -((delta - lo) // e_A)     # the least w of valuation >= lo
+            while e_A * w + delta < hi:
+                cells.append((e_A * w + delta, r, c, w))
+                w += 1
+    cells.sort()
+    return cells
 
 
 class _Layers:
@@ -521,7 +544,7 @@ def _centraliser_image(layers, target) -> Subspace:
     width = len(target.coords)
     _stable_dim(layers, target.M, width)
     eqs = layers.eqs
-    rows = [row for piv, row in eqs._rows.items() if piv < width]
+    rows = {piv: row for piv, row in eqs._rows.items() if piv < width}
     return target.project(nullspace(rows, eqs.width, eqs.p))
 
 
@@ -535,23 +558,32 @@ def _ad_equations(model, terms, quot, start, stop, pending):
     For an elementary x = theta_F^i t^w e_rc, gx has column c equal to
     column r of g times theta_F^i t^w and xg has row r equal to row c of g
     times theta_F^i t^w, so no matrix product is formed; an output's block
-    valuation is x's plus the term's, and fixes its w.
+    valuation is x's plus the term's, and fixes its w.  The outputs of
+    theta_F^i e_rc, as (valuation offset, [(output, coefficient)]), are
+    listed once per cell (r, c, i) and shared by every w.
     """
     N, deg_F = model.N, model.deg_F
-    for n, (by_col, by_row) in enumerate(terms):
-        for j in range(start, stop):
-            r, c, _, i = quot.coords[j]
-            v = quot.vals[j]
-            outputs = [(v + val, ((n * N + a) * N + c) * deg_F, vecs[i], 1)
-                       for a, val, vecs in by_col.get(r, ())]
-            outputs += [(v + val, ((n * N + r) * N + b) * deg_F, vecs[i], -1)
-                        for b, val, vecs in by_row.get(c, ())]
-            for val, base, coords, sign in outputs:
-                layer = pending.setdefault(val, {})
-                for t, x in enumerate(coords):
-                    if x:
-                        row = layer.setdefault(base + t, {})
-                        row[j] = row.get(j, 0) + sign * x
+    tables = {}
+    for j in range(start, stop):
+        r, c, _, i = quot.coords[j]
+        table = tables.get((r, c, i))
+        if table is None:
+            table = tables[r, c, i] = []
+            for n, (by_col, by_row) in enumerate(terms):
+                for a, val, vecs in by_col.get(r, ()):
+                    base = ((n * N + a) * N + c) * deg_F
+                    table.append((val, [(base + t, x)
+                                        for t, x in enumerate(vecs[i]) if x]))
+                for b, val, vecs in by_row.get(c, ()):
+                    base = ((n * N + r) * N + b) * deg_F
+                    table.append((val, [(base + t, -x)
+                                        for t, x in enumerate(vecs[i]) if x]))
+        v = quot.vals[j]
+        for val, outputs in table:
+            layer = pending.setdefault(v + val, {})
+            for out, x in outputs:
+                row = layer.setdefault(out, {})
+                row[j] = row.get(j, 0) + x
 
 
 def _coordinate_table(k, basis, p):
@@ -633,28 +665,32 @@ def _lies_in_F(model, bmat):
 
 def oracle_hj(model: MatrixModel, seq: DefiningSeq):
     """The h and j lattices of a defining sequence, by the recursion, as
-    Subspaces of A/P^(n//2 + 1)."""
-    n, s = seq.n, seq.s
-    quot = _hj_quotient(model, seq)
-    level_s = seq.entries[s].level
-    h = quot.order_level(level_s, 0).sum(quot.radical_power(n // 2 + 1))
-    j = quot.order_level(level_s, 0).sum(quot.radical_power((n + 1) // 2))
-    for i in range(s - 1, -1, -1):
-        r_next = seq.entries[i + 1].r
-        b_i = quot.order_level(seq.entries[i].level, 0)
-        h = b_i.sum(quot.radical_cut(h, r_next // 2 + 1))
-        j = b_i.sum(quot.radical_cut(j, (r_next + 1) // 2))
+    Subspaces of A/P^(n//2 + 1).  Each step b_i + (h ∩ P^k) adds to the cut
+    only b_i's rows pivoted below P^k: b_i ⊂ b_(i+1) ⊂ h, the step before
+    (A at i = s), so b_i ∩ P^k lies in the cut already."""
+    quot = model.quotient_context(seq.n // 2 + 1)
+    h = j = quot.radical_power(0)
+    for entry, r in zip(seq.entries[::-1], seq.depths[::-1]):
+        b = quot.order_level(entry.level, 0)
+        h = _cut_plus(quot, h, r // 2 + 1, b)
+        j = _cut_plus(quot, j, (r + 1) // 2, b)
     return h, j
 
 
-def _hj_quotient(model, seq):
-    return model.quotient_context(seq.n // 2 + 1)
+def _cut_plus(quot, space, k, b):
+    """(space ∩ P^k) + b, for b ∩ P^k ⊂ space."""
+    out = quot.radical_cut(space, k)
+    start = bisect_left(quot.vals, k)
+    for piv, row in b._rows.items():
+        if piv < start:
+            out.add(row)
+    return out
 
 
 def oracle_j1h1_index(model: MatrixModel, seq: DefiningSeq) -> int:
     """log_p [J^1 : H^1], with J^1 = j ∩ P and H^1 = h ∩ P."""
     h, j = oracle_hj(model, seq)
-    quot = _hj_quotient(model, seq)
+    quot = model.quotient_context(seq.n // 2 + 1)
     return oracle_index(model, quot.radical_cut(j, 1), quot.radical_cut(h, 1))
 
 
@@ -713,26 +749,29 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
     """Min ord over F of Tr(c * Q_level^exponent), by spanning probes.
 
     Tr(c X) = sum_ab c_ab X_ba is summed from the entries of c and of each
-    probe X directly; no matrix product is formed.
+    probe X directly, in k_F coordinates: each entry of c times each
+    theta_F^i is looked up once, and no matrix product is formed.
     """
     cmat = model.elt_to_matrix(c.at_level(0))
     nu_c = model.block_val(cmat)
     M = exponent + abs(nu_c) + 3 * model.e_A
     quot = model.quotient_context(M)
-    sub = quot.order_level(level, exponent)
+    # X's cell (r, col) -> [(w2, coordinates of c_{col,r} theta_F^i by i)]
+    terms = {(r, col): [(w2, [model.kF_coords(c2 * basis)
+                              for basis in model._kF_basis])
+                        for w2, c2 in ser.items()]
+             for (col, r), ser in cmat.items()}
     best = None
-    for row in sub.rows:
+    for row in quot.order_level(level, exponent)._rows.values():
         acc = {}
         for pos, x in row.items():
             r, col, w, i = quot.coords[pos]
-            ser = cmat.get((col, r))
-            if not ser:
-                continue
-            scale = model._kF_basis[i] * x
-            for w2, c2 in ser.items():
-                key, v = w + w2, c2 * scale
-                acc[key] = acc[key] + v if key in acc else v
-        tr = min((w for w, v in acc.items() if not v.is_zero()), default=None)
+            for w2, vecs in terms.get((r, col), ()):
+                vec = acc.setdefault(w + w2, [0] * model.deg_F)
+                for t, y in enumerate(vecs[i]):
+                    vec[t] += x * y
+        tr = min((w for w, vec in acc.items()
+                  if any(y % model.p for y in vec)), default=None)
         if tr is not None and (best is None or tr < best):
             best = tr
     tail_bound = -(-(M + nu_c) // model.e_A)

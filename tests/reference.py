@@ -1,11 +1,16 @@
 """Plain references the oracle's tests compare against: the matrix product
-and difference, a quotient vector as a matrix, and the Zassenhaus
-intersection of two row spaces.  The oracle itself forms no matrix product
-and intersects only by a radical cut, so these live with the tests.
+and difference, a quotient vector as a matrix, and the sum and Zassenhaus
+intersection of row spaces.  The oracle itself forms no matrix product,
+sums only rows it does not hold and intersects only by a radical cut, so
+these live with the tests.  So do the plain routes the oracle no longer
+takes: a commutant solved from every generator and re-eliminated, h and j
+as sums, and traces summed in k_L.
 
 A matrix is the oracle's {(row, col): {w: k_F element}} map of nonzero
 t^w entries."""
 
+from tamestrata import oracle
+from tamestrata.errors import PrecisionExhausted
 from tamestrata.oracle import Subspace
 
 
@@ -61,6 +66,13 @@ def vec_to_matrix(model, vec, coords):
                    for k, v in entries.items()})
 
 
+def span(*spaces):
+    """The sum of row spaces of one quotient, every row eliminated anew."""
+    first = spaces[0]
+    return Subspace(first.p, first.width,
+                    [row for space in spaces for row in space._rows.values()])
+
+
 def intersect(a, b):
     """a ∩ b by Zassenhaus: row-reduce [A|A; B|0]; the rows whose pivot
     lies in the right half span the intersection there, already in RREF."""
@@ -72,3 +84,65 @@ def intersect(a, b):
     return Subspace._from_rref(
         a.p, w, {piv - w: {c - w: x for c, x in row.items()}
                  for piv, row in big._rows.items() if piv >= w})
+
+
+def generator_matrices(model, level):
+    """The matrices of the level's generators theta_level and pi_level."""
+    tower = model.tower
+    gens = [tower.monomial(tower.residue_generator(level), 0),
+            tower.uniformizer(level)]
+    return [model.elt_to_matrix(g.at_level(0)) for g in gens]
+
+
+def commutant_by_kernel(model, level, quot):
+    """B_level ∩ A in quot = A/P^M: the equations of every generator, F-scalars
+    included, grown until the image dimension is stable; the rows pivoted
+    below the width re-eliminated, their kernel projected."""
+    layers = oracle._Layers(model, generator_matrices(model, level), 0)
+    width = len(quot.coords)
+    oracle._stable_dim(layers, quot.M, width)
+    eqs = layers.eqs
+    low = Subspace(eqs.p, eqs.width,
+                   [row for piv, row in eqs._rows.items() if piv < width])
+    return quot.project(low.kernel())
+
+
+def hj_by_sums(model, seq):
+    """h and j of a defining sequence by the recursion, each step a plain
+    sum: b_s + P^(n//2 + 1), then b_i + (h ∩ P^(r_(i+1)//2 + 1)), and j
+    with (r + 1)//2."""
+    n, s = seq.n, seq.s
+    quot = model.quotient_context(n // 2 + 1)
+    b_s = quot.order_level(seq.entries[s].level, 0)
+    h = span(b_s, quot.radical_power(n // 2 + 1))
+    j = span(b_s, quot.radical_power((n + 1) // 2))
+    for i in range(s - 1, -1, -1):
+        r_next = seq.entries[i + 1].r
+        b_i = quot.order_level(seq.entries[i].level, 0)
+        h = span(b_i, quot.radical_cut(h, r_next // 2 + 1))
+        j = span(b_i, quot.radical_cut(j, (r_next + 1) // 2))
+    return h, j
+
+
+def char_module_min_ord_in_kL(model, c, level, exponent):
+    """Min ord of Tr(c * Q_level^exponent), each probe's trace summed in
+    k_L; PrecisionExhausted (the class) where the oracle raises it."""
+    cmat = model.elt_to_matrix(c.at_level(0))
+    nu_c = model.block_val(cmat)
+    M = exponent + abs(nu_c) + 3 * model.e_A
+    quot = model.quotient_context(M)
+    best = None
+    for row in quot.order_level(level, exponent).rows:
+        acc = {}
+        for pos, x in row.items():
+            r, col, w, i = quot.coords[pos]
+            scale = model._kF_basis[i] * x
+            for w2, c2 in cmat.get((col, r), {}).items():
+                key, v = w + w2, c2 * scale
+                acc[key] = acc[key] + v if key in acc else v
+        tr = min((w for w, v in acc.items() if not v.is_zero()), default=None)
+        if tr is not None and (best is None or tr < best):
+            best = tr
+    if best is None or best >= -(-(M + nu_c) // model.e_A):
+        return PrecisionExhausted
+    return best

@@ -10,7 +10,10 @@ from tamestrata import corpus, oracle, strata, tame, translate
 from tamestrata.errors import NotNested, PrecisionExhausted, TooLarge
 from tamestrata.oracle import Subspace
 
-from reference import intersect, mat_mul, mat_sub, vec_to_matrix
+from reference import (
+    char_module_min_ord_in_kL, commutant_by_kernel, generator_matrices,
+    hj_by_sums, intersect, mat_mul, mat_sub, span, vec_to_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +46,9 @@ def test_subspace_rref_ops():
     assert s.contains({0: 2, 1: 4, 2: 3, 3: 3})
     assert not s.contains({0: 1})
     t = Subspace(5, 4, [{0: 1}])
-    assert s.sum(t).dim == 3
+    assert span(s, t).dim == 3
     assert intersect(s, t).dim == 0
-    assert s.sum(t).contains_space(s)
+    assert span(s, t).contains_space(s)
 
 
 # -- the sparse RREF against a dense reference --------------------------------
@@ -115,7 +118,7 @@ def test_sparse_rref_matches_dense_reference(p):
             assert sa.contains(_sparse(vec)) == inside
         # sum
         ref_sum = _dense_rref(a + b, width, p)
-        assert [_dense(r, width) for r in sa.sum(sb).rows] == ref_sum
+        assert [_dense(r, width) for r in span(sa, sb).rows] == ref_sum
         # intersect: in both spaces, of dimension dim A + dim B - dim(A+B),
         # and in RREF
         meet = intersect(sa, sb)
@@ -123,8 +126,8 @@ def test_sparse_rref_matches_dense_reference(p):
         assert sa.contains_space(meet) and sb.contains_space(meet)
         dense_meet = [_dense(r, width) for r in meet.rows]
         assert dense_meet == _dense_rref(dense_meet, width, p)
-        # nullspace: width - rank independent vectors annihilating every row
-        kernel = oracle.nullspace([_sparse(r) for r in a], width, p)
+        # kernel: width - rank independent vectors annihilating every row
+        kernel = sa.kernel()
         assert len(kernel) == width - len(ref_a)
         dense_kernel = [_dense(v, width) for v in kernel]
         assert len(_dense_rref(dense_kernel, width, p)) == len(kernel)
@@ -149,9 +152,9 @@ def test_image_dim_equals_kernel_projection(p):
                                       for v in kernel])
             assert oracle._image_dim(layers, cut) == image.dim, (a, cut)
             # the rows pivoted past the cut do not change the image, which
-            # _centraliser_image reads off the others
-            low = [row for piv, row in sorted(layers.eqs._rows.items())
-                   if piv < cut]
+            # _centraliser_image reads off the others, with no elimination
+            low = {piv: row for piv, row in layers.eqs._rows.items()
+                   if piv < cut}
             assert image == Subspace(p, cut, [
                 {q: x for q, x in v.items() if q < cut}
                 for v in oracle.nullspace(low, width, p)]), (a, cut)
@@ -200,8 +203,8 @@ def test_oracle_hj_desk(model, desk_seq):
     # h = B_0 + Q_1 + P^2 and j = B_0 + Q_1 + P, computed independently
     b0 = quot.order_level(0, 0)
     q1 = quot.order_level(1, 1)
-    h_direct = b0.sum(q1)
-    j_direct = b0.sum(q1).sum(quot.radical_power(1))
+    h_direct = span(b0, q1)
+    j_direct = span(b0, q1, quot.radical_power(1))
     assert h == h_direct
     assert j == j_direct
     assert j_direct.contains_space(h)
@@ -220,6 +223,22 @@ def test_oracle_index_multiplicative(model):
     assert oracle.oracle_index(model, p1, p1) == 0
     with pytest.raises(NotNested):
         oracle.oracle_index(model, p2, p1)
+
+
+def test_hj_equals_plain_sums():
+    # each step of the recursion is the cut plus b_i's rows pivoted below
+    # it, on every type (a) corpus datum the oracle takes
+    models, data = {}, 0
+    for label, bk in corpus.datum_corpus():
+        if bk.kind != "a" or bk.order.N > oracle.MAX_N:
+            continue
+        if bk.order not in models:
+            models[bk.order] = oracle.model_build(bk.order)
+        model = models[bk.order]
+        assert oracle.oracle_hj(model, bk.seq) == hj_by_sums(model, bk.seq), \
+            label
+        data += 1
+    assert data == 64
 
 
 def test_h_in_j_for_corpus(desk):
@@ -248,7 +267,7 @@ def _plain_table_lattice(model, factors, M):
     quot = model.quotient_context(M)
     out = Subspace(model.p, len(quot.coords))
     for level, exponent in factors:
-        out = out.sum(quot.order_level(level, exponent))
+        out = span(out, quot.order_level(level, exponent))
     return out
 
 
@@ -293,13 +312,16 @@ def test_table_lattice_equals_plain_sum():
 
 def test_scalar_generators_add_no_equations():
     # both generators of the top level act as F-scalars, and so does
-    # desk5's level-1 uniformizer t = pi_F: none enters a system
+    # desk5's level-1 uniformizer t = pi_F: none enters a system, and the
+    # top level has none
     for name in EQUIVALENCE_ORDERS + CORPUS_ORDERS:
         model = _equivalence_model(name)
         d = model.tower.d
-        model.commutant_in_quotient(d, model.quotient_context(2))
-        top = model._systems[d]
-        assert top.terms == [] and top.eqs.dim == 0, name
+        assert _scalar_levels(model) == {d}, name
+        quot = model.quotient_context(2)
+        assert model.commutant_in_quotient(d, quot) \
+            == quot.radical_power(0), name
+        assert d not in model._systems, name
     model = _equivalence_model("desk5")
     model.commutant_in_quotient(1, model.quotient_context(2))
     assert len(model._systems[1].terms) == 1
@@ -414,6 +436,13 @@ def _equivalence_model(name):
     return oracle.model_build(strata.make_order(tower, N))
 
 
+def _scalar_levels(model):
+    """The levels whose generators all act as F-scalars."""
+    return {level for level in range(model.tower.d + 1)
+            if all(oracle._lies_in_F(model, g)
+                   for g in generator_matrices(model, level))}
+
+
 def _corpus_orders():
     """Label of its first datum -> order, for each corpus order with N <= 8."""
     firsts = {}
@@ -453,10 +482,26 @@ def _cells(quot):
 
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
 def test_quotients_are_prefixes_in_valuation_order(name):
-    model = _equivalence_model(name)
-    M_max = 3 * model.e_A + 1
+    # one model lays out its largest quotient first and slices the smaller
+    # ones from it, another grows its layout one M at a time: both give
+    # each cell of valuation in [0, M) once, in valuation order, and each
+    # A/P^M as a prefix of A/P^M'
+    model, grown = _equivalence_model(name), _equivalence_model(name)
+    e_A, N = model.e_A, model.N
+    M_max = 3 * e_A + 1
     big = model.quotient_context(M_max)
     assert big.vals == sorted(big.vals)
+    cells = {(r, c, w): e_A * w + model.block_of(r) - model.block_of(c)
+             for r in range(N) for c in range(N)
+             for w in range(-N - 1, M_max + 1)}
+    assert _cells(big).keys() == {cell for cell, v in cells.items()
+                                  if 0 <= v < M_max}
+    assert len(big.coords) == model.deg_F * len(_cells(big))
+    assert big.vals == [cells[r, c, w] for r, c, w, _ in big.coords]
+    for M in range(M_max + 1):
+        quot = grown.quotient_context(M)
+        assert quot.coords == model.quotient_context(M).coords, M
+        assert quot.vals == model.quotient_context(M).vals, M
     for M in range(M_max):
         quot = model.quotient_context(M)
         assert quot.coords == big.coords[:len(quot.coords)]
@@ -478,7 +523,7 @@ def test_projections_equal_dense_reference(name):
     mats = [model.elt_to_matrix(g.at_level(0)) for g in gens]
     layers = oracle._Layers(model, mats, 0)
     layers.extend(big, big.M)
-    kernel = oracle.nullspace(layers.eqs.rows, len(big.coords), p)
+    kernel = layers.eqs.kernel()
     held = model.commutant_in_quotient(0, big)
     for M in range(big.M + 1):
         quot = model.quotient_context(M)
@@ -524,14 +569,10 @@ def test_projected_commutant_equals_fresh_solve(name):
 def _assert_commutes_mod(model, level, space, M):
     # each row truncates an element of B_level, and the generators are
     # integral, so the row commutes with them modulo P^M
-    tower = model.tower
-    gens = [tower.monomial(tower.residue_generator(level), 0),
-            tower.uniformizer(level)]
     coords = model.quotient_context(M).coords
     for row in space.rows:
         x = vec_to_matrix(model, row, coords)
-        for g in gens:
-            g = model.elt_to_matrix(g.at_level(0))
+        for g in generator_matrices(model, level):
             ad = mat_sub(mat_mul(model.N, g, x), mat_mul(model.N, x, g))
             assert model.block_val(ad) is None or model.block_val(ad) >= M
 
@@ -618,6 +659,44 @@ def test_char_module_min_ord_equals_product_route(name):
                         c, (level, exponent), order)
 
 
+def test_char_module_min_ord_equals_kL_sums():
+    # every character case of the N <= 8 corpus, as the character-depth
+    # suite asks it: the trace in k_F coordinates against the trace summed
+    # in k_L
+    models, cases = {}, 0
+    for label, bk in corpus.datum_corpus():
+        if bk.kind != "a" or bk.order.N > 8:
+            continue
+        if bk.order not in models:
+            models[bk.order] = oracle.model_build(bk.order)
+        model = models[bk.order]
+        for entry in bk.seq.entries:
+            v = -strata.nu_A(bk.order, entry.c)
+            for exponent in (v, v + 1):
+                try:
+                    got = oracle.oracle_char_module_min_ord(
+                        model, entry.c, entry.level, exponent)
+                except PrecisionExhausted:
+                    got = PrecisionExhausted
+                want = char_module_min_ord_in_kL(
+                    model, entry.c, entry.level, exponent)
+                assert got == want, (label, entry.level, exponent)
+                cases += 1
+    assert cases == 2 * 90          # two exponents per entry
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_ORDERS + CORPUS_ORDERS)
+def test_commutant_equals_plain_kernel_route(name):
+    # one model asked for M = 1, ..., 2 e_A + 1 in turn, against a kernel
+    # of every generator's equations re-eliminated and projected
+    model, plain = _equivalence_model(name), _equivalence_model(name)
+    for M in range(1, 2 * model.e_A + 2):
+        for level in range(model.tower.d + 1):
+            got = model.commutant_in_quotient(level, model.quotient_context(M))
+            want = commutant_by_kernel(plain, level, plain.quotient_context(M))
+            assert got == want, (level, M)
+
+
 def _coordinate_towers():
     desk2 = corpus.desk_tower_2()
     phi = next(g for g in desk2.group
@@ -668,7 +747,8 @@ def _small_strata():
             if bk.kind == "a" and bk.order.N <= 8]
     models = {}
     for bk in data:
-        models.setdefault(bk.order.key(), oracle.model_build(bk.order))
+        if bk.order.key() not in models:
+            models[bk.order.key()] = oracle.model_build(bk.order)
     cases = [(bk.order, entry.beta) for bk in data for entry in bk.seq.entries]
     cases += [(bk.order, bk.order.tower.pi_F() ** -1)
               for bk in {bk.order.key(): bk for bk in data}.values()]
@@ -707,16 +787,34 @@ def test_scan_dimensions_equal_kernel_projections():
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
-def test_commutant_grows_one_system_per_level(name):
+def test_commutant_grows_one_system_per_level(name, monkeypatch):
     # one model asked for M = 1, 2, ..., 2 e_A + 1 in turn extends each
-    # level's system and answers as a fresh model solving at that M
+    # level's system and answers as a fresh model solving at that M; a
+    # level whose generators all act as F-scalars has no system and is the
+    # whole quotient, with no solve
     model = _equivalence_model(name)
     levels = range(model.tower.d + 1)
+    scalar = _scalar_levels(model)
+    assert scalar
+    solves = []
+    image_dim = oracle._image_dim
+
+    def counted(layers, width):
+        solves.append(layers)
+        return image_dim(layers, width)
+
+    monkeypatch.setattr(oracle, "_image_dim", counted)
     systems = {}
     for M in range(1, 2 * model.e_A + 2):
         fresh = _equivalence_model(name)
         for level in levels:
-            got = model.commutant_in_quotient(level, model.quotient_context(M))
+            solves.clear()
+            quot = model.quotient_context(M)
+            got = model.commutant_in_quotient(level, quot)
+            if level in scalar:
+                assert got == quot.radical_power(0) and not solves, (level, M)
+                assert level not in model._systems
+                continue
             want = fresh.commutant_in_quotient(level, fresh.quotient_context(M))
             assert got == want, (level, M)
             held = model._systems[level]
@@ -743,7 +841,15 @@ def test_concurrent_callers_agree(name, monkeypatch):
     wants = {}
     for first, second in ((2 * e_A + 1, e_A + 1), (e_A + 1, 2 * e_A + 1)):
         model = _equivalence_model(name)
+        scalar = _scalar_levels(model)
         for level in range(model.tower.d + 1):
+            if level in scalar:
+                # no solve to hold back: each caller gets the whole quotient
+                for M in (1, first, second):
+                    quot = model.quotient_context(M)
+                    assert model.commutant_in_quotient(level, quot) \
+                        == quot.radical_power(0), (level, M)
+                continue
             got = {1: model.commutant_in_quotient(
                 level, model.quotient_context(1))}
             inside.clear()
