@@ -13,6 +13,8 @@ other TameStrataError, and OSError, KeyError, ValueError or TypeError (bad
 input).  Both failure codes come with an error document naming the
 exception class and its message.
 
+run turns --oracle into the invocation's map from order to model (None
+when off), and every command takes its models from strata.oracle_model.
 A launch loads the oracle only once a model is built (tables --oracle
 on/check, ledger with a model, verify) and the suites only in verify.
 """
@@ -404,15 +406,6 @@ def _load_datum(doc):
     return translate.yu_to_bk(yu), yu
 
 
-def _matrix_model(bk, use_oracle):
-    """A matrix model for a type (a) datum within the oracle bound, unless
-    the oracle is off; None otherwise."""
-    if not use_oracle or bk.kind != "a" or bk.order.N > strata.ORACLE_MAX_N:
-        return None
-    from . import oracle
-    return oracle.model_build(bk.order)
-
-
 def cmd_tables(args):
     bk, yu = _load_datum(_read_json(args.datum))
     payload = {"bk": {}, "yu": {}, "comparisons": {}}
@@ -421,21 +414,20 @@ def cmd_tables(args):
         ytabs = translate.yu_group_table(yu)
         payload["bk"] = {k: emit_table(t) for k, t in tabs.items()}
         payload["yu"] = {k: emit_table(t) for k, t in ytabs.items()}
-        model = _matrix_model(bk, args.use_oracle)
-        payload["comparisons"] = {
-            "H1=Kd+": translate.table_compare(tabs["H1"], ytabs["Kd+"], model),
-            "J0=oKd": translate.table_compare(tabs["J0"], ytabs["oKd"], model),
-        }
+        payload["comparisons"] = translate.table_equalities(
+            tabs, ytabs, strata.oracle_model(args.models, bk.order))
     code = EXIT_OK if all(payload["comparisons"].values()) else EXIT_VERIFICATION
     return code, document("table", payload)
 
 
 def cmd_ledger(args):
     bk, yu = _load_datum(_read_json(args.datum))
-    model = _matrix_model(bk, args.use_oracle)
+    # a type (b) ledger has no index to check, so it takes no model
+    model = (strata.oracle_model(args.models, bk.order) if bk.kind == "a"
+             else None)
     entries, verdicts = translate.ledger_indices(bk, yu, model)
-    ok = all(v for v in verdicts.values() if v is not None)
-    return (EXIT_OK if ok else EXIT_VERIFICATION), document("ledger", {
+    code = EXIT_OK if translate.ledger_holds(verdicts) else EXIT_VERIFICATION
+    return code, document("ledger", {
         "indices": [{"name": e.name, "log_p": e.value,
                      "provenance": e.provenance} for e in entries],
         "verdicts": verdicts,
@@ -444,11 +436,11 @@ def cmd_ledger(args):
 
 def cmd_verify(args):
     if args.corpus:
-        results = _verify_user_corpus(args.corpus, args.use_oracle)
+        results = _verify_user_corpus(args)
     else:
         from . import verifysuite
         names = None if args.suite == "all" else args.suite.split(",")
-        results = verifysuite.run_suites(names, args.use_oracle)
+        results = verifysuite.run_suites(names, args.models is not None)
     ok = all(passed for _, passed, _ in results)
     payload = {"suites": [{"name": n, "passed": p, "detail": d}
                           for n, p, d in results]}
@@ -457,33 +449,30 @@ def cmd_verify(args):
     return (EXIT_OK if ok else EXIT_VERIFICATION), document("report", payload)
 
 
-def _verify_user_corpus(path, use_oracle):
-    """Datum-level checks over a user-supplied list of datum documents."""
-    docs = _read_json(path)
+def _verify_user_corpus(args):
+    """Round trip, then tables, then the ledger when there is a model, up
+    to the first check that fails, for each document of a datum list."""
+    docs = _read_json(args.corpus)
     if not isinstance(docs, list):
         raise ValueError("a corpus is a list of documents, not a "
                          + type(docs).__name__)
-    results, models = [], {}       # one model per order for the whole run
+    results = []
     for idx, doc in enumerate(docs):
         bk, yu = _load_datum(doc)
-        name = f"corpus[{idx}]"
         first, second = (bk, yu) if doc["kind"] == "bk_datum" else (yu, bk)
         ok = translate.round_trip_agrees(first, second)
         detail = "round trip"
         if bk.kind == "a":
-            if bk.order not in models:
-                models[bk.order] = _matrix_model(bk, use_oracle)
-            model = models[bk.order]
-            tabs = translate.h_group_table(bk.seq)
-            ytabs = translate.yu_group_table(yu)
-            ok = ok and translate.table_compare(tabs["H1"], ytabs["Kd+"], model)
-            ok = ok and translate.table_compare(tabs["J0"], ytabs["oKd"], model)
+            model = strata.oracle_model(args.models, bk.order)
+            ok = ok and all(translate.table_equalities(
+                translate.h_group_table(bk.seq), translate.yu_group_table(yu),
+                model).values())
             detail += ", tables"
             if model is not None:
-                _, verdicts = translate.ledger_indices(bk, yu, model)
-                ok = ok and all(v for v in verdicts.values() if v is not None)
+                ok = ok and translate.ledger_holds(
+                    translate.ledger_indices(bk, yu, model)[1])
                 detail += ", ledger"
-        results.append((name, ok, detail))
+        results.append((f"corpus[{idx}]", ok, detail))
     return results
 
 
@@ -577,8 +566,9 @@ def _build_parser():
 def run(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        # "on" and "check" are synonyms: the oracle is one on/off switch
-        args.use_oracle = getattr(args, "oracle", "off") != "off"
+        # "on" and "check" are synonyms: the oracle is one on/off switch,
+        # and on, the invocation's one map from order to model
+        args.models = {} if getattr(args, "oracle", "off") != "off" else None
         return args.fn(args)
     except VerificationError as exc:
         code, err = EXIT_VERIFICATION, exc

@@ -72,7 +72,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .errors import (
-    NotNested, PrecisionExhausted, TooLarge, VerificationFailed,
+    NotInLevel, NotNested, PrecisionExhausted, TooLarge, VerificationFailed,
     ZeroToPrecision,
 )
 from .strata import ORACLE_MAX_N as MAX_N, DefiningSeq, OrderDesc
@@ -94,7 +94,6 @@ class Subspace:
     vector touches only the pivots it hits, and ``_occ`` maps each
     non-pivot column to the pivots of the rows that are nonzero there, so
     back-substituting a new pivot touches only the rows it changes.
-    ``rows`` lists them in pivot order.
 
     A row dict is never changed in place, so subspaces may share rows.
     """
@@ -130,11 +129,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self._rows)
-
-    @property
-    def rows(self):
-        rows = self._rows
-        return [rows[q] for q in sorted(rows)]
 
     def _reduce(self, vec):
         """vec minus its combination of rows: zero at every pivot."""
@@ -254,7 +248,7 @@ class MatrixModel:
         self._projections = {}     # (level, M) -> projection of the above
         self._quotients = {}
         self._layout = (0, [], [])  # (M, coords, vals) of the largest A/P^M
-        self._matrix_cache = {}    # element key -> its matrix
+        self._matrix_cache = {}    # (terms, prec_k) -> its matrix
 
     # -- coefficient coordinate helpers -----------------------------------
 
@@ -296,7 +290,8 @@ class MatrixModel:
 
     def elt_to_matrix(self, x: TameSeries) -> dict:
         """Matrix of multiplication by x in E_0 on V = E_0^{m0}, from terms:
-        {(row, col): {w: k_F element}}, the nonzero t^w entries.
+        {(row, col): {w: k_F element}}, the nonzero t^w entries.  x may
+        carry any level tag; a series outside E_0 raises NotInLevel.
 
         With pi = c_pi s^m and t = zeta s^e, column (a, b, j) is
         x pi^a theta^b e_j: a term c s^k of x gives t^w pi^a2 gamma, where
@@ -305,11 +300,11 @@ class MatrixModel:
         are the t^w entries of rows (a2, b2, j).  k -> (w, a2) is
         injective, so the terms of one column never collide.
         """
-        key = x.key()
+        key = (x.terms, x.prec_k)       # the level tag changes no entry
         if key in self._matrix_cache:
             return self._matrix_cache[key]
         if not x.in_level(0):
-            raise ZeroToPrecision("element must lie in E_0")
+            raise NotInLevel("element must lie in E_0")
         if x.prec_k is not None and x.prec_k < (_PREC + 1) * self.tower.e:
             raise PrecisionExhausted("element precision below the model window")
         m, deg_F = self.m_pi, self.deg_F
@@ -394,7 +389,7 @@ class MatrixModel:
             tower = self.tower
             gens = [tower.monomial(tower.residue_generator(level), 0),
                     tower.uniformizer(level)]
-            mats = [self.elt_to_matrix(g.at_level(0)) for g in gens]
+            mats = [self.elt_to_matrix(g) for g in gens]
             # integral generators: shift 0; an F-scalar adds no equation
             mats = [g for g in mats if not _lies_in_F(self, g)]
             if not mats:
@@ -612,7 +607,7 @@ def model_build(order: OrderDesc) -> MatrixModel:
 
 
 def oracle_nu(model: MatrixModel, x: TameSeries) -> int:
-    v = model.block_val(model.elt_to_matrix(x.at_level(0)))
+    v = model.block_val(model.elt_to_matrix(x))
     if v is None:
         raise ZeroToPrecision("zero matrix has no valuation")
     return v
@@ -628,7 +623,7 @@ def oracle_k0(model: MatrixModel, beta: TameSeries):
     the commutant's, so the first k whose image has the commutant's
     dimension ends the scan, and k0 is one less.
     """
-    bmat = model.elt_to_matrix(beta.at_level(0))
+    bmat = model.elt_to_matrix(beta)
     if _lies_in_F(model, bmat):
         return None
     n = -model.block_val(bmat)
@@ -752,7 +747,7 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
     probe X directly, in k_F coordinates: each entry of c times each
     theta_F^i is looked up once, and no matrix product is formed.
     """
-    cmat = model.elt_to_matrix(c.at_level(0))
+    cmat = model.elt_to_matrix(c)
     nu_c = model.block_val(cmat)
     M = exponent + abs(nu_c) + 3 * model.e_A
     quot = model.quotient_context(M)

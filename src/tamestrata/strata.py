@@ -33,6 +33,18 @@ from .tame import TameSeries, Tower, stabilizer_within
 ORACLE_MAX_N = 16       # oracle.MAX_N, readable without loading the oracle
 
 
+def oracle_model(models, order):
+    """The run's model of order, built on first use and kept in models
+    (order -> model); None when the oracle is off (models is None) or N
+    exceeds ORACLE_MAX_N.  Every command and suite gets its models here."""
+    if models is None or order.N > ORACLE_MAX_N:
+        return None
+    if order not in models:
+        from . import oracle
+        models[order] = oracle.model_build(order)
+    return models[order]
+
+
 class OrderDesc:
     """Immutable hereditary order descriptor: tower, N, m (m_i = N /
     [E_i : F]), e_A (the chain period over o_F, = e(E_0 | F)), q (the

@@ -56,7 +56,7 @@ class FiltrationTable(NamedTuple):
 class LogIndex(NamedTuple):
     name: str
     value: int                 # the index is p^value
-    provenance: str            # "closed-form" | "oracle"
+    provenance: str            # "oracle": no entry is made without a model
 
 
 class BKDatumSkeleton(NamedTuple("BKDatumSkeleton", [
@@ -221,6 +221,13 @@ def table_compare(a: FiltrationTable, b: FiltrationTable, model=None) -> bool:
     return normalize_table(a) == normalize_table(b)
 
 
+def table_equalities(bk_tables, yu_tables, model=None) -> dict:
+    """BK's H^1 = Yu's K^d_+ and J^0 = °K^d, the paper's two filtration
+    equalities, by name: whether table_compare finds each to hold."""
+    return {"H1=Kd+": table_compare(bk_tables["H1"], yu_tables["Kd+"], model),
+            "J0=oKd": table_compare(bk_tables["J0"], yu_tables["oKd"], model)}
+
+
 # ---------------------------------------------------------------------------
 # character factors and module valuations
 # ---------------------------------------------------------------------------
@@ -353,43 +360,35 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
     order = bk.order
     if yu.point != order:
         raise OrderMismatch("skeletons over different orders")
-    entries = []
     verdicts = {"product_identity": True, "even_exponents": True,
                 "singles_match_oracle": None}
-    if bk.kind == "b":
-        return entries, verdicts
-
+    if bk.kind == "b" or model is None and yu.d == 0:
+        return [], verdicts
+    if model is None:
+        raise OracleRequired("composite indices need the matrix model")
     from .oracle import oracle_j1h1_index, oracle_step_index
 
     levels = [lvl for lvl, _, _ in yu.characters]
-    d = yu.d
     # step i: [U^a(B_l) : U^b(B_l)] at l = levels[i-1] and levels[i]
-    vs = [int(yu.depths[i] * order.e_A) for i in range(d)]
+    vs = [int(yu.depths[i] * order.e_A) for i in range(yu.d)]
     steps = [((v + 1) // 2, v // 2 + 1) for v in vs]
-    oracle_logs = {} if model is None else {
+    oracle_logs = {
         (lvl, a_exp, b_exp): oracle_step_index(model, lvl, a_exp, b_exp)
         for i, (a_exp, b_exp) in enumerate(steps, 1)
         for lvl in (levels[i - 1], levels[i])}
 
+    entries = []
     singles_ok = True
     for i, (a_exp, b_exp) in enumerate(steps, 1):
         for lvl in (levels[i - 1], levels[i]):
             if a_exp < 1 or a_exp == b_exp:
                 continue
             log = single_index_log(order, lvl, a_exp, b_exp)
-            prov = "closed-form"
-            if model is not None:
-                if oracle_logs[(lvl, a_exp, b_exp)] != log:
-                    singles_ok = False
-                prov = "oracle"
+            if oracle_logs[(lvl, a_exp, b_exp)] != log:
+                singles_ok = False
             entries.append(LogIndex(f"[U^{a_exp}(B_{lvl}):U^{b_exp}(B_{lvl})]",
-                                    log, prov))
-    verdicts["singles_match_oracle"] = singles_ok if model is not None else None
-
-    if model is None:
-        if d > 0:
-            raise OracleRequired("composite indices need the matrix model")
-        return entries, verdicts
+                                    log, "oracle"))
+    verdicts["singles_match_oracle"] = singles_ok
 
     log_j1h1 = oracle_j1h1_index(model, bk.seq)
     entries.append(LogIndex("[J1:H1]", log_j1h1, "oracle"))
@@ -406,3 +405,8 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
         total += log
     verdicts["product_identity"] = (total == log_j1h1)
     return entries, verdicts
+
+
+def ledger_holds(verdicts) -> bool:
+    """Whether every verdict a ledger decided (not None) is true."""
+    return all(v for v in verdicts.values() if v is not None)

@@ -3,8 +3,8 @@
 Every suite is called as suite(models) and returns (passed, detail); its
 name is its key in ALL_SUITES.  models is the run's map from an order
 (orders compare by value) to its matrix model, or None when the oracle is
-off: a run builds each order's model once, on first use, and every suite
-reads the same one.
+off.  Suites get their models from strata.oracle_model, so a run builds
+each order's model once, on first use, and every suite reads that one.
 The suites are exact: every comparison is integer or rational equality,
 and wherever a closed form is checked the comparison target comes from an
 independent route (exhaustive enumeration, Galois differences, or the
@@ -29,19 +29,9 @@ def _enum_towers():
     return towers
 
 
-def _model(models, order):
-    """The run's model of order, built on first use; None when the oracle
-    is off or order is beyond its bound."""
-    if models is None or order.N > oracle.MAX_N:
-        return None
-    if order not in models:
-        models[order] = oracle.model_build(order)
-    return models[order]
-
-
 def _type_a(models):
     """(datum, model or None) for every type (a) corpus datum."""
-    return [(bk, _model(models, bk.order))
+    return [(bk, strata.oracle_model(models, bk.order))
             for _, bk in corpus.datum_corpus() if bk.kind == "a"]
 
 
@@ -112,10 +102,10 @@ def suite_valuation_lemma(models):
         rhs = order.e_A * nu_E
         if lhs != rhs:
             failures += 1
-        model = (_model(models, order) if oracle_checked < 150
+        model = (strata.oracle_model(models, order) if oracle_checked < 150
                  and order.N <= 4 and x.in_level(0) else None)
         if model is not None:
-            if oracle.oracle_nu(model, x.at_level(0)) != strata.nu_A(order, x):
+            if oracle.oracle_nu(model, x) != strata.nu_A(order, x):
                 failures += 1
             oracle_checked += 1
         checked += 1
@@ -134,7 +124,7 @@ def suite_critical_exponent(models):
     failures = 0
     for order, beta in cases:
         if strata.k0_closed(order, beta) != oracle.oracle_k0(
-                _model(models, order), beta.at_level(0)):
+                strata.oracle_model(models, order), beta):
             failures += 1
     return failures == 0, f"{len(cases)} strata, {failures} disagreements"
 
@@ -144,13 +134,13 @@ def suite_filtration_equalities(models):
     lattices by the oracle on every datum within its bound."""
     cases = with_oracle = failures = 0
     for bk, model in _type_a(models):
-        yu = translate.bk_to_yu(bk)
-        tabs = translate.h_group_table(bk.seq)
-        ytabs = translate.yu_group_table(yu)
-        for a, b in (("H1", "Kd+"), ("J0", "oKd")):
+        equalities = translate.table_equalities(
+            translate.h_group_table(bk.seq),
+            translate.yu_group_table(translate.bk_to_yu(bk)), model)
+        for held in equalities.values():
             cases += 1
             with_oracle += model is not None
-            if not translate.table_compare(tabs[a], ytabs[b], model):
+            if not held:
                 failures += 1
     return failures == 0, (f"{cases} comparisons ({with_oracle} with oracle), "
                            f"{failures} failed")
@@ -166,8 +156,7 @@ def suite_index_identity(models):
         _, verdicts = translate.ledger_indices(bk, translate.bk_to_yu(bk),
                                                model)
         cases += 1
-        if not (verdicts["product_identity"] and verdicts["even_exponents"]
-                and verdicts["singles_match_oracle"]):
+        if not translate.ledger_holds(verdicts):
             failures += 1
     return failures == 0, f"{cases} data, {failures} failed verdicts"
 

@@ -7,11 +7,16 @@ takes: a commutant solved from every generator and re-eliminated, h and j
 as sums, and traces summed in k_L.
 
 A matrix is the oracle's {(row, col): {w: k_F element}} map of nonzero
-t^w entries."""
+t^w entries, and ``rows`` lists a Subspace's rows in pivot order."""
 
 from tamestrata import oracle
 from tamestrata.errors import PrecisionExhausted
 from tamestrata.oracle import Subspace
+
+
+def rows(space):
+    """The rows of a Subspace in pivot order."""
+    return [space._rows[q] for q in sorted(space._rows)]
 
 
 def _clean(entries):
@@ -132,7 +137,7 @@ def char_module_min_ord_in_kL(model, c, level, exponent):
     M = exponent + abs(nu_c) + 3 * model.e_A
     quot = model.quotient_context(M)
     best = None
-    for row in quot.order_level(level, exponent).rows:
+    for row in rows(quot.order_level(level, exponent)):
         acc = {}
         for pos, x in row.items():
             r, col, w, i = quot.coords[pos]

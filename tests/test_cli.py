@@ -704,6 +704,51 @@ def test_tables_oracle_on_and_check_are_one_setting(tmp_path, monkeypatch):
     assert docs["off"] == docs["on"] == docs["check"]
 
 
+def _corpus_of(tmp_path, doc):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([doc]))
+    return str(path)
+
+
+def test_a_broken_table_normalization_fails_tables_and_corpus(
+        tmp_path, monkeypatch, capsys):
+    # the Yu-side tables lose their last factor, as in the
+    # filtration-equalities suite's test; both commands read one comparison
+    path, doc = _defseq_datum(tmp_path)
+    normalize = translate.normalize_table
+    monkeypatch.setattr(translate, "normalize_table", lambda t: (
+        normalize(t)[:-1] if t.name in ("Kd+", "oKd") else normalize(t)))
+    code, out = run_cli(["tables", "--datum", path, "--oracle", "off"])
+    assert code == cli.EXIT_VERIFICATION
+    assert out["payload"]["comparisons"] == {"H1=Kd+": False,
+                                             "J0=oKd": False}
+    code, out = run_cli(["verify", "--corpus", _corpus_of(tmp_path, doc),
+                         "--oracle", "off"])
+    assert code == cli.EXIT_VERIFICATION
+    assert out["payload"]["suites"] == [
+        {"name": "corpus[0]", "passed": False, "detail": "round trip, tables"}]
+    assert capsys.readouterr().err == "FAIL corpus[0]: round trip, tables\n"
+
+
+def test_a_shifted_single_index_fails_ledger_and_corpus(
+        tmp_path, monkeypatch, capsys):
+    path, doc = _defseq_datum(tmp_path)
+    single = translate.single_index_log
+    monkeypatch.setattr(translate, "single_index_log",
+                        lambda *args: single(*args) + 1)
+    code, out = run_cli(["ledger", "--datum", path])
+    assert code == cli.EXIT_VERIFICATION
+    assert out["payload"]["verdicts"]["singles_match_oracle"] is False
+    code, out = run_cli(["verify", "--corpus", _corpus_of(tmp_path, doc),
+                         "--oracle", "check"])
+    assert code == cli.EXIT_VERIFICATION
+    assert out["payload"]["suites"] == [
+        {"name": "corpus[0]", "passed": False,
+         "detail": "round trip, tables, ledger"}]
+    assert capsys.readouterr().err == (
+        "FAIL corpus[0]: round trip, tables, ledger\n")
+
+
 @pytest.mark.parametrize("args", [
     ["sr", "--tower", "desk5"],
     ["tables", "--datum", "bk.json", "--oracle", "maybe"],

@@ -82,9 +82,9 @@ def test_oracle_reads_are_detected():
 _BUILDERS = ("model_build", "MatrixModel")
 
 
-def _stray_model_builds(tree, helper="_model"):
-    """Line of each mention of a model builder outside the helper that
-    builds a run's models: a suite takes its models from the run."""
+def _stray_model_builds(tree, helper="oracle_model"):
+    """Line of each mention of a model builder outside the gate every
+    command and suite takes its models from."""
     inside = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == helper:
@@ -95,24 +95,34 @@ def _stray_model_builds(tree, helper="_model"):
                        or isinstance(node, ast.alias) and node.name in _BUILDERS))
 
 
-def test_verify_suites_build_models_only_in_the_run_helper():
-    with open(os.path.join(SRC, "verifysuite.py")) as fh:
-        tree = ast.parse(fh.read())
-    assert not _stray_model_builds(tree)
-    helper = next(node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "_model")
-    assert _stray_model_builds(helper, helper="")
+def _parse(name):
+    with open(os.path.join(SRC, name + ".py")) as fh:
+        return ast.parse(fh.read())
+
+
+def test_models_are_built_only_in_the_oracle_gate():
+    # strata.oracle_model is the one place outside the oracle that names a
+    # model builder: cli, verifysuite and translate name none at all
+    found = [(name, line) for name in ("cli", "verifysuite", "translate")
+             for line in _stray_model_builds(_parse(name), helper="")]
+    strata = _parse("strata")
+    found += [("strata", line) for line in _stray_model_builds(strata)]
+    assert not found
+    gate = next(node for node in strata.body if isinstance(node, ast.FunctionDef)
+                and node.name == "oracle_model")
+    assert _stray_model_builds(gate, helper="")
 
 
 def test_stray_model_builds_are_detected():
     tree = ast.parse("from . import oracle\n"
                      "from .oracle import model_build\n"
-                     "def _model(models, order):\n"
+                     "def oracle_model(models, order):\n"
                      "    return oracle.model_build(order)\n"
                      "def suite_x(models):\n"
                      "    build = oracle.MatrixModel\n"
                      "    return oracle.model_build(order)\n")
     assert _stray_model_builds(tree) == [2, 6, 7]
+    assert _stray_model_builds(tree, helper="") == [2, 4, 6, 7]
 
 
 def _identity_keys(tree):

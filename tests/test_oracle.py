@@ -7,12 +7,13 @@ from types import SimpleNamespace
 import pytest
 
 from tamestrata import corpus, oracle, strata, tame, translate
-from tamestrata.errors import NotNested, PrecisionExhausted, TooLarge
+from tamestrata.errors import (NotInLevel, NotNested, PrecisionExhausted,
+                               TooLarge)
 from tamestrata.oracle import Subspace
 
 from reference import (
     char_module_min_ord_in_kL, commutant_by_kernel, generator_matrices,
-    hj_by_sums, intersect, mat_mul, mat_sub, span, vec_to_matrix,
+    hj_by_sums, intersect, mat_mul, mat_sub, rows, span, vec_to_matrix,
 )
 
 
@@ -105,7 +106,7 @@ def test_sparse_rref_matches_dense_reference(p):
         ref_a = _dense_rref(a, width, p)
         # rank and the RREF rows themselves
         assert sa.dim == len(ref_a)
-        assert [_dense(r, width) for r in sa.rows] == ref_a
+        assert [_dense(r, width) for r in rows(sa)] == ref_a
         assert sorted(sa._rows) == [row.index(1) for row in ref_a]
         # contains: combinations of the rows are in, anything else is not
         for _ in range(5):
@@ -118,13 +119,13 @@ def test_sparse_rref_matches_dense_reference(p):
             assert sa.contains(_sparse(vec)) == inside
         # sum
         ref_sum = _dense_rref(a + b, width, p)
-        assert [_dense(r, width) for r in span(sa, sb).rows] == ref_sum
+        assert [_dense(r, width) for r in rows(span(sa, sb))] == ref_sum
         # intersect: in both spaces, of dimension dim A + dim B - dim(A+B),
         # and in RREF
         meet = intersect(sa, sb)
         assert meet.dim == sa.dim + sb.dim - len(ref_sum)
         assert sa.contains_space(meet) and sb.contains_space(meet)
-        dense_meet = [_dense(r, width) for r in meet.rows]
+        dense_meet = [_dense(r, width) for r in rows(meet)]
         assert dense_meet == _dense_rref(dense_meet, width, p)
         # kernel: width - rank independent vectors annihilating every row
         kernel = sa.kernel()
@@ -179,6 +180,28 @@ def test_matrix_needs_the_model_window(desk, model):
     short = desk.series(0, [(-1, desk.k.gen())], prec=3)
     with pytest.raises(PrecisionExhausted):
         model.elt_to_matrix(short)
+
+
+def test_matrix_ignores_the_level_tag(desk, model):
+    # an element at any level has the matrix of its level-0 tag, which the
+    # model caches once
+    t = desk.pi_F()
+    assert t.level == desk.d
+    assert model.elt_to_matrix(t) is model.elt_to_matrix(t.at_level(0))
+    assert oracle.oracle_nu(model, t) == 2
+
+
+def test_matrix_of_a_series_outside_E0_raises_not_in_level():
+    # chain starting above {1}, as in test_twisted: only an unvalidated
+    # series can lie outside E_0
+    base = tame.make_tower(5, 2, 2, residue_modulus=[2, 4, 1])
+    tau = tame.GaloisElement(0, base.k.elem(-1))
+    chain = (frozenset([base.identity, tau]), base.group)
+    tower = tame.make_tower(5, 2, 2, residue_modulus=[2, 4, 1], levels=chain)
+    model = oracle.model_build(strata.make_order(tower, tower.level_degree(0)))
+    from tamestrata.tame import _make_series
+    with pytest.raises(NotInLevel):
+        model.elt_to_matrix(_make_series(tower, 0, {-1: tower.k.one()}, None))
 
 
 def test_field_relation_reproduced(desk, model):
@@ -471,7 +494,7 @@ def test_radical_cut_equals_intersection(name):
         for k in range(quot.M + 1):
             cut = quot.radical_cut(comm, k)
             assert cut == intersect(comm, quot.radical_power(k)), (level, k)
-            assert [min(row) for row in cut.rows] == sorted(cut._rows)
+            assert [min(row) for row in rows(cut)] == sorted(cut._rows)
 
 
 def _cells(quot):
@@ -541,10 +564,10 @@ def test_projections_equal_dense_reference(name):
                 dense.append(vec)
             return _dense_rref(dense, width, p)
 
-        got = [_dense(r, width) for r in quot.project(kernel).rows]
+        got = [_dense(r, width) for r in rows(quot.project(kernel))]
         assert got == reference(kernel), M
-        got = [_dense(r, width) for r in quot.project(held.rows).rows]
-        assert got == reference(held.rows), M
+        got = [_dense(r, width) for r in rows(quot.project(rows(held)))]
+        assert got == reference(rows(held)), M
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
@@ -570,7 +593,7 @@ def _assert_commutes_mod(model, level, space, M):
     # each row truncates an element of B_level, and the generators are
     # integral, so the row commutes with them modulo P^M
     coords = model.quotient_context(M).coords
-    for row in space.rows:
+    for row in rows(space):
         x = vec_to_matrix(model, row, coords)
         for g in generator_matrices(model, level):
             ad = mat_sub(mat_mul(model.N, g, x), mat_mul(model.N, x, g))
@@ -622,7 +645,7 @@ def _char_module_min_ord_by_products(model, c, level, exponent):
     M = exponent + abs(nu_c) + 3 * model.e_A
     quot = model.quotient_context(M)
     best = None
-    for row in quot.order_level(level, exponent).rows:
+    for row in rows(quot.order_level(level, exponent)):
         prod = mat_mul(model.N, cmat, vec_to_matrix(model, row, quot.coords))
         trace = {}
         for i in range(model.N):

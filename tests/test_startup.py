@@ -16,7 +16,8 @@ from tamestrata import cli, oracle
 HEAVY = ("tamestrata.oracle", "tamestrata.verifysuite", "dataclasses")
 
 # defseq, bk2yu and yu2bk on its output, tables --oracle off on the bk
-# datum; then tables --oracle check on the yu datum
+# datum, ledger --oracle off on a one-level type (a) datum and the default
+# ledger on a type (b) one; then tables --oracle check on the yu datum
 SCRIPT = """
 import json, os, sys
 from tamestrata import cli
@@ -37,6 +38,15 @@ codes.append(code)
 yu_path = save("yu.json", yu)
 codes.append(cli.run(["yu2bk", "--datum", yu_path])[0])
 codes.append(cli.run(["tables", "--datum", bk_path, "--oracle", "off"])[0])
+code, one_level = cli.run(["defseq", "--tower", "desk5", "--N", "4",
+                           "--element", "[[[-1,1],[1,0]]]"])
+codes.append(code)
+one_level_path = save("one_level.json", one_level)
+codes.append(cli.run(["ledger", "--datum", one_level_path,
+                      "--oracle", "off"])[0])
+type_b = dict(bk, payload={"tower": bk["payload"]["tower"], "N": 4,
+                           "kind": "b"})
+codes.append(cli.run(["ledger", "--datum", save("b.json", type_b)])[0])
 before = sorted(m for m in {heavy} if m in sys.modules)
 codes.append(cli.run(["tables", "--datum", yu_path, "--oracle", "check"])[0])
 after = sorted(m for m in {heavy} if m in sys.modules)
@@ -57,7 +67,7 @@ def _fresh(code, *args):
 
 def test_oracle_free_commands_load_neither_oracle_nor_dataclasses(tmp_path):
     codes, before, after = json.loads(_fresh(SCRIPT, str(tmp_path)))
-    assert codes == [0, 0, 0, 0, 0]
+    assert codes == [0] * 8
     assert before == []
     assert "tamestrata.oracle" in after
 
