@@ -104,8 +104,14 @@ def emit_series(a: tame.TameSeries) -> dict:
 
 
 def parse_series(tower: tame.Tower, payload) -> tame.TameSeries:
+    """A series from its terms, each exponent stated once."""
     terms = [(_unfrac(exp), tower.k.elem(coeffs))
              for exp, coeffs in payload["terms"]]
+    seen = set()
+    for exp, _ in terms:
+        if exp in seen:
+            raise ValueError(f"term list repeats the exponent {exp}")
+        seen.add(exp)
     prec = None if payload.get("prec") is None else _unfrac(payload["prec"])
     return tower.series(payload.get("level", 0), terms, prec)
 
@@ -199,9 +205,12 @@ def parse_yu(doc) -> translate.YuDatumSkeleton:
     case = payload["case"]
     if case not in ("A", "B"):
         raise ValueError(f"case {case!r} is not \"A\" or \"B\"")
-    return translate.YuDatumSkeleton(
+    yu = translate.YuDatumSkeleton(
         order, tuple(payload["dims"]),
         tuple(_unfrac(r) for r in payload["depths"]), characters, case)
+    if payload.get("rho_slot", yu.rho_slot) != yu.rho_slot:
+        raise VerificationFailed("stated rho_slot is not what the datum builds")
+    return yu
 
 
 def emit_table(table: translate.FiltrationTable) -> dict:

@@ -40,6 +40,9 @@ No row is eliminated whose result is already known:
    is the whole quotient, and has no system.
 3. A model lays out its coordinates once: a smaller A/P^M is a slice of
    the largest layout, and a larger one appends the cells past it.
+4. Each cell's outputs under ad are read once per system, merged mod p
+   (``_cell_table``), so an unknown writes one nonzero entry per output
+   and no row that is zero mod p is built or eliminated.
 A held commutant is truncated to a smaller M as above.  A table's lattice
 is summed from its largest level down: for l <= l', B_l ⊂ B_l', so once
 Q_l'^k is in the sum, so is every row of a later Q_l^m pivoted in P^k (it
@@ -238,11 +241,15 @@ class MatrixModel:
         # k_F coordinates inside k_L, via the F_p-basis theta_F^i of k_F
         thetaF = tower.residue_generator(tower.d)
         self._kF_basis = [thetaF ** i for i in range(self.deg_F)]
-        self._kF_table = _coordinate_table(tower.k, self._kF_basis, self.p)
+        span = _coordinate_span(tower.k, self._kF_basis, self.p)
+        self._kF_table = {v.coeffs: coords for v, coords in span.items()}
+        self._kF_elems = {coords: v for v, coords in span.items()}   # inverse
         # residue coordinates of k_{E_0} over k_F: theta^b * theta_F^i
-        self._residue_table = _coordinate_table(
+        span = _coordinate_span(
             tower.k, [(self.theta ** b) * basis for b in range(f0)
                       for basis in self._kF_basis], self.p)
+        self._residue_table = {v.coeffs: coords for v, coords in span.items()}
+        self._factors = {}         # (a - a2, b, w) -> elt_to_matrix's factor
         self._commutants = {}      # level -> (M, B_level ∩ A in A/P^M)
         self._systems = {}         # level -> its commutant's _Layers
         self._projections = {}     # (level, M) -> projection of the above
@@ -258,13 +265,6 @@ class MatrixModel:
         if coords is None:
             raise PrecisionExhausted("coefficient not in k_F")
         return coords
-
-    def kF_from_coords(self, coords):
-        acc = self.tower.k.zero()
-        for x, b in zip(coords, self._kF_basis):
-            if x % self.p:
-                acc = acc + b * x
-        return acc
 
     def residue_coords(self, c):
         """(b, i) coordinates of a k_{E_0} element over theta^b theta_F^i."""
@@ -298,7 +298,9 @@ class MatrixModel:
         k + a m = m (e0 w + a2), 0 <= a2 < e0, and gamma = c c_pi^(a - a2)
         theta^b zeta^-w in k_{E_0}, whose theta^b2 theta_F^i coordinates
         are the t^w entries of rows (a2, b2, j).  k -> (w, a2) is
-        injective, so the terms of one column never collide.
+        injective, so the terms of one column never collide.  The factor
+        c_pi^(a - a2) theta^b zeta^-w depends on (a - a2, b, w) alone and is
+        computed once per model; a k_F entry is looked up by its coordinates.
         """
         key = (x.terms, x.prec_k)       # the level tag changes no entry
         if key in self._matrix_cache:
@@ -310,19 +312,22 @@ class MatrixModel:
         m, deg_F = self.m_pi, self.deg_F
         if any(k % m for k, _ in x.terms):
             raise PrecisionExhausted("term outside E_0's value group")
+        factors, elems = self._factors, self._kF_elems
         entries = {}
         for col, (a, b, j) in enumerate(self.basis):
             for k, c in x.terms:
                 w, a2 = divmod(k // m + a, self.e0)
-                coords = self.residue_coords(
-                    c * self.c_pi ** (a - a2) * self.theta ** b
-                    * self.zeta ** -w)
+                factor = factors.get((a - a2, b, w))
+                if factor is None:
+                    factor = factors[a - a2, b, w] = (
+                        self.c_pi ** (a - a2) * self.theta ** b
+                        * self.zeta ** -w)
+                coords = self.residue_coords(c * factor)
                 for b2 in range(self.f0):
-                    cF = self.kF_from_coords(
-                        coords[b2 * deg_F:(b2 + 1) * deg_F])
-                    if not cF.is_zero():
-                        entries.setdefault(
-                            (self.index[(a2, b2, j)], col), {})[w] = cF
+                    part = coords[b2 * deg_F:(b2 + 1) * deg_F]
+                    if any(part):
+                        row = self.index[(a2, b2, j)]
+                        entries.setdefault((row, col), {})[w] = elems[part]
         self._matrix_cache[key] = entries
         return entries
 
@@ -465,7 +470,9 @@ def _cells(model, lo, hi):
 class _Layers:
     """The equations ad_g(x) = 0 (g in mats) for x in A/P^extent, as one
     growing echelon form ``eqs`` over the positions of x; ``terms`` holds
-    each g's ``_ad_terms``, read off once.
+    each g's ``_ad_terms``, read off once, and ``tables`` each cell's
+    outputs (``_cell_table``), built when the cell's first unknown enters
+    and read by every later one, at any extent.
 
     Every g has block valuation >= shift, so an unknown of valuation v
     reaches only outputs of valuation v + shift or more, and the equations
@@ -476,7 +483,8 @@ class _Layers:
     the system at every larger one.
     """
 
-    __slots__ = ("model", "terms", "shift", "extent", "eqs", "pending")
+    __slots__ = ("model", "terms", "tables", "shift", "extent", "eqs",
+                 "pending")
 
     def __init__(self, model, mats, shift):
         if any(v is not None and v < shift
@@ -484,6 +492,7 @@ class _Layers:
             raise NotNested("generator below the valuation shift")
         self.model = model
         self.terms = [model._ad_terms(g) for g in mats]
+        self.tables = {}        # cell (row, col, i) -> its _cell_table
         self.shift = shift
         self.extent = 0
         self.eqs = Subspace(model.p, 0)
@@ -494,8 +503,8 @@ class _Layers:
         if extent <= self.extent:
             return
         stop = bisect_left(quot.vals, extent)
-        _ad_equations(self.model, self.terms, quot, self.eqs.width, stop,
-                      self.pending)
+        _ad_equations(self.model, self.terms, self.tables, quot,
+                      self.eqs.width, stop, self.pending)
         for val in range(self.extent + self.shift, extent + self.shift):
             for row in self.pending.pop(val, {}).values():
                 self.eqs.add(row)
@@ -543,49 +552,74 @@ def _centraliser_image(layers, target) -> Subspace:
     return target.project(nullspace(rows, eqs.width, eqs.p))
 
 
-def _ad_equations(model, terms, quot, start, stop, pending):
+def _ad_equations(model, terms, tables, quot, start, stop, pending):
     """Add the unknowns quot.coords[start:stop] to the equations of
     ad_g(x) = 0 for the generators g whose ``_ad_terms`` are terms.  pending
     maps an output block valuation to its equations {output: row}, an
     output (g's index, row, col, F_p coordinate) and a row a sparse
-    {unknown: coefficient}, not yet reduced mod p.
+    {unknown: coefficient}, each coefficient nonzero mod p.
 
-    For an elementary x = theta_F^i t^w e_rc, gx has column c equal to
-    column r of g times theta_F^i t^w and xg has row r equal to row c of g
-    times theta_F^i t^w, so no matrix product is formed; an output's block
-    valuation is x's plus the term's, and fixes its w.  The outputs of
-    theta_F^i e_rc, as (valuation offset, [(output, coefficient)]), are
-    listed once per cell (r, c, i) and shared by every w.
+    An unknown theta_F^i t^w e_rc writes its cell (r, c, i)'s outputs, read
+    from tables (the cell's ``_cell_table``, built here if absent), at
+    valuations shifted by its own; each output gets one entry, so no entry
+    or row is zero.
     """
-    N, deg_F = model.N, model.deg_F
-    tables = {}
+    coords, vals = quot.coords, quot.vals
     for j in range(start, stop):
-        r, c, _, i = quot.coords[j]
+        r, c, _, i = coords[j]
         table = tables.get((r, c, i))
         if table is None:
-            table = tables[r, c, i] = []
-            for n, (by_col, by_row) in enumerate(terms):
-                for a, val, vecs in by_col.get(r, ()):
-                    base = ((n * N + a) * N + c) * deg_F
-                    table.append((val, [(base + t, x)
-                                        for t, x in enumerate(vecs[i]) if x]))
-                for b, val, vecs in by_row.get(c, ()):
-                    base = ((n * N + r) * N + b) * deg_F
-                    table.append((val, [(base + t, -x)
-                                        for t, x in enumerate(vecs[i]) if x]))
-        v = quot.vals[j]
+            table = tables[r, c, i] = _cell_table(model, terms, r, c, i)
+        v = vals[j]
         for val, outputs in table:
             layer = pending.setdefault(v + val, {})
             for out, x in outputs:
-                row = layer.setdefault(out, {})
-                row[j] = row.get(j, 0) + x
+                row = layer.get(out)
+                if row is None:
+                    layer[out] = {j: x}
+                else:
+                    row[j] = x
 
 
-def _coordinate_table(k, basis, p):
-    """Coefficient vector -> F_p coordinates over basis, for every element
-    of the span of basis (elements of k, linearly independent over F_p).
+def _cell_table(model, terms, r, c, i):
+    """The outputs of ad_g(theta_F^i e_rc) for the generators g whose
+    ``_ad_terms`` are terms, as [(valuation offset, [(output, x)])]: an
+    output's block valuation is the unknown's plus the offset, which fixes
+    its w, and x is its coefficient, nonzero mod p.
 
-    The span is enumerated, so a lookup replaces a linear solve; a vector
+    For an elementary x = theta_F^i t^w e_rc, gx has column c equal to
+    column r of g times theta_F^i t^w and xg has row r equal to row c of g
+    times theta_F^i t^w, so no matrix product is formed.  The gx and xg
+    parts of one output are summed and reduced mod p, and zeros dropped.
+    """
+    N, deg_F, p = model.N, model.deg_F, model.p
+    merged = {}         # offset -> {output: coefficient}
+    for n, (by_col, by_row) in enumerate(terms):
+        for a, val, vecs in by_col.get(r, ()):
+            base = ((n * N + a) * N + c) * deg_F
+            acc = merged.setdefault(val, {})
+            for t, x in enumerate(vecs[i]):
+                if x:
+                    acc[base + t] = acc.get(base + t, 0) + x
+        for b, val, vecs in by_row.get(c, ()):
+            base = ((n * N + r) * N + b) * deg_F
+            acc = merged.setdefault(val, {})
+            for t, x in enumerate(vecs[i]):
+                if x:
+                    acc[base + t] = acc.get(base + t, 0) - x
+    table = []
+    for val, acc in merged.items():
+        outputs = [(out, x % p) for out, x in acc.items() if x % p]
+        if outputs:
+            table.append((val, outputs))
+    return table
+
+
+def _coordinate_span(k, basis, p):
+    """Element -> F_p coordinates over basis, for every element of the span
+    of basis (elements of k, linearly independent over F_p).
+
+    The span is enumerated, so a lookup replaces a linear solve; an element
     outside the span has no entry.
     """
     span = {k.zero(): ()}
@@ -595,7 +629,7 @@ def _coordinate_table(k, basis, p):
                 for x, m in enumerate(multiples)}
     if len(span) != p ** len(basis):
         raise VerificationFailed("coordinate basis is linearly dependent")
-    return {v.coeffs: coords for v, coords in span.items()}
+    return span
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ intersection of row spaces.  The oracle itself forms no matrix product,
 sums only rows it does not hold and intersects only by a radical cut, so
 these live with the tests.  So do the plain routes the oracle no longer
 takes: a commutant solved from every generator and re-eliminated, h and j
-as sums, and traces summed in k_L.
+as sums, traces summed in k_L, ad equations from per-call tables with
+unreduced coefficients, and element matrices from a product per term.
 
 A matrix is the oracle's {(row, col): {w: k_F element}} map of nonzero
 t^w entries, and ``rows`` lists a Subspace's rows in pivot order."""
@@ -151,3 +152,56 @@ def char_module_min_ord_in_kL(model, c, level, exponent):
     if best is None or best >= -(-(M + nu_c) // model.e_A):
         return PrecisionExhausted
     return best
+
+
+def ad_equations_per_call(model, terms, quot, start, stop, pending):
+    """The equations of ad_g(x) = 0 for the unknowns quot.coords[start:stop],
+    added to pending as ``oracle._ad_equations`` does, from cell tables
+    built for this call only: the gx and xg parts of an output are summed
+    per unknown, unreduced, so a coefficient or a whole row may be 0 mod p."""
+    N, deg_F = model.N, model.deg_F
+    tables = {}
+    for j in range(start, stop):
+        r, c, _, i = quot.coords[j]
+        table = tables.get((r, c, i))
+        if table is None:
+            table = tables[r, c, i] = []
+            for n, (by_col, by_row) in enumerate(terms):
+                for a, val, vecs in by_col.get(r, ()):
+                    base = ((n * N + a) * N + c) * deg_F
+                    table.append((val, [(base + t, x)
+                                        for t, x in enumerate(vecs[i]) if x]))
+                for b, val, vecs in by_row.get(c, ()):
+                    base = ((n * N + r) * N + b) * deg_F
+                    table.append((val, [(base + t, -x)
+                                        for t, x in enumerate(vecs[i]) if x]))
+        v = quot.vals[j]
+        for val, outputs in table:
+            layer = pending.setdefault(v + val, {})
+            for out, x in outputs:
+                row = layer.setdefault(out, {})
+                row[j] = row.get(j, 0) + x
+
+
+def elt_to_matrix_by_products(model, x):
+    """The matrix of multiplication by x (a series in E_0) as
+    ``MatrixModel.elt_to_matrix`` builds it, each term of each column one
+    product c * c_pi^(a - a2) * theta^b * zeta^-w, its k_F entries summed
+    from the theta_F basis."""
+    m, deg_F, k = model.m_pi, model.deg_F, model.tower.k
+    entries = {}
+    for col, (a, b, j) in enumerate(model.basis):
+        for e, c in x.terms:
+            w, a2 = divmod(e // m + a, model.e0)
+            coords = model.residue_coords(
+                c * model.c_pi ** (a - a2) * model.theta ** b
+                * model.zeta ** -w)
+            for b2 in range(model.f0):
+                cF = k.zero()
+                for y, basis in zip(coords[b2 * deg_F:(b2 + 1) * deg_F],
+                                    model._kF_basis):
+                    cF = cF + basis * y
+                if not cF.is_zero():
+                    entries.setdefault(
+                        (model.index[(a2, b2, j)], col), {})[w] = cF
+    return entries

@@ -101,18 +101,23 @@ def _no_steps(payload):
     payload["depths"] = payload["dims"] = payload["characters"] = []
 
 
+def _rho_slot(payload):
+    payload["rho_slot"] = "tampered"
+
+
 @pytest.mark.parametrize("tamper, error, exit_code", [
     (_append_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_wrong_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_wrong_depth, "DepthMismatch", cli.EXIT_VERIFICATION),
     (_short_depth, "ValueError", cli.EXIT_INPUT),
     (_no_steps, "DepthMismatch", cli.EXIT_VERIFICATION),
+    (_rho_slot, "VerificationFailed", cli.EXIT_VERIFICATION),
 ], ids=["dims-length", "dims-value", "depths-value", "depths-one-entry",
-        "depths-empty"])
+        "depths-empty", "rho-slot"])
 def test_tampered_yu_document_is_rejected(tmp_path, tamper, error, exit_code):
     # dims and depths must agree with the characters, not only be ordered;
-    # a malformed rational or an empty depth vector ends in an error
-    # document, not a traceback
+    # rho_slot is the fixed out-of-scope marker; a malformed rational or an
+    # empty depth vector ends in an error document, not a traceback
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
     tamper(yu_doc["payload"])
@@ -215,6 +220,26 @@ def test_rational_of_non_integers_is_an_input_error(tmp_path, pair):
     bk_doc = cli.emit_bk(bk)
     bk_doc["payload"]["blocks"][0][1]["terms"][0][0] = pair
     code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+
+
+def test_repeated_exponent_is_an_input_error(tmp_path):
+    # a term list states each exponent once: an element, a bk block and a
+    # yu character that repeat one are rejected, not merged
+    code, doc = run_cli(["defseq", "--tower", "desk5", "--N", "4", "--element",
+                         '[[[-1,1],[0,1]],[[-1,2],[1,0]],[[-1,2],[1,0]]]'])
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+    assert "-1/2" in doc["payload"]["message"]
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    bk_doc = cli.emit_bk(bk)
+    terms = bk_doc["payload"]["blocks"][0][1]["terms"]
+    terms.append(terms[0])
+    code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+    yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
+    terms = yu_doc["payload"]["characters"][0][1]["terms"]
+    terms.append(terms[0])
+    code, doc = _run_on(tmp_path, "yu2bk", yu_doc)
     assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
 
 

@@ -9,11 +9,13 @@ import pytest
 from tamestrata import corpus, oracle, strata, tame, translate
 from tamestrata.errors import (NotInLevel, NotNested, PrecisionExhausted,
                                TooLarge)
+from tamestrata.ffq import FqField
 from tamestrata.oracle import Subspace
 
 from reference import (
-    char_module_min_ord_in_kL, commutant_by_kernel, generator_matrices,
-    hj_by_sums, intersect, mat_mul, mat_sub, rows, span, vec_to_matrix,
+    ad_equations_per_call, char_module_min_ord_in_kL, commutant_by_kernel,
+    elt_to_matrix_by_products, generator_matrices, hj_by_sums, intersect,
+    mat_mul, mat_sub, rows, span, vec_to_matrix,
 )
 
 
@@ -612,7 +614,7 @@ def test_direct_ad_equals_matrix_products(name):
     for x in elements:
         g = model.elt_to_matrix(x.at_level(0))
         pending = {}
-        oracle._ad_equations(model, [model._ad_terms(g)], quot, 0,
+        oracle._ad_equations(model, [model._ad_terms(g)], {}, quot, 0,
                              len(quot.coords), pending)
         # each unknown's column of the equations, by (row, col, w, t)
         direct = [{} for _ in quot.coords]
@@ -741,14 +743,22 @@ def test_coordinate_tables_rebuild_their_fields(name):
     model = oracle.model_build(strata.make_order(tower, tower.level_degree(0)))
     k_F = set(tower.residue_subfield(tower.d))
     k_E0 = set(tower.residue_subfield(0))
+
+    def from_coords(coords):
+        acc = tower.k.zero()
+        for x, basis in zip(coords, model._kF_basis):
+            acc = acc + basis * x
+        return acc
+
     for c in k_F:
-        assert model.kF_from_coords(model.kF_coords(c)) == c
+        assert from_coords(model.kF_coords(c)) == c
+        assert model._kF_elems[model.kF_coords(c)] == c
     for c in k_E0:
         coords = model.residue_coords(c)
         rebuilt = tower.k.zero()
         for b in range(model.f0):
             part = coords[b * model.deg_F:(b + 1) * model.deg_F]
-            rebuilt = rebuilt + model.theta ** b * model.kF_from_coords(part)
+            rebuilt = rebuilt + model.theta ** b * from_coords(part)
         assert rebuilt == c
     outside = [c for c in tower.k.elements() if c not in k_F]
     assert outside
@@ -796,7 +806,7 @@ def test_scan_dimensions_equal_kernel_projections():
         big, res = model.quotient_context(J), model.quotient_context(1)
         width = len(res.coords)
         equations = {}
-        oracle._ad_equations(model, [model._ad_terms(bmat)], big, 0,
+        oracle._ad_equations(model, [model._ad_terms(bmat)], {}, big, 0,
                              len(big.coords), equations)
         layers = oracle._Layers(model, [bmat], -n)
         reference = Subspace(model.p, len(big.coords))
@@ -807,6 +817,145 @@ def test_scan_dimensions_equal_kernel_projections():
             want = res.project(reference.kernel()).dim
             assert oracle._image_dim(layers, width) == want, (beta, k)
     assert strata_seen == 60        # the rest lie in F
+
+
+def _systems_of_small_orders():
+    """(model, mats, shift, top) for every corpus order with N <= 8: each
+    level's system (its generators that are not F-scalars) up to extent
+    2 e_A + 1, and one k_0 system per type (a) datum with an entry beta
+    not in F (the first such) up to extent J = 2n + 2 e_A + 1."""
+    out = []
+    for order in _corpus_orders().values():
+        model = oracle.model_build(order)
+        for level in range(model.tower.d + 1):
+            mats = [g for g in generator_matrices(model, level)
+                    if not oracle._lies_in_F(model, g)]
+            if mats:
+                out.append((model, mats, 0, 2 * model.e_A + 1))
+        for _, bk in corpus.datum_corpus():
+            if bk.kind != "a" or bk.order != order:
+                continue
+            bmat = next((m for m in (model.elt_to_matrix(e.beta.at_level(0))
+                                     for e in bk.seq.entries)
+                         if not oracle._lies_in_F(model, m)), None)
+            if bmat is None:
+                continue
+            n = -model.block_val(bmat)
+            out.append((model, [bmat], -n, 2 * n + 2 * model.e_A + 1))
+    return out
+
+
+def _mod_p(layer, p):
+    """A pending layer reduced mod p, zero entries and rows dropped."""
+    out = {}
+    for key, row in layer.items():
+        row = {j: x % p for j, x in row.items() if x % p}
+        if row:
+            out[key] = row
+    return out
+
+
+def test_cell_tables_give_the_reference_rows_mod_p():
+    # each system extended one extent at a time holds, in pending and in
+    # the rows it adds, the per-call reference's rows reduced mod p, and
+    # no row holds a zero entry or is empty
+    systems = _systems_of_small_orders()
+    assert len(systems) == 50
+    for model, mats, shift, top in systems:
+        p = model.p
+        quot = model.quotient_context(top)
+        layers = oracle._Layers(model, mats, shift)
+        added = []
+
+        def recorded(row, add=layers.eqs.add):
+            added.append(dict(row))
+            return add(row)
+
+        layers.eqs.add = recorded
+        want = {}
+        for extent in range(1, top + 1):
+            start, before = layers.eqs.width, layers.extent
+            added.clear()
+            layers.extend(quot, extent)
+            ad_equations_per_call(model, layers.terms, quot, start,
+                                  layers.eqs.width, want)
+            popped = [row for val in range(before + shift, extent + shift)
+                      for row in _mod_p(want.pop(val, {}), p).values()]
+            assert (sorted(sorted(r.items()) for r in added)
+                    == sorted(sorted(r.items()) for r in popped)), extent
+            left = {val: _mod_p(layer, p) for val, layer in want.items()}
+            assert layers.pending == {val: layer for val, layer in left.items()
+                                      if layer}, extent
+            for row in added + [row for layer in layers.pending.values()
+                                for row in layer.values()]:
+                assert row and all(0 < x < p for x in row.values())
+
+
+def test_a_system_builds_each_cell_table_once(monkeypatch, model):
+    # a k_0 system extended one extent at a time to J builds each cell's
+    # table at most once, however many extents its unknowns enter at
+    built = []
+    cell_table = oracle._cell_table
+
+    def counted(*args):
+        built.append(args[2:])
+        return cell_table(*args)
+
+    monkeypatch.setattr(oracle, "_cell_table", counted)
+    w = model.tower.k.gen()
+    bmat = model.elt_to_matrix(model.tower.series(
+        0, [(-1, w), (Fraction(-1, 2), 1)]))
+    n = -model.block_val(bmat)
+    J = 2 * n + 2 * model.e_A + 1
+    layers = oracle._Layers(model, [bmat], -n)
+    quot = model.quotient_context(J)
+    for extent in range(1, J + 1):
+        layers.extend(quot, extent)
+    assert len(set(built)) == len(built) == len(layers.tables)
+    assert len(built) <= model.N ** 2 * model.deg_F
+    assert layers.eqs.width > len(built)        # cells recur across extents
+
+
+def _twisted_tower():
+    # p=5, e=3, f=2, zeta = w^3 of order 8, as in test_twisted.py
+    z = FqField(5, 2).gen() ** 3
+    base = tame.make_tower(5, 3, 2, zeta=list(z.coeffs))
+    inertia = frozenset(g for g in base.group if g.frob_power == 0)
+    return tame.make_tower(5, 3, 2, zeta=list(z.coeffs),
+                           levels=(frozenset([base.identity]), inertia,
+                                   base.group))
+
+
+def test_elt_to_matrix_equals_products_per_term():
+    # every corpus entry c and beta, and pi_F^-1 and both generators of
+    # every level, on every corpus order (the five built-in towers', desk5x2
+    # with m_0 = 2 among them) and on a tower whose zeta is not 1, so that
+    # the factor's zeta^-w varies with w; against a plain product per term
+    orders = {}
+    for _, bk in corpus.datum_corpus():
+        orders.setdefault(bk.order.key(), bk.order)
+    orders = list(orders.values())
+    assert len({o.tower for o in orders}) == 5
+    assert [o.m[0] for o in orders].count(2) == 1      # desk5x2
+    twisted = _twisted_tower()
+    orders.append(strata.make_order(twisted, twisted.level_degree(0)))
+    checked = 0
+    for order in orders:
+        model = oracle.model_build(order)
+        tower = order.tower
+        xs = [tower.pi_F() ** -1]
+        for level in range(tower.d + 1):
+            xs += [tower.monomial(tower.residue_generator(level), 0),
+                   tower.uniformizer(level)]
+        for _, bk in corpus.datum_corpus():
+            if bk.kind == "a" and bk.order == order:
+                xs += [x for e in bk.seq.entries for x in (e.c, e.beta)]
+        for x in xs:
+            x = x.at_level(0)
+            assert (model.elt_to_matrix(x)
+                    == elt_to_matrix_by_products(model, x)), x
+            checked += 1
+    assert checked == 295
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS)
