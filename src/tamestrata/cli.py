@@ -3,14 +3,16 @@
 Documents are {"schema_version": ..., "kind": ..., "payload": ...} with a
 deterministic field order.  Exact values only: rationals are [numerator,
 denominator] pairs, residue-field elements are coefficient vectors over
-F_p.  Pretty unicode rendering is opt-in via --human and never part of the
-wire format.
+F_p; a JSON float is rejected when read.  A datum document is the one its
+datum re-emits (_as_emitted).  Pretty unicode rendering is opt-in via
+--human and never part of the wire format.
 
 Exit codes: 0 success (and --help); 2 when a VerificationError is raised
-(a constructed object fails a check it must satisfy, or a suite fails); 3
-for a usage error (a missing or unknown option, an invalid choice), any
-other TameStrataError, and OSError, KeyError, ValueError or TypeError (bad
-input).  Both failure codes come with an error document naming the
+(a constructed object fails a check it must satisfy, a datum document is
+not the one its datum re-emits, or a suite fails); 3 for a usage error (a
+missing or unknown option, an invalid choice), any other TameStrataError,
+and OSError, KeyError, ValueError or TypeError (bad input, a float
+included).  Both failure codes come with an error document naming the
 exception class and its message.
 
 run turns --oracle into the invocation's map from order to model (None
@@ -45,7 +47,7 @@ EXIT_INPUT = 3
 # ---------------------------------------------------------------------------
 
 def _frac(x) -> list:
-    x = Fraction(x)
+    """[numerator, denominator] of an int or a Fraction."""
     return [x.numerator, x.denominator]
 
 
@@ -133,51 +135,31 @@ def emit_bk(bk: translate.BKDatumSkeleton) -> dict:
         "notes": dict(bk.notes),
     }
     if bk.kind == "a":
-        payload["blocks"] = [[e.level, emit_series(e.c)] for e in bk.seq.entries]
-        payload.update(_derived(bk, [emit_series(cf.c) for cf in bk.theta_factors]))
+        payload.update(
+            blocks=[[e.level, emit_series(e.c)] for e in bk.seq.entries],
+            n=bk.seq.n, r=[e.r for e in bk.seq.entries], case=bk.seq.case,
+            theta_factors=[
+                {"level": cf.level, "c": emit_series(cf.c),
+                 "depth": _frac(cf.depth),
+                 "det_domain": [[l, m] for l, m, _ in cf.det_domain],
+                 "psi_domain": [[l, m] for l, m, _ in cf.psi_domain]}
+                for cf in bk.theta_factors])
     return document("bk_datum", payload)
 
 
-def _derived(bk, factor_cs) -> dict:
-    """A type (a) document's fields that its blocks determine."""
-    seq = bk.seq
-    return {"n": seq.n, "r": [e.r for e in seq.entries], "case": seq.case,
-            "theta_factors": [
-                {"level": cf.level, "c": c, "depth": _frac(cf.depth),
-                 "det_domain": [[l, m] for l, m, _ in cf.det_domain],
-                 "psi_domain": [[l, m] for l, m, _ in cf.psi_domain]}
-                for cf, c in zip(bk.theta_factors, factor_cs)]}
-
-
 def parse_bk(doc) -> translate.BKDatumSkeleton:
-    """The datum the blocks (type (a)) or the order (type (b)) build; a
-    stated field must be one emit_bk writes and equal the built one as
-    JSON, bar factor i's element, a copy of block i."""
+    """The datum the blocks (type (a)) or the order (type (b)) build, which
+    must re-emit every field the document states (see _as_emitted)."""
     payload = _payload(doc, "bk_datum")
     tower = parse_tower(document("tower", payload["tower"]))
     order = strata.make_order(tower, payload["N"])
     kind = payload.get("kind", "a")
     if kind not in ("a", "b"):
         raise ValueError(f"datum kind {kind!r} is not \"a\" or \"b\"")
-    if kind == "b":
-        bk, built = translate.make_bk_datum_b(order), {}
-    else:
-        c_list = [(lvl, parse_series(tower, ser))
-                  for lvl, ser in payload["blocks"]]
-        bk = translate.make_bk_datum(order, c_list)
-        built = dict(_derived(bk, [None] * len(c_list)),
-                     blocks=payload["blocks"])
-    built["notes"] = dict(bk.notes)
-    extra = payload.keys() - built.keys() - {"tower", "N", "kind"}
-    if extra:
-        raise VerificationFailed(f"a type ({bk.kind}) datum has no {min(extra)}")
-    for key, value in built.items():
-        stated = payload.get(key, value)
-        if key == "theta_factors":
-            stated = [dict(cf, c=None) for cf in stated]
-        if stated != value:
-            raise VerificationFailed(f"stated {key} is not what the datum builds")
-    return bk
+    bk = (translate.make_bk_datum_b(order) if kind == "b" else
+          translate.make_bk_datum(order, [(lvl, parse_series(tower, ser))
+                                          for lvl, ser in payload["blocks"]]))
+    return _as_emitted(bk, payload, emit_bk, f"a type ({kind}) datum")
 
 
 def emit_yu(yu: translate.YuDatumSkeleton) -> dict:
@@ -208,9 +190,19 @@ def parse_yu(doc) -> translate.YuDatumSkeleton:
     yu = translate.YuDatumSkeleton(
         order, tuple(payload["dims"]),
         tuple(_unfrac(r) for r in payload["depths"]), characters, case)
-    if payload.get("rho_slot", yu.rho_slot) != yu.rho_slot:
-        raise VerificationFailed("stated rho_slot is not what the datum builds")
-    return yu
+    return _as_emitted(yu, payload, emit_yu, "a yu datum")
+
+
+def _as_emitted(datum, payload, emit, name):
+    """datum, once each top-level field payload states is one emit(datum)
+    writes, with an equal value; a field left out is the emitted one."""
+    emitted = emit(datum)["payload"]
+    for key, value in payload.items():
+        if key not in emitted:
+            raise VerificationFailed(f"{name} has no {key}")
+        if value != emitted[key]:
+            raise VerificationFailed(f"stated {key} is not what the datum builds")
+    return datum
 
 
 def emit_table(table: translate.FiltrationTable) -> dict:
@@ -311,9 +303,15 @@ def _render_human(doc) -> str:
 # command implementations
 # ---------------------------------------------------------------------------
 
+def _loads(text):
+    def no_float(number):
+        raise ValueError(f"{number} is not exact: a document holds no floats")
+    return json.loads(text, parse_float=no_float, parse_constant=no_float)
+
+
 def _read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return _loads(fh.read())
 
 
 def _load_tower(args) -> tame.Tower:
@@ -329,7 +327,7 @@ def _load_tower(args) -> tame.Tower:
 
 
 def _load_element(tower, text) -> tame.TameSeries:
-    data = json.loads(text)
+    data = _loads(text)
     if isinstance(data, dict):
         return parse_series(tower, data)
     return parse_series(tower, {"level": 0, "terms": data, "prec": None})

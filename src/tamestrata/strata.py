@@ -87,8 +87,8 @@ class OrderDesc:
 
 def make_order(tower: Tower, N: int) -> OrderDesc:
     deg0 = tower.level_degree(0)
-    if N < 1:
-        raise BadLevel(f"N={N} must be at least 1")
+    if type(N) is not int or N < 1:
+        raise BadLevel(f"N={N!r} must be an integer of at least 1")
     if N % deg0:
         raise BadLevel(f"[E_0:F]={deg0} must divide N={N}")
     m = tuple(N // tower.level_degree(i) for i in range(tower.d + 1))

@@ -226,8 +226,8 @@ class Tower:
 
     def __init__(self, spec: TowerSpec):
         base, k = spec.base, spec.residue
-        if spec.e < 1 or spec.f < 1:
-            raise BadChain("e and f must be positive")
+        if any(type(x) is not int or x < 1 for x in (spec.e, spec.f)):
+            raise BadChain("e and f must be positive integers")
         if spec.e % base.p == 0:
             raise NotTame(f"p={base.p} divides e={spec.e}")
         if k.p != base.p or k.f != base.f * spec.f:

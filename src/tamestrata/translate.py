@@ -351,8 +351,8 @@ def single_index_log(order: OrderDesc, level: int, a: int, b: int) -> int:
 def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
     """Index ledger plus verdicts.
 
-    Single-group indices come in closed form (checked against the oracle
-    when a model is given); composite quotients need the oracle.  Verdicts:
+    Every index is the oracle's, so a datum with indices needs a model;
+    each single-group index is checked against its closed form.  Verdicts:
     the product identity between the Yu-side Heisenberg quotients and the
     single quotient J^1/H^1, and evenness of the exponents so that the
     dimension square roots are integral powers of p.
@@ -383,8 +383,8 @@ def ledger_indices(bk: BKDatumSkeleton, yu: YuDatumSkeleton, model=None):
         for lvl in (levels[i - 1], levels[i]):
             if a_exp < 1 or a_exp == b_exp:
                 continue
-            log = single_index_log(order, lvl, a_exp, b_exp)
-            if oracle_logs[(lvl, a_exp, b_exp)] != log:
+            log = oracle_logs[(lvl, a_exp, b_exp)]
+            if single_index_log(order, lvl, a_exp, b_exp) != log:
                 singles_ok = False
             entries.append(LogIndex(f"[U^{a_exp}(B_{lvl}):U^{b_exp}(B_{lvl})]",
                                     log, "oracle"))

@@ -1,12 +1,15 @@
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import tamestrata
-from tamestrata import cli, corpus, errors, oracle, strata, translate, verifysuite
+from tamestrata import (cli, corpus, errors, oracle, strata, tame, translate,
+                        verifysuite)
 
 
 def run_cli(args):
@@ -105,6 +108,14 @@ def _rho_slot(payload):
     payload["rho_slot"] = "tampered"
 
 
+def _extra_field(payload):
+    payload["extra"] = 1
+
+
+def _unreduced_depth(payload):
+    payload["depths"][0] = [2 * x for x in payload["depths"][0]]
+
+
 @pytest.mark.parametrize("tamper, error, exit_code", [
     (_append_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_wrong_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
@@ -112,12 +123,16 @@ def _rho_slot(payload):
     (_short_depth, "ValueError", cli.EXIT_INPUT),
     (_no_steps, "DepthMismatch", cli.EXIT_VERIFICATION),
     (_rho_slot, "VerificationFailed", cli.EXIT_VERIFICATION),
+    (_extra_field, "VerificationFailed", cli.EXIT_VERIFICATION),
+    (_unreduced_depth, "VerificationFailed", cli.EXIT_VERIFICATION),
 ], ids=["dims-length", "dims-value", "depths-value", "depths-one-entry",
-        "depths-empty", "rho-slot"])
+        "depths-empty", "rho-slot", "extra-field", "depths-unreduced"])
 def test_tampered_yu_document_is_rejected(tmp_path, tamper, error, exit_code):
     # dims and depths must agree with the characters, not only be ordered;
-    # rho_slot is the fixed out-of-scope marker; a malformed rational or an
-    # empty depth vector ends in an error document, not a traceback
+    # every stated field is the one the datum re-emits, so rho_slot is the
+    # fixed out-of-scope marker, a depth is a reduced rational and no field
+    # is one emit_yu never writes; a malformed rational or an empty depth
+    # vector ends in an error document, not a traceback
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
     tamper(yu_doc["payload"])
@@ -137,13 +152,18 @@ _BK_TAMPERS = {
     "theta-depth": lambda payload: payload["theta_factors"][0].__setitem__(
         "depth", [7, 3]),
     "notes": lambda payload: payload.__setitem__("notes", {"kappa": "tampered"}),
+    "theta-c-prec": lambda payload: payload["theta_factors"][0]["c"].__setitem__(
+        "prec", [3, 1]),
+    "tower-modulus": lambda payload: payload["tower"].pop("base_modulus"),
 }
 
 
 @pytest.mark.parametrize("tamper", sorted(_BK_TAMPERS))
 @pytest.mark.parametrize("command", ["bk2yu", "tables", "ledger"])
 def test_tampered_bk_document_is_rejected(tmp_path, command, tamper):
-    # n, r, case and the character factors must be the ones the blocks build
+    # n, r, case and the character factors must be the ones the blocks
+    # build; factor i's element is block i's, and an inline tower is stated
+    # in full
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     bk_doc = cli.emit_bk(bk)
     _BK_TAMPERS[tamper](bk_doc["payload"])
@@ -341,18 +361,22 @@ def test_determinism_byte_identical():
     assert out1 == out2
 
 
-def test_serialization_round_trip_fixtures(tmp_path):
-    count = 0
-    for label, bk in corpus.datum_corpus()[:8]:
-        doc = cli.emit_bk(bk)
-        back = cli.parse_bk(json.loads(json.dumps(doc)))
-        assert translate.skeletons_agree(bk, back), label
+def _wire(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_serialization_round_trip_fixtures():
+    # every corpus document parses to its datum and re-emits byte-identically
+    data = corpus.datum_corpus()
+    for label, bk in data:
         yu = translate.bk_to_yu(bk)
-        ydoc = cli.emit_yu(yu)
-        yback = cli.parse_yu(json.loads(json.dumps(ydoc)))
-        assert translate.skeletons_agree(yu, yback), label
-        count += 1
-    assert count == 8
+        for datum, parse, emit in ((bk, cli.parse_bk, cli.emit_bk),
+                                   (yu, cli.parse_yu, cli.emit_yu)):
+            text = _wire(emit(datum))
+            back = parse(json.loads(text))
+            assert translate.skeletons_agree(datum, back), label
+            assert _wire(emit(back)) == text, label
+    assert len(data) == 70
 
 
 def test_entry_point_subprocess():
@@ -423,10 +447,12 @@ def test_verify_corpus_builds_one_model_per_order(tmp_path, monkeypatch):
 
 
 def test_truncated_block_round_trips(tmp_path):
-    # a round trip hands back the very series it was given, precision too
+    # a round trip hands back the very series it was given, precision too;
+    # theta factor 0 carries block 0's element, so it is truncated with it
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     doc = cli.emit_bk(bk)
     doc["payload"]["blocks"][0][1]["prec"] = [3, 1]
+    doc["payload"]["theta_factors"][0]["c"]["prec"] = [3, 1]
     datum, docs = tmp_path / "bk.json", tmp_path / "corpus.json"
     datum.write_text(json.dumps(doc))
     docs.write_text(json.dumps([doc]))
@@ -764,6 +790,9 @@ def test_a_shifted_single_index_fails_ledger_and_corpus(
     code, out = run_cli(["ledger", "--datum", path])
     assert code == cli.EXIT_VERIFICATION
     assert out["payload"]["verdicts"]["singles_match_oracle"] is False
+    # an entry under provenance "oracle" holds the oracle's index
+    assert out["payload"]["indices"][0] == {
+        "name": "[U^1(B_1):U^2(B_1)]", "log_p": 4, "provenance": "oracle"}
     code, out = run_cli(["verify", "--corpus", _corpus_of(tmp_path, doc),
                          "--oracle", "check"])
     assert code == cli.EXIT_VERIFICATION
@@ -820,3 +849,92 @@ def test_non_object_documents_are_input_errors(tmp_path, command, content):
     code, doc = run_cli([*command.split(), str(path)])
     assert code == cli.EXIT_INPUT
     assert doc["kind"] == "error" and doc["payload"]["error"] == "ValueError"
+
+
+def test_a_float_in_a_document_is_an_input_error(tmp_path):
+    # the wire format holds no floats: an e of 2.0 next to the same tower
+    # with e = 2 is rejected when read, in a fresh interpreter too
+    _, doc = _defseq_datum(tmp_path)
+    floated = copy.deepcopy(doc)
+    floated["payload"]["tower"]["e"] = 2.0
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([doc, floated]))
+    out = subprocess.run([sys.executable, "-m", "tamestrata.cli", "verify",
+                          "--corpus", str(path), "--oracle", "off"],
+                         capture_output=True, text=True, env=_subprocess_env())
+    assert out.returncode == cli.EXIT_INPUT, out.stderr
+    err = json.loads(out.stdout)
+    assert err["kind"] == "error" and err["payload"]["error"] == "ValueError"
+    code, err = run_cli(["sr", "--tower", "desk5", "--element", "[[[-1,2],[0,1.0]]]"])
+    assert (code, err["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+
+
+def test_tower_and_order_sizes_are_integers():
+    # after the tower with e = 2, so a cache keyed on e == 2.0 would hit
+    tame.make_tower(5, 2, 2)
+    for e in (2.0, True):
+        with pytest.raises(errors.BadChain):
+            tame.make_tower(5, e, 2)
+    with pytest.raises(errors.BadLevel):
+        strata.make_order(corpus.desk_tower_5(), 4.0)
+
+
+_MUTATED_DATA = ["desk5/N=4/levels=0-1/base=1", "desk5/N=4/levels=0-1-2/base=1",
+                 "desk3/N=4/levels=1-2/base=2", "desk2/N=6/levels=0-1/base=1",
+                 "desk5/N=4/type-b"]
+_MUTANT_VALUES = [0, 1, -1, 2, 7, None, True, False, 2.0, "x", "A", "b", [],
+                  {}, [1, 2], [2, 4], [6, 0], [1], {"k": 1}]
+
+
+def _fields(obj):
+    """(holder, key) for every value inside a JSON document."""
+    keys = obj.keys() if isinstance(obj, dict) else (
+        range(len(obj)) if isinstance(obj, list) else ())
+    for key in list(keys):
+        yield obj, key
+        yield from _fields(obj[key])
+
+
+def _mutant(doc, rng):
+    """doc with one field set to a listed value, deleted, or added."""
+    doc = copy.deepcopy(doc)
+    fields = list(_fields(doc))
+    value = rng.choice(_MUTANT_VALUES)
+    op = rng.choice(("set", "delete", "add"))
+    if op == "add":
+        rng.choice([doc] + [h[k] for h, k in fields
+                            if isinstance(h[k], dict)])["extra"] = value
+        return doc
+    holder, key = rng.choice(fields)
+    if op == "set":
+        holder[key] = value
+    else:
+        del holder[key]
+    return doc
+
+
+def test_one_field_mutations_are_rejected_or_re_emitted(tmp_path):
+    # an accepted document states only fields its datum re-emits, with the
+    # same values (== here, so a true written for 1 is not told apart);
+    # anything else is an error document with exit 2 or 3
+    data = dict(corpus.datum_corpus())
+    originals = []
+    for label in _MUTATED_DATA:
+        bk = data[label]
+        originals += [("bk2yu", cli.parse_bk, cli.emit_bk, cli.emit_bk(bk)),
+                      ("yu2bk", cli.parse_yu, cli.emit_yu,
+                       cli.emit_yu(translate.bk_to_yu(bk)))]
+    rng = random.Random(0)
+    path = tmp_path / "datum.json"
+    for n in range(300):
+        command, parse, emit, doc = rng.choice(originals)
+        doc = _mutant(doc, rng)
+        path.write_text(json.dumps(doc))
+        code, out = cli.run([command, "--datum", str(path)])
+        if code != cli.EXIT_OK:
+            assert code in (cli.EXIT_VERIFICATION, cli.EXIT_INPUT), (n, doc)
+            assert out["kind"] == "error", (n, doc)
+            continue
+        again = emit(parse(doc))["payload"]
+        assert all(key in again and again[key] == value
+                   for key, value in doc["payload"].items()), (n, doc)
