@@ -195,14 +195,26 @@ def parse_yu(doc) -> translate.YuDatumSkeleton:
 
 def _as_emitted(datum, payload, emit, name):
     """datum, once each top-level field payload states is one emit(datum)
-    writes, with an equal value; a field left out is the emitted one."""
+    writes, with the same JSON value; a field left out is the emitted one."""
     emitted = emit(datum)["payload"]
     for key, value in payload.items():
         if key not in emitted:
             raise VerificationFailed(f"{name} has no {key}")
-        if value != emitted[key]:
+        if not _same_json(value, emitted[key]):
             raise VerificationFailed(f"stated {key} is not what the datum builds")
     return datum
+
+
+def _same_json(a, b) -> bool:
+    """a == b with JSON types kept apart, so that true is not 1."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(v, b[k])
+                                            for k, v in a.items())
+    return a == b
 
 
 def emit_table(table: translate.FiltrationTable) -> dict:

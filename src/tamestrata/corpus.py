@@ -12,9 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    NotMinimalSummand, TameStrataError, ValuationOrder, VerificationFailed,
-)
+from .errors import TameStrataError, VerificationFailed
 from .minimal import is_minimal
 from .strata import make_order
 from .tame import GaloisElement, Tower, make_tower, monomials_in_level
@@ -160,13 +158,9 @@ def datum_corpus_for_orders(named_orders):
                 blocks = blocks_for_levels(tower, levels, base, order.e_A)
                 if blocks is None:
                     continue
-                try:
-                    bk = make_bk_datum(order, blocks)
-                except (NotMinimalSummand, ValuationOrder, VerificationFailed):
-                    continue
                 label = (f"{name}/N={order.N}/levels="
                          f"{'-'.join(map(str, levels))}/base={base}")
-                data.append((label, bk))
+                data.append((label, make_bk_datum(order, blocks)))
         data.append((f"{name}/N={order.N}/type-b", make_bk_datum_b(order)))
     return data
 

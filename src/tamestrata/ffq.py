@@ -190,10 +190,10 @@ class FqField:
     __slots__ = ("p", "f", "modulus", "_log", "_exp", "_hash")
 
     def __init__(self, p: int, f: int, modulus=None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if f < 1:
-            raise BadDegree("degree must be >= 1")
+        if type(p) is not int or not is_prime(p):
+            raise NotPrime(f"{p!r} is not a prime integer")
+        if type(f) is not int or f < 1:
+            raise BadDegree(f"degree {f!r} must be an integer of at least 1")
         if modulus is None:
             modulus = default_modulus(p, f)
         modulus = [c % p for c in modulus]

@@ -9,7 +9,8 @@ e_A * ord, which is what the brute-force matrix oracle re-derives.
 Defining sequences are built from split-form elements: every term of beta
 must lie in a chain level, and the split into blocks is forced, a new block
 starting exactly where the generated field grows.  The one split is
-accepted only when the full list of sequence conditions verifies.
+accepted only when build_defining_sequence, the one place a sequence is
+checked, accepts its blocks.
 
 An order keeps each sequence that verified on it, keyed by its block
 list's content, and returns it for an equal list: per order, successes
@@ -24,8 +25,8 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BadLevel, NotDecomposable, NotInLevel, NotMinimalSummand, NotSplitForm,
-    PrecisionExhausted, TowerMismatch, ValuationOrder, VerificationFailed,
-    ZeroToPrecision,
+    PrecisionExhausted, TameStrataError, TowerMismatch, ValuationOrder,
+    VerificationFailed, ZeroToPrecision,
 )
 from .minimal import is_minimal, minimal_over
 from .tame import TameSeries, Tower, stabilizer_within
@@ -111,18 +112,9 @@ class DefiningSeq(NamedTuple):
 
     @property
     def depths(self) -> tuple:
-        """(r_1, ..., r_s, n): the depth -nu_A(c_i) of each block, as the
-        build's checks (b) and (f) make it."""
+        """(r_1, ..., r_s, n): the depth -nu_A(c_i) of each block, positive
+        and strictly increasing by the build's checks."""
         return tuple(e.r for e in self.entries[1:]) + (self.n,)
-
-
-class VerifyReport(NamedTuple):
-    checks: dict
-    details: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
 
 
 def nu_A(order: OrderDesc, x: TameSeries) -> int:
@@ -196,11 +188,31 @@ def split_form_sequence(order: OrderDesc, beta: TameSeries) -> DefiningSeq:
 def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
     """Assemble beta_i = sum of the blocks from i on, with checks.
 
-    c_list is [(level, c)] ordered shallowest block first; levels must be
-    strictly increasing (fields strictly decreasing) and block depths
-    -nu_A(c_i) strictly increasing.  A block over another tower raises
-    TowerMismatch before any other check; a list equal to one that
-    verified on this order returns that sequence.
+    c_list is [(level, c)] ordered shallowest block first.  A block over
+    another tower raises TowerMismatch before any other check; a list equal
+    to one that verified on this order returns that sequence.  The list
+    must be non-empty, each block must lie in its level, levels must
+    strictly increase (fields strictly decrease), block depths -nu_A(c_i)
+    must strictly increase, each c_i must be minimal for its step (level_i
+    over level_{i+1}, c_s over F), each F[beta_i] must be the level-i field
+    and the shallowest depth must be positive.
+
+    These checks establish the conditions of a defining sequence
+    (Bushnell-Kutzko 1993, 1.4-2.4):
+    (a) each [A, n, r_i, beta_i] is simple: beta_i is pure of depth n,
+        because c_s alone has the lowest valuation, and its k0 from the
+        tail is -r_{i+1} (-n or -infinity for beta_s), so r_i < -k0 is (b);
+    (b) r_0 < r_1 < ... < r_s < n: the depth order with r_0 = 0 < r_1,
+        which is the positive shallowest depth;
+    (c) F[beta_i] is the level-i field: checked, since it rests on BK's
+        theory (minimal iff Galois separation), not on this arithmetic;
+    (d) nu_A(beta_i - beta_{i+1}) = -r_{i+1}: the difference is c_i
+        exactly.  Only block 0 can be truncated: a truncated block at a
+        level >= 1 has a non-identity fixer in its level, so its
+        minimality check raises PrecisionExhausted;
+    (e) k0(beta_s) is -n or -infinity: block s's minimality over F;
+    (f) each derived stratum is simple: each block's minimality check,
+        and nu_A(c_i) = -r_{i+1} by the definition of r.
     """
     tw = order.tower
     for i, (_, c) in enumerate(c_list):
@@ -224,126 +236,37 @@ def build_defining_sequence(order: OrderDesc, c_list) -> DefiningSeq:
     nus = [nu_A(order, c) for c in cs]
     if any(-a >= -b for a, b in zip(nus, nus[1:])):
         raise ValuationOrder("block depths -nu_A(c_i) must strictly increase")
-
-    reports = []
     for i in range(s + 1):
         low = levels[i + 1] if i < s else tw.d
-        rep = is_minimal(cs[i], levels[i], low)
-        if not rep.minimal:
+        if not is_minimal(cs[i], levels[i], low).minimal:
             raise NotMinimalSummand(
                 f"block {i} is not minimal relative to levels {levels[i]}/{low}")
-        reports.append(rep)
 
-    n = -nus[s]
     entries = []
     for i in range(s + 1):
         beta_i = cs[i]
         for cj in cs[i + 1:]:
             beta_i = beta_i + cj
+        if stabilizer_within(beta_i, tw.group) != tw.chain[levels[i]]:
+            raise VerificationFailed(
+                f"F[beta_{i}] is not the level-{levels[i]} field")
         r_i = 0 if i == 0 else -nus[i - 1]
         entries.append(SeqEntry(r_i, beta_i, levels[i], cs[i]))
+    if nus[0] >= 0:
+        raise VerificationFailed(f"the shallowest block has depth {-nus[0]}, "
+                                 "not a positive one")
     case = "A" if levels[s] == tw.d else "B"
-    seq = DefiningSeq(order, n, tuple(entries), s, case)
-    report = _verify(seq, reports)
-    if not report.passed:
-        failed = [k for k, ok in report.checks.items() if not ok]
-        raise VerificationFailed(f"sequence checks failed: {failed}; "
-                                 f"{report.details}")
+    seq = DefiningSeq(order, -nus[s], tuple(entries), s, case)
     order.verified[key] = seq
     return seq
 
 
-def verify_defining_sequence(seq: DefiningSeq) -> VerifyReport:
-    """Named checks for a defining sequence.
-
-    (a) every [A, n, r_i, beta_i] is simple
-    (b) r_0 < r_1 < ... < r_s < n
-    (c) fields F[beta_i] match the assigned levels, strictly nested
-    (d) nu_A(beta_i - beta_{i+1}) = -r_{i+1} for i < s
-    (e) k0(beta_s) is -n or -infinity
-    (f) each derived stratum is simple: c_i minimal for its step and
-        nu_A(c_i) = -r_{i+1}
-
-    k0 of the intermediate beta_i is evaluated from the sequence tail
-    (-r_{i+1} once the tail conditions hold), which is exactly the
-    closed-form recursion, so (d) does not compare it with -r_{i+1}; the
-    independent check of k0 is the matrix oracle.  k0 of beta_s is decided
-    once and read by (a) and (e).
-    """
-    return _verify(seq, None)
-
-
-def _verify(seq: DefiningSeq, reports) -> VerifyReport:
-    """The checks of verify_defining_sequence.  reports, when given, are
-    the minimality reports of c_0..c_s for their steps, as
-    build_defining_sequence decided them; (f) reads them instead of
-    deciding minimality again, and so does the terminal k0: beta_s is c_s,
-    and report s decided the definition minimal_over(beta_s, d) decides."""
-    order, tw = seq.order, seq.order.tower
-    s, entries, n = seq.s, seq.entries, seq.n
-    checks, details = {}, {}
-
-    # k0 of beta_s if the sequence is sound, else 0, which fails (a) and (e)
-    beta_s = entries[s].beta
-    if beta_s.in_level(tw.d):
-        k0_terminal = None
-    elif reports[s].minimal if reports else minimal_over(beta_s, tw.d):
-        k0_terminal = nu_A(order, beta_s)
-    else:
-        k0_terminal = 0
-
-    ok = True
-    for i in range(s + 1):
-        pure = nu_A(order, entries[i].beta) == -n
-        # k0 from the tail, justified by (e)/(f); -infinity is None
-        k0 = -entries[i + 1].r if i < s else k0_terminal
-        simple = pure and (k0 is None or entries[i].r < -k0)
-        if not simple:
-            ok = False
-    checks["a_strata_simple"] = ok
-
-    rs = [e.r for e in entries]
-    checks["b_levels_increase"] = all(a < b for a, b in zip(rs, rs[1:])) and rs[-1] < n
-
-    ok = True
-    prev_stab = None
-    for i in range(s + 1):
-        stab = stabilizer_within(entries[i].beta, tw.group)
-        if stab != tw.chain[entries[i].level]:
-            ok = False
-            details.setdefault("c", []).append(
-                f"F[beta_{i}] is not the level-{entries[i].level} field")
-        if prev_stab is not None and not (prev_stab < stab):
-            ok = False
-            details.setdefault("c", []).append(f"fields not strictly nested at {i}")
-        prev_stab = stab
-    checks["c_fields_nested"] = ok
-
-    ok = True
-    for i in range(s):
-        r_next = entries[i + 1].r
-        diff = entries[i].beta - entries[i + 1].beta
-        if nu_A(order, diff) != -r_next:
-            ok = False
-    checks["d_k0_steps"] = ok
-
-    checks["e_terminal_k0"] = k0_terminal is None or k0_terminal == -n
-
-    ok = True
-    for i in range(s + 1):
-        low = entries[i + 1].level if i < s else tw.d
-        r_derived = entries[i + 1].r if i < s else n
-        if reports is not None:
-            rep = reports[i]
-        else:
-            try:
-                rep = is_minimal(entries[i].c, entries[i].level, low)
-            except (ZeroToPrecision, NotInLevel):
-                ok = False
-                continue
-        if not rep.minimal or nu_A(order, entries[i].c) != -r_derived:
-            ok = False
-    checks["f_derived_simple"] = ok
-
-    return VerifyReport(checks, details)
-
+def verify_defining_sequence(seq: DefiningSeq) -> bool:
+    """Whether seq is the sequence its blocks build on its order: every
+    check of a defining sequence is made once, by build_defining_sequence,
+    so a sequence holds exactly when its rebuild is equal to it."""
+    try:
+        return build_defining_sequence(
+            seq.order, [(e.level, e.c) for e in seq.entries]) == seq
+    except TameStrataError:
+        return False

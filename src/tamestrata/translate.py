@@ -267,11 +267,8 @@ def bk_to_yu(bk: BKDatumSkeleton) -> YuDatumSkeleton:
         dims.append(order.N)
         depths.append(depths[-1])
         chars.append((tower.d, None, depths[-1]))
-    yu = YuDatumSkeleton(order, tuple(dims), tuple(depths), tuple(chars),
-                         seq.case)
-    if not _depths_ok(yu.depths, yu.case):
-        raise VerificationFailed("translated depths violate the ordering")
-    return yu
+    return YuDatumSkeleton(order, tuple(dims), tuple(depths), tuple(chars),
+                           seq.case)
 
 
 def yu_to_bk(yu: YuDatumSkeleton) -> BKDatumSkeleton:

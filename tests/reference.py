@@ -6,13 +6,17 @@ these live with the tests.  So do the plain routes the oracle no longer
 takes: a commutant solved from every generator and re-eliminated, h and j
 as sums, traces summed in k_L, ad equations from per-call tables with
 unreduced coefficients, and element matrices from a product per term.
+The six named conditions of a defining sequence, each decided afresh,
+are the reference for the one check build_defining_sequence makes.
 
 A matrix is the oracle's {(row, col): {w: k_F element}} map of nonzero
 t^w entries, and ``rows`` lists a Subspace's rows in pivot order."""
 
-from tamestrata import oracle
-from tamestrata.errors import PrecisionExhausted
+from tamestrata import oracle, strata
+from tamestrata.errors import PrecisionExhausted, TameStrataError
+from tamestrata.minimal import is_minimal, minimal_over
 from tamestrata.oracle import Subspace
+from tamestrata.tame import stabilizer_within
 
 
 def rows(space):
@@ -205,3 +209,77 @@ def elt_to_matrix_by_products(model, x):
                     entries.setdefault(
                         (model.index[(a2, b2, j)], col), {})[w] = cF
     return entries
+
+
+def assemble_sequence(order, c_list):
+    """The sequence a block list spells, with no check: beta_i = c_i + ...
+    + c_s, r_0 = 0, r_i = -nu_A(c_{i-1}) and n = -nu_A(c_s)."""
+    nus = [strata.nu_A(order, c) for _, c in c_list]
+    s = len(c_list) - 1
+    entries = []
+    for i, (lvl, c) in enumerate(c_list):
+        beta = c
+        for _, cj in c_list[i + 1:]:
+            beta = beta + cj
+        entries.append(strata.SeqEntry(0 if i == 0 else -nus[i - 1],
+                                       beta, lvl, c))
+    case = "A" if c_list[s][0] == order.tower.d else "B"
+    return strata.DefiningSeq(order, -nus[s], tuple(entries), s, case)
+
+
+def _holds(check):
+    """check(), with a check that cannot be decided counted as failed."""
+    try:
+        return check()
+    except TameStrataError:
+        return False
+
+
+def sequence_conditions(seq):
+    """The named conditions of a defining sequence, minimality decided
+    afresh for each block and for beta_s:
+    (a) every [A, n, r_i, beta_i] is simple, k0 of beta_i read from the
+        tail as -r_{i+1}
+    (b) r_0 < r_1 < ... < r_s < n
+    (c) fields F[beta_i] match the assigned levels, strictly nested
+    (d) nu_A(beta_i - beta_{i+1}) = -r_{i+1} for i < s
+    (e) k0(beta_s) is -n or -infinity
+    (f) each c_i is minimal for its step and nu_A(c_i) = -r_{i+1} (-n
+        for c_s)."""
+    order, tw = seq.order, seq.order.tower
+    s, entries, n = seq.s, seq.entries, seq.n
+    beta_s = entries[s].beta
+
+    def k0_terminal():      # None is -infinity; 0 fails (a) and (e)
+        if beta_s.in_level(tw.d):
+            return None
+        return strata.nu_A(order, beta_s) if minimal_over(beta_s, tw.d) else 0
+
+    def simple(i):
+        k0 = -entries[i + 1].r if i < s else k0_terminal()
+        return (strata.nu_A(order, entries[i].beta) == -n
+                and (k0 is None or entries[i].r < -k0))
+
+    def fields():
+        stabs = [stabilizer_within(e.beta, tw.group) for e in entries]
+        return (all(st == tw.chain[e.level] for st, e in zip(stabs, entries))
+                and all(a < b for a, b in zip(stabs, stabs[1:])))
+
+    def derived(i):
+        low, r = ((entries[i + 1].level, entries[i + 1].r) if i < s
+                  else (tw.d, n))
+        return (is_minimal(entries[i].c, entries[i].level, low).minimal
+                and strata.nu_A(order, entries[i].c) == -r)
+
+    rs = [e.r for e in entries]
+    return {
+        "a_strata_simple": all(_holds(lambda: simple(i)) for i in range(s + 1)),
+        "b_levels_increase": all(a < b for a, b in zip(rs, rs[1:] + [n])),
+        "c_fields_nested": _holds(fields),
+        "d_k0_steps": all(_holds(lambda: strata.nu_A(
+            order, entries[i].beta - entries[i + 1].beta) == -entries[i + 1].r)
+            for i in range(s)),
+        "e_terminal_k0": _holds(lambda: k0_terminal() in (None, -n)),
+        "f_derived_simple": all(_holds(lambda: derived(i))
+                                for i in range(s + 1)),
+    }

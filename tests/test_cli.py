@@ -116,6 +116,11 @@ def _unreduced_depth(payload):
     payload["depths"][0] = [2 * x for x in payload["depths"][0]]
 
 
+def _true_for_one(payload):
+    assert payload["tower"]["base_modulus"][1] == 1
+    payload["tower"]["base_modulus"][1] = True
+
+
 @pytest.mark.parametrize("tamper, error, exit_code", [
     (_append_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_wrong_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
@@ -125,14 +130,17 @@ def _unreduced_depth(payload):
     (_rho_slot, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_extra_field, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_unreduced_depth, "VerificationFailed", cli.EXIT_VERIFICATION),
+    (_true_for_one, "VerificationFailed", cli.EXIT_VERIFICATION),
 ], ids=["dims-length", "dims-value", "depths-value", "depths-one-entry",
-        "depths-empty", "rho-slot", "extra-field", "depths-unreduced"])
+        "depths-empty", "rho-slot", "extra-field", "depths-unreduced",
+        "true-for-one"])
 def test_tampered_yu_document_is_rejected(tmp_path, tamper, error, exit_code):
     # dims and depths must agree with the characters, not only be ordered;
     # every stated field is the one the datum re-emits, so rho_slot is the
     # fixed out-of-scope marker, a depth is a reduced rational and no field
-    # is one emit_yu never writes; a malformed rational or an empty depth
-    # vector ends in an error document, not a traceback
+    # is one emit_yu never writes, nor true where it writes 1; a malformed
+    # rational or an empty depth vector ends in an error document, not a
+    # traceback
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
     tamper(yu_doc["payload"])
@@ -155,6 +163,7 @@ _BK_TAMPERS = {
     "theta-c-prec": lambda payload: payload["theta_factors"][0]["c"].__setitem__(
         "prec", [3, 1]),
     "tower-modulus": lambda payload: payload["tower"].pop("base_modulus"),
+    "true-for-one": _true_for_one,
 }
 
 
@@ -163,7 +172,7 @@ _BK_TAMPERS = {
 def test_tampered_bk_document_is_rejected(tmp_path, command, tamper):
     # n, r, case and the character factors must be the ones the blocks
     # build; factor i's element is block i's, and an inline tower is stated
-    # in full
+    # in full, each value of the JSON type emit_bk writes
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     bk_doc = cli.emit_bk(bk)
     _BK_TAMPERS[tamper](bk_doc["payload"])
@@ -190,6 +199,23 @@ def test_tampered_type_b_document_is_rejected(tmp_path, tamper):
     code, doc = run_cli(["bk2yu", "--datum", str(path)])
     assert code == cli.EXIT_VERIFICATION
     assert doc["payload"]["error"] == "VerificationFailed"
+
+
+def test_a_shallowest_block_of_depth_zero_is_named(tmp_path):
+    # blocks that pass every other check of a defining sequence, but whose
+    # shallowest block has depth 0 = r_0, build no simple stratum
+    bk = dict(corpus.datum_corpus())["desk2b/N=6/levels=0-1-2/base=1"]
+    bk_doc = cli.emit_bk(bk)
+    for key in ("n", "r", "case", "theta_factors"):
+        del bk_doc["payload"][key]
+    bk_doc["payload"]["blocks"] = [
+        [0, {"level": 0, "terms": [[[0, 1], [0, 1]]], "prec": None}],
+        [1, {"level": 1, "terms": [[[-1, 3], [1, 0]]], "prec": None}]]
+    code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert code == cli.EXIT_VERIFICATION
+    assert doc["payload"] == {
+        "error": "VerificationFailed",
+        "message": "the shallowest block has depth 0, not a positive one"}
 
 
 def _run_on(tmp_path, command, doc):
@@ -915,8 +941,7 @@ def _mutant(doc, rng):
 
 def test_one_field_mutations_are_rejected_or_re_emitted(tmp_path):
     # an accepted document states only fields its datum re-emits, with the
-    # same values (== here, so a true written for 1 is not told apart);
-    # anything else is an error document with exit 2 or 3
+    # same JSON values; anything else is an error document with exit 2 or 3
     data = dict(corpus.datum_corpus())
     originals = []
     for label in _MUTATED_DATA:
@@ -936,5 +961,6 @@ def test_one_field_mutations_are_rejected_or_re_emitted(tmp_path):
             assert out["kind"] == "error", (n, doc)
             continue
         again = emit(parse(doc))["payload"]
-        assert all(key in again and again[key] == value
+        assert all(key in again and json.dumps(again[key], sort_keys=True)
+                   == json.dumps(value, sort_keys=True)
                    for key, value in doc["payload"].items()), (n, doc)

@@ -26,6 +26,13 @@ def test_make_field_validates_modulus(F25):
         ffq.FqField(6, 1, [0, 1])
 
 
+def test_make_field_rejects_a_non_integer_prime_or_degree():
+    with pytest.raises(NotPrime):
+        ffq.FqField(5.0, 2)
+    with pytest.raises(BadDegree):
+        ffq.FqField(5, 2.0)
+
+
 def test_arith(F25):
     w = F25.gen()
     assert w + (-w) == F25.zero()

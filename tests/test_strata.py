@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tamestrata import cli, corpus, minimal, strata, tame, translate
+from reference import assemble_sequence, sequence_conditions
+from tamestrata import cli, corpus, strata, tame, translate
 from tamestrata.errors import (
     NotDecomposable, NotInLevel, NotMinimalSummand, PrecisionExhausted,
-    TowerMismatch, ValuationOrder, ZeroToPrecision,
+    TowerMismatch, ValuationOrder, VerificationFailed, ZeroToPrecision,
 )
 
 
@@ -173,11 +175,7 @@ def test_build_rejects_nonminimal_summand(desk, order):
 def test_verify_report_checks(desk, order, beta):
     seq = strata.build_defining_sequence(
         order, strata.decompose_split_form(order, beta))
-    report = strata.verify_defining_sequence(seq)
-    assert report.passed
-    assert set(report.checks) == {
-        "a_strata_simple", "b_levels_increase", "c_fields_nested",
-        "d_k0_steps", "e_terminal_k0", "f_derived_simple"}
+    assert strata.verify_defining_sequence(seq) is True
 
 
 def test_verify_detects_tampering(desk, order, beta):
@@ -188,8 +186,7 @@ def test_verify_detects_tampering(desk, order, beta):
         (strata.SeqEntry(0, seq.entries[0].beta, 0, seq.entries[1].c),
          strata.SeqEntry(2, seq.entries[1].beta, 1, seq.entries[0].c)),
         seq.s, seq.case)
-    report = strata.verify_defining_sequence(swapped)
-    assert not report.passed
+    assert strata.verify_defining_sequence(swapped) is False
 
 
 def test_verify_detects_a_shifted_step(desk, order, beta):
@@ -201,8 +198,76 @@ def test_verify_detects_a_shifted_step(desk, order, beta):
         order, seq.n,
         (seq.entries[0], strata.SeqEntry(e1.r + 1, e1.beta, e1.level, e1.c)),
         seq.s, seq.case)
-    report = strata.verify_defining_sequence(shifted)
-    assert report.checks["d_k0_steps"] is False
+    assert strata.verify_defining_sequence(shifted) is False
+
+
+def _block_lists(seed, count):
+    """count seeded (tower, N, blocks), then each corpus datum's blocks.
+    The tower is a built-in or standard one and N is [E_0:F] or twice it.
+    A list has 1-3 blocks at sorted random levels, reversed one time in
+    ten; a block sums 1-3 monomials of its level, at distinct exponents
+    from -8 to 1 in units of the level's uniformizer, and one in five is
+    truncated 1-4 of those units above its top term."""
+    rng = random.Random(seed)
+    towers = ([corpus.named_tower(name) for name in sorted(corpus.BUILTIN_TOWERS)]
+              + list(corpus.standard_towers()))
+    monomials = {}          # (tower, level) -> [(k, monomials)]
+    for _ in range(count):
+        tw = rng.choice(towers)
+        N = tw.level_degree(0) * rng.choice((1, 2))
+        levels = sorted(rng.randrange(tw.d + 1) for _ in range(rng.randint(1, 3)))
+        blocks = []
+        for lvl in levels:
+            if (tw, lvl) not in monomials:
+                by_k = {}
+                e_i = tw.level_e(lvl)
+                for mono in tame.monomials_in_level(
+                        tw, lvl, Fraction(-8, e_i), Fraction(1, e_i)):
+                    by_k.setdefault(mono.terms[0][0], []).append(mono)
+                monomials[tw, lvl] = sorted(by_k.items())
+            cands = monomials[tw, lvl]
+            c = None
+            for _, monos in rng.sample(cands, min(len(cands), rng.randint(1, 3))):
+                mono = rng.choice(monos)
+                c = mono if c is None else c + mono
+            if rng.random() < 0.2:
+                unit = tw.e // tw.level_e(lvl)
+                c = c.truncate_k(c.terms[-1][0] + rng.randint(1, 4) * unit)
+            blocks.append((lvl, c))
+        if rng.random() < 0.1:
+            blocks.reverse()
+        yield tw, N, blocks
+    for _, bk in corpus.datum_corpus():
+        if bk.kind == "a":
+            yield (bk.order.tower, bk.order.N,
+                   [(e.level, e.c) for e in bk.seq.entries])
+
+
+def test_build_accepts_exactly_the_lists_whose_conditions_hold():
+    # the build's one pass of checks accepts a block list exactly when the
+    # six named conditions, each decided afresh, hold on the sequence it
+    # spells; each rejection has the class the former second verification
+    # pass gave, and a shallowest block of depth <= 0 is named
+    outcomes = Counter()
+    for tw, N, blocks in _block_lists(7, 2000):
+        order = strata.make_order(tw, N)
+        spelled = assemble_sequence(order, blocks)
+        holds = all(sequence_conditions(spelled).values())
+        try:
+            seq = strata.build_defining_sequence(order, blocks)
+        except (ValuationOrder, NotMinimalSummand, PrecisionExhausted,
+                VerificationFailed) as exc:
+            assert not holds, blocks
+            if isinstance(exc, VerificationFailed):
+                depth = -strata.nu_A(order, blocks[0][1])
+                assert f"shallowest block has depth {depth}," in str(exc)
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert holds and seq == spelled, blocks
+        outcomes["built"] += 1
+    assert outcomes == {"built": 458, "ValuationOrder": 1118,
+                        "NotMinimalSummand": 315, "PrecisionExhausted": 144,
+                        "VerificationFailed": 29}
 
 
 def test_roundtrip_decompose_build(desk, order):
@@ -254,8 +319,8 @@ def test_depth_monotonicity(order):
 
 
 def test_build_decides_each_block_once(monkeypatch):
-    # the build reads the terminal k0 off its own report for block s, so it
-    # never re-decides minimality of beta_s = c_s through minimal_over
+    # block s's own minimality check is the terminal one, so the build never
+    # re-decides minimality of beta_s = c_s through minimal_over
     calls = []
     real = strata.minimal_over
     monkeypatch.setattr(strata, "minimal_over",
@@ -267,14 +332,7 @@ def test_build_decides_each_block_once(monkeypatch):
             for _, bk in corpus.datum_corpus() if bk.kind == "a"]
     assert seqs and not calls
     monkeypatch.undo()
-    for seq in seqs:
-        tw = seq.order.tower
-        lows = [e.level for e in seq.entries[1:]] + [tw.d]
-        reports = [minimal.is_minimal(e.c, e.level, low)
-                   for e, low in zip(seq.entries, lows)]
-        # the standalone check decides k0 of beta_s afresh and agrees
-        report = strata.verify_defining_sequence(seq)
-        assert report == strata._verify(seq, reports) and report.passed
+    assert all(strata.verify_defining_sequence(seq) for seq in seqs)
 
 
 def test_nu_A_is_e_A_times_ord_on_the_corpus():

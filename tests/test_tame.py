@@ -6,8 +6,8 @@ import pytest
 
 from tamestrata import cli, corpus, strata, tame
 from tamestrata.errors import (
-    BadChain, FieldMismatch, NotASubgroup, NotInLevel, NotTame, PrecisionExhausted,
-    RootOfUnityMissing, ZeroToPrecision,
+    BadChain, BadDegree, FieldMismatch, NotASubgroup, NotInLevel, NotTame,
+    PrecisionExhausted, RootOfUnityMissing, ZeroToPrecision,
 )
 from tamestrata.ffq import FqField
 from tamestrata.tame import GaloisElement, TowerSpec
@@ -42,6 +42,12 @@ def test_tower_make_rejects_nonpositive_ramification():
     for e in (0, -1):
         with pytest.raises(BadChain, match="e and f must be positive"):
             tame.make_tower(5, e, 2)
+
+
+def test_tower_make_rejects_a_float_degree():
+    # the residue field rejects the degree before the Tower sees it
+    with pytest.raises(BadDegree):
+        tame.make_tower(5, 2, 2.0)
 
 
 def test_default_chain_towers_round_trip_through_documents():
