@@ -9,11 +9,12 @@ datum re-emits (_as_emitted).  Pretty unicode rendering is opt-in via
 
 Exit codes: 0 success (and --help); 2 when a VerificationError is raised
 (a constructed object fails a check it must satisfy, a datum document is
-not the one its datum re-emits, or a suite fails); 3 for a usage error (a
-missing or unknown option, an invalid choice), any other TameStrataError,
-and OSError, KeyError, ValueError or TypeError (bad input, a float
-included).  Both failure codes come with an error document naming the
-exception class and its message.
+not the one its datum re-emits, a Yu datum is not the translation of the
+datum it builds, or a suite fails); 3 for a usage error (a missing or
+unknown option, an invalid choice), any other TameStrataError, and
+OSError, KeyError, ValueError or TypeError (bad input, a float included).
+Both failure codes come with an error document naming the exception class
+and its message.
 
 run turns --oracle into the invocation's map from order to model (None
 when off), and every command takes its models from strata.oracle_model.
@@ -115,7 +116,14 @@ def parse_series(tower: tame.Tower, payload) -> tame.TameSeries:
             raise ValueError(f"term list repeats the exponent {exp}")
         seen.add(exp)
     prec = None if payload.get("prec") is None else _unfrac(payload["prec"])
-    return tower.series(payload.get("level", 0), terms, prec)
+    return tower.series(_level(tower, payload.get("level", 0)), terms, prec)
+
+
+def _level(tower: tame.Tower, level) -> int:
+    """A stated chain level: an int (false is not 0) in the tower's chain."""
+    if type(level) is not int:
+        raise ValueError(f"level {level!r} is not an integer")
+    return tower.check_level(level)
 
 
 def emit_c_list(order, c_list) -> dict:
@@ -157,7 +165,8 @@ def parse_bk(doc) -> translate.BKDatumSkeleton:
     if kind not in ("a", "b"):
         raise ValueError(f"datum kind {kind!r} is not \"a\" or \"b\"")
     bk = (translate.make_bk_datum_b(order) if kind == "b" else
-          translate.make_bk_datum(order, [(lvl, parse_series(tower, ser))
+          translate.make_bk_datum(order, [(_level(tower, lvl),
+                                           parse_series(tower, ser))
                                           for lvl, ser in payload["blocks"]]))
     return _as_emitted(bk, payload, emit_bk, f"a type ({kind}) datum")
 
@@ -182,7 +191,8 @@ def parse_yu(doc) -> translate.YuDatumSkeleton:
     tower = parse_tower(document("tower", payload["tower"]))
     order = strata.make_order(tower, payload["N"])
     characters = tuple(
-        (lvl, None if ser is None else parse_series(tower, ser), _unfrac(r))
+        (_level(tower, lvl), None if ser is None else parse_series(tower, ser),
+         _unfrac(r))
         for lvl, ser, r in payload["characters"])
     case = payload["case"]
     if case not in ("A", "B"):

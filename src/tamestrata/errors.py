@@ -114,6 +114,3 @@ class VerificationFailed(VerificationError):
 class NotNested(VerificationError):
     pass
 
-
-class DepthMismatch(VerificationError):
-    pass

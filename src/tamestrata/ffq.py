@@ -158,12 +158,17 @@ def _log_tables(p, f, modulus):
     return MappingProxyType({c: i for i, c in enumerate(exp)}), tuple(exp)
 
 
+def _check_pf(p, f) -> None:
+    """p a prime int and f an int of at least 1, as F_{p^f} needs."""
+    if type(p) is not int or not is_prime(p):
+        raise NotPrime(f"{p!r} is not a prime integer")
+    if type(f) is not int or f < 1:
+        raise BadDegree(f"degree {f!r} must be an integer of at least 1")
+
+
 def default_modulus(p: int, f: int) -> list:
     """First monic irreducible of degree f over F_p in lexicographic order."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if f < 1:
-        raise BadDegree("degree must be >= 1")
+    _check_pf(p, f)
     if f == 1:
         return [0, 1]
     for coeffs in _coeff_space(p, f):
@@ -190,10 +195,7 @@ class FqField:
     __slots__ = ("p", "f", "modulus", "_log", "_exp", "_hash")
 
     def __init__(self, p: int, f: int, modulus=None):
-        if type(p) is not int or not is_prime(p):
-            raise NotPrime(f"{p!r} is not a prime integer")
-        if type(f) is not int or f < 1:
-            raise BadDegree(f"degree {f!r} must be an integer of at least 1")
+        _check_pf(p, f)
         if modulus is None:
             modulus = default_modulus(p, f)
         modulus = [c % p for c in modulus]

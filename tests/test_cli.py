@@ -124,9 +124,9 @@ def _true_for_one(payload):
 @pytest.mark.parametrize("tamper, error, exit_code", [
     (_append_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_wrong_dim, "VerificationFailed", cli.EXIT_VERIFICATION),
-    (_wrong_depth, "DepthMismatch", cli.EXIT_VERIFICATION),
+    (_wrong_depth, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_short_depth, "ValueError", cli.EXIT_INPUT),
-    (_no_steps, "DepthMismatch", cli.EXIT_VERIFICATION),
+    (_no_steps, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_rho_slot, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_extra_field, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_unreduced_depth, "VerificationFailed", cli.EXIT_VERIFICATION),
@@ -253,6 +253,29 @@ def test_yu_case_outside_its_vocabulary_is_an_input_error(tmp_path, case):
     assert doc["payload"]["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("level, error", [
+    (False, "ValueError"), (True, "ValueError"), ("0", "ValueError"),
+    (None, "ValueError"), (3, "BadLevel"), (-1, "BadLevel")])
+def test_a_level_is_an_int_in_the_chain(tmp_path, level, error):
+    # in an element, in a bk block and in a yu character, realised or not:
+    # false is not level 0, and a level outside desk5's 0..2 is no level
+    element = json.dumps({"level": level, "terms": [[[-1, 2], [0, 1]]],
+                          "prec": None})
+    code, doc = run_cli(["check-minimal", "--tower", "desk5", "--element",
+                         element, "--upper", "0", "--lower", "2"])
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, error)
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    bk_doc = cli.emit_bk(bk)
+    bk_doc["payload"]["blocks"][0][0] = level
+    code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, error)
+    for i in (0, 2):                    # character 2 is case B's trivial one
+        yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
+        yu_doc["payload"]["characters"][i][0] = level
+        code, doc = _run_on(tmp_path, "yu2bk", yu_doc)
+        assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, error), i
+
+
 @pytest.mark.parametrize("pair", [[True, 2], [1, None], [1.0, 2], ["1", 2],
                                   [1, False]])
 def test_rational_of_non_integers_is_an_input_error(tmp_path, pair):
@@ -297,6 +320,16 @@ def _set_character(i, terms, level=None):
     return tamper
 
 
+def _null_character(i):
+    def tamper(payload):
+        payload["characters"][i][1] = None
+    return tamper
+
+
+def _flip_case(payload):
+    payload["case"] = "A" if payload["case"] == "B" else "B"
+
+
 def _deepen_first(payload):
     payload["depths"][0] = payload["characters"][0][2] = [3, 4]
 
@@ -307,13 +340,19 @@ def _deepen_first(payload):
      "NotMinimalSummand", cli.EXIT_VERIFICATION),
     # the stated depths agree, but ord(c_0) = -1/2
     ("desk5/N=4/levels=0-1-2/base=1", _deepen_first,
-     "DepthMismatch", cli.EXIT_VERIFICATION),
+     "VerificationFailed", cli.EXIT_VERIFICATION),
     ("desk5/N=4/levels=0-1-2/base=1", _set_character(1, []),
      "ZeroToPrecision", cli.EXIT_INPUT),
-    # case B with a realised top character
+    # case B with a realised top character: depths 1/2, 1, 1 build no datum
     ("desk5/N=4/levels=0-1/base=1", _set_character(2, [[[-1, 1], [1, 0]]], 2),
-     "DepthMismatch", cli.EXIT_VERIFICATION),
-], ids=["not-minimal", "order-vs-depth", "no-terms", "case-b-top"])
+     "ValuationOrder", cli.EXIT_VERIFICATION),
+    # the trivial top character builds case B, with depths 1/2, 1, 1
+    ("desk5/N=4/levels=0-1-2/base=1", _null_character(2),
+     "VerificationFailed", cli.EXIT_VERIFICATION),
+    ("desk5/N=4/type-b", _flip_case, "VerificationFailed",
+     cli.EXIT_VERIFICATION),
+], ids=["not-minimal", "order-vs-depth", "no-terms", "case-b-top",
+        "top-trivial", "type-b-case-flip"])
 def test_yu_to_bk_rejects_a_character_that_builds_no_datum(
         tmp_path, label, tamper, error, exit_code):
     bk = dict(corpus.datum_corpus())[label]
@@ -964,3 +1003,7 @@ def test_one_field_mutations_are_rejected_or_re_emitted(tmp_path):
         assert all(key in again and json.dumps(again[key], sort_keys=True)
                    == json.dumps(value, sort_keys=True)
                    for key, value in doc["payload"].items()), (n, doc)
+        if command == "yu2bk":
+            # and a yu document yu2bk accepts is bk2yu of what it prints
+            back = cli.emit_yu(translate.bk_to_yu(cli.parse_bk(out)))
+            assert back["payload"] == again, (n, doc)

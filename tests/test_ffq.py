@@ -31,6 +31,10 @@ def test_make_field_rejects_a_non_integer_prime_or_degree():
         ffq.FqField(5.0, 2)
     with pytest.raises(BadDegree):
         ffq.FqField(5, 2.0)
+    with pytest.raises(NotPrime):
+        ffq.default_modulus(5.0, 2)
+    with pytest.raises(BadDegree):
+        ffq.default_modulus(5, 2.0)
 
 
 def test_arith(F25):

@@ -4,7 +4,8 @@ import pytest
 
 from tamestrata import cli, corpus, oracle, strata, translate
 from tamestrata.errors import (
-    DepthMismatch, NotMinimalSummand, OracleRequired, OrderMismatch,
+    NotMinimalSummand, OracleRequired, OrderMismatch, VerificationError,
+    VerificationFailed,
 )
 
 
@@ -73,7 +74,7 @@ def test_yu_to_bk_depth_mismatch(desk_bk):
     bad = translate.YuDatumSkeleton(
         yu.point, yu.dims, (Fraction(1), Fraction(1, 2), Fraction(1, 2)),
         yu.characters, yu.case)
-    with pytest.raises(DepthMismatch):
+    with pytest.raises(VerificationFailed):
         translate.yu_to_bk(bad)
 
 
@@ -85,7 +86,7 @@ def test_yu_to_bk_ord_mismatch(desk_bk):
     bad = translate.YuDatumSkeleton(yu.point, yu.dims,
                                     (r + 1,) + yu.depths[1:], tuple(chars),
                                     yu.case)
-    with pytest.raises(DepthMismatch):
+    with pytest.raises(VerificationFailed):
         translate.yu_to_bk(bad)
 
 
@@ -98,7 +99,7 @@ def test_yu_to_bk_nonminimal_realizer(desk, order, desk_bk):
     bad = translate.YuDatumSkeleton(yu.point, yu.dims,
                                     (Fraction(1),) + yu.depths[1:],
                                     tuple(chars), yu.case)
-    with pytest.raises((NotMinimalSummand, DepthMismatch)):
+    with pytest.raises((NotMinimalSummand, VerificationFailed)):
         translate.yu_to_bk(bad)
 
 
@@ -121,6 +122,25 @@ def _with_character(yu, i, *fields):
     chars = list(yu.characters)
     chars[i] = fields
     return yu._replace(characters=tuple(chars))
+
+
+def test_yu_to_bk_rejects_a_nulled_character_or_a_flipped_case():
+    # yu_to_bk accepts only the translation of the datum it builds: nulling
+    # a realised character (Case A to B, or a step dropped) or flipping the
+    # case (on a type (b) datum too) gives a skeleton that datum does not
+    # translate to, or one whose characters build no datum
+    tried = 0
+    for label, bk in corpus.datum_corpus():
+        yu = translate.bk_to_yu(bk)
+        tampered = [yu._replace(case="B" if yu.case == "A" else "A")]
+        tampered += [_with_character(yu, i, lvl, None, r)
+                     for i, (lvl, c, r) in enumerate(yu.characters)
+                     if c is not None]
+        for bad in tampered:
+            with pytest.raises(VerificationError):
+                translate.yu_to_bk(bad)
+        tried += len(tampered)
+    assert tried == 192
 
 
 def test_skeletons_agree_can_say_no(desk, desk_bk):
