@@ -738,7 +738,10 @@ def oracle_index(model: MatrixModel, big: Subspace, small: Subspace) -> int:
 
 
 def oracle_step_index(model: MatrixModel, level: int, a: int, b: int) -> int:
-    """log_p [Q_level^a : Q_level^b] (a <= b), counted in A/P^(b + e_A)."""
+    """log_p [Q_level^a : Q_level^b] (a <= b), counted in A/P^(b + e_A);
+    a lattice has index 1 in itself, so a == b solves nothing."""
+    if a == b:
+        return 0
     quot = model.quotient_context(b + model.e_A)
     return oracle_index(model, quot.order_level(level, a),
                         quot.order_level(level, b))
@@ -766,8 +769,11 @@ def oracle_table_lattice(model: MatrixModel, factors, M: int) -> Subspace:
 
 def oracle_tables_equal(model: MatrixModel, pairs_a, pairs_b) -> bool:
     """Whether two prefix-type tables, as (level, exponent) pairs, present
-    one lattice: compared in A/P^M with M = (largest exponent) + e_A, where
-    P^M lies in both."""
+    one lattice.  A table's lattice is a function of its set of factors, so
+    equal sets are equal with no solve; differing sets are compared in A/P^M
+    with M = (largest exponent) + e_A, where P^M lies in both."""
+    if set(pairs_a) == set(pairs_b):
+        return True
     M = max([m for _, m in pairs_a + pairs_b] + [1]) + model.e_A
     return (oracle_table_lattice(model, pairs_a, M)
             == oracle_table_lattice(model, pairs_b, M))

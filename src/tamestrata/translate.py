@@ -194,9 +194,10 @@ def normalize_table(table: FiltrationTable) -> tuple:
 def table_compare(a: FiltrationTable, b: FiltrationTable, model=None) -> bool:
     """Equality of the groups two prefix-type tables present.
 
-    With a matrix model the corresponding lattices are compared directly,
-    which also settles any case absorption cannot; without one the
-    closed-form normalizations are compared.
+    With a matrix model the oracle decides it: equal factor sets present
+    one lattice, and differing ones are compared as lattices, which also
+    settles any case absorption cannot; without one the closed-form
+    normalizations are compared.
     """
     if a.order != b.order:
         raise OrderMismatch("tables over different orders")

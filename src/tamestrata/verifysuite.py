@@ -130,8 +130,8 @@ def suite_critical_exponent(models):
 
 
 def suite_filtration_equalities(models):
-    """H1 = Kd+ and J0 = oKd on every type (a) corpus datum, compared as
-    lattices by the oracle on every datum within its bound."""
+    """H1 = Kd+ and J0 = oKd on every type (a) corpus datum, decided by the
+    oracle within its bound: as lattices where the factor sets differ."""
     cases = with_oracle = failures = 0
     for bk, model in _type_a(models):
         equalities = translate.table_equalities(

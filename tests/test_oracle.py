@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tamestrata import corpus, oracle, strata, tame, translate
+from tamestrata import cli, corpus, oracle, strata, tame, translate
 from tamestrata.errors import (NotInLevel, NotNested, PrecisionExhausted,
                                TooLarge)
 from tamestrata.ffq import FqField
@@ -372,6 +373,120 @@ def test_whole_questions_match_their_parts(model, desk_seq):
     with pytest.raises(NotNested):
         oracle.oracle_index(model, model.quotient_context(3).radical_power(1),
                             model.quotient_context(2).radical_power(1))
+
+
+def _counted_solves(monkeypatch):
+    """A list that grows by one at each commutant solve from now on."""
+    solves = []
+    solve = oracle.MatrixModel.commutant_in_quotient
+
+    def counted(self, level, quot):
+        solves.append((level, quot.M))
+        return solve(self, level, quot)
+
+    monkeypatch.setattr(oracle.MatrixModel, "commutant_in_quotient", counted)
+    return solves
+
+
+def _table_pairs(bk):
+    """BK's and Yu's tables for the paper's two equalities, as pairs."""
+    tabs = translate.h_group_table(bk.seq)
+    ytabs = translate.yu_group_table(translate.bk_to_yu(bk))
+    return [(tabs[a].pairs(), ytabs[b].pairs())
+            for a, b in (("H1", "Kd+"), ("J0", "oKd"))]
+
+
+def _lattices_agree(model, pairs_a, pairs_b):
+    M = max(m for _, m in pairs_a + pairs_b) + model.e_A
+    return (oracle.oracle_table_lattice(model, pairs_a, M)
+            == oracle.oracle_table_lattice(model, pairs_b, M))
+
+
+def test_equal_factor_sets_are_one_lattice_without_a_solve(monkeypatch,
+                                                          tmp_path):
+    # BK's exponents v//2 + 1 and (v+1)//2 are Yu's floor(v/2) + 1 and
+    # ceil(v/2), and Case B's extra factor is Yu's trivial top character:
+    # each translated pair has one factor set, which the oracle calls equal
+    # with no solve, and whose two lattices, built anyway, are equal
+    solves = _counted_solves(monkeypatch)
+    models, compared = {}, 0
+    for label, bk in corpus.datum_corpus():
+        if bk.kind != "a" or bk.order.N > 8:
+            continue
+        if bk.order not in models:
+            models[bk.order] = oracle.model_build(bk.order)
+        model = models[bk.order]
+        for pairs_a, pairs_b in _table_pairs(bk):
+            assert set(pairs_a) == set(pairs_b), label
+            del solves[:]
+            assert oracle.oracle_tables_equal(model, pairs_a, pairs_b), label
+            assert solves == [], label
+            assert _lattices_agree(model, pairs_a, pairs_b), label
+            compared += 1
+    assert compared == 100
+    # the deep5 N=16 datum, through `tables --oracle check`
+    deep = next(bk for _, bk in corpus.datum_corpus()
+                if bk.kind == "a" and bk.order.tower is corpus.deep_tower_5()
+                and bk.seq.s > 0)
+    assert deep.order.N == 16
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cli.emit_bk(deep)))
+    answers = []
+    tables_equal = oracle.oracle_tables_equal
+
+    def recorded(*args):
+        answers.append(tables_equal(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(oracle, "oracle_tables_equal", recorded)
+    del solves[:]
+    code, doc = cli.run(["tables", "--datum", str(path), "--oracle", "check"])
+    assert code == cli.EXIT_OK, doc
+    assert doc["payload"]["comparisons"] == {"H1=Kd+": True, "J0=oKd": True}
+    assert answers == [True, True] and solves == []
+    model = oracle.model_build(deep.order)
+    for pairs_a, pairs_b in _table_pairs(deep):
+        assert _lattices_agree(model, pairs_a, pairs_b)
+
+
+def test_differing_factor_sets_are_compared_as_lattices(monkeypatch):
+    # a factor the table absorbs changes the set but not the lattice, and
+    # a Yu table that loses its last factor presents a smaller one: both
+    # are decided by solving
+    solves = _counted_solves(monkeypatch)
+    models, compared = {}, 0
+    for label, bk in corpus.datum_corpus():
+        if bk.kind != "a" or bk.order.N > 8:
+            continue
+        if bk.order not in models:
+            models[bk.order] = oracle.model_build(bk.order)
+        model = models[bk.order]
+        for pairs_a, pairs_b in _table_pairs(bk):
+            level, exponent = pairs_a[0]
+            absorbed = pairs_a + ((level, exponent + 1),)
+            del solves[:]
+            assert oracle.oracle_tables_equal(model, pairs_b, absorbed), label
+            assert solves, label
+            assert not oracle.oracle_tables_equal(model, pairs_a,
+                                                  pairs_b[:-1]), label
+            compared += 1
+    assert compared == 100
+
+
+def test_equal_step_has_index_zero_without_a_solve(monkeypatch, order):
+    # [Q^a : Q^a] = 1 is answered before any quotient is laid out; a
+    # fresh model's distinct steps still solve, and agree with the closed
+    # form
+    solves = _counted_solves(monkeypatch)
+    model = oracle.model_build(order)
+    for level in range(model.tower.d + 1):
+        for a in (1, 2, 3):
+            assert oracle.oracle_step_index(model, level, a, a) == 0
+    assert solves == [] and model._quotients == {}
+    for level in range(model.tower.d + 1):
+        assert oracle.oracle_step_index(model, level, 1, 3) \
+            == translate.single_index_log(order, level, 1, 3)
+    assert solves
 
 
 def test_model_build_does_no_series_arithmetic(monkeypatch):
