@@ -63,6 +63,16 @@ def _unfrac(pair) -> Fraction:
     return Fraction(pair[0], pair[1])
 
 
+def _coeffs(value, optional=False):
+    """value, a coefficient vector or a bare int (a constant), all ints
+    (true is not 1); an optional vector may be null, left to its default."""
+    entries = (value if type(value) is list
+               else [] if optional and value is None else [value])
+    if any(type(c) is not int for c in entries):
+        raise ValueError(f"coefficients {value!r} are not all integers")
+    return value
+
+
 def document(kind: str, payload) -> dict:
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
 
@@ -85,12 +95,12 @@ def parse_tower(doc) -> tame.Tower:
     payload = _payload(doc, "tower")
     # omitted moduli fall back to the deterministic defaults
     base = FqField(payload["p"], payload["base_degree"],
-                   payload.get("base_modulus"))
+                   _coeffs(payload.get("base_modulus"), optional=True))
     residue = FqField(payload["p"], payload["base_degree"] * payload["f"],
-                      payload.get("residue_modulus"))
-    zeta = residue.elem(payload["zeta"])
+                      _coeffs(payload.get("residue_modulus"), optional=True))
+    zeta = residue.elem(_coeffs(payload["zeta"]))
     levels = tuple(
-        frozenset(tame.GaloisElement(j, residue.elem(coeffs))
+        frozenset(tame.GaloisElement(j, residue.elem(_coeffs(coeffs)))
                   for j, coeffs in H)
         for H in payload["levels"])
     return tame.Tower(tame.TowerSpec(base, payload["e"], payload["f"],
@@ -108,7 +118,7 @@ def emit_series(a: tame.TameSeries) -> dict:
 
 def parse_series(tower: tame.Tower, payload) -> tame.TameSeries:
     """A series from its terms, each exponent stated once."""
-    terms = [(_unfrac(exp), tower.k.elem(coeffs))
+    terms = [(_unfrac(exp), tower.k.elem(_coeffs(coeffs)))
              for exp, coeffs in payload["terms"]]
     seen = set()
     for exp, _ in terms:
@@ -140,7 +150,8 @@ def emit_bk(bk: translate.BKDatumSkeleton) -> dict:
         "tower": emit_tower(order.tower)["payload"],
         "N": order.N,
         "kind": bk.kind,
-        "notes": dict(bk.notes),
+        "notes": dict.fromkeys(("kappa", "sigma", "Lambda"),
+                               translate.OUT_OF_SCOPE),
     }
     if bk.kind == "a":
         payload.update(
@@ -164,7 +175,7 @@ def parse_bk(doc) -> translate.BKDatumSkeleton:
     kind = payload.get("kind", "a")
     if kind not in ("a", "b"):
         raise ValueError(f"datum kind {kind!r} is not \"a\" or \"b\"")
-    bk = (translate.make_bk_datum_b(order) if kind == "b" else
+    bk = (translate.BKDatumSkeleton(order) if kind == "b" else
           translate.make_bk_datum(order, [(_level(tower, lvl),
                                            parse_series(tower, ser))
                                           for lvl, ser in payload["blocks"]]))
@@ -413,7 +424,7 @@ def cmd_defseq(args):
     order = strata.make_order(tower, args.N)
     beta = _load_element(tower, args.element)
     seq = strata.split_form_sequence(order, beta)
-    return EXIT_OK, emit_bk(translate.bk_datum_of(seq))
+    return EXIT_OK, emit_bk(translate.BKDatumSkeleton(order, seq))
 
 
 def cmd_bk2yu(args):
@@ -488,8 +499,7 @@ def _verify_user_corpus(args):
     results = []
     for idx, doc in enumerate(docs):
         bk, yu = _load_datum(doc)
-        first, second = (bk, yu) if doc["kind"] == "bk_datum" else (yu, bk)
-        ok = translate.round_trip_agrees(first, second)
+        ok = translate.round_trip_agrees(bk, yu)
         detail = "round trip"
         if bk.kind == "a":
             model = strata.oracle_model(args.models, bk.order)

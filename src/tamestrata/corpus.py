@@ -16,7 +16,7 @@ from .errors import TameStrataError, VerificationFailed
 from .minimal import is_minimal
 from .strata import make_order
 from .tame import GaloisElement, Tower, make_tower, monomials_in_level
-from .translate import make_bk_datum, make_bk_datum_b
+from .translate import BKDatumSkeleton, make_bk_datum
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +161,7 @@ def datum_corpus_for_orders(named_orders):
                 label = (f"{name}/N={order.N}/levels="
                          f"{'-'.join(map(str, levels))}/base={base}")
                 data.append((label, make_bk_datum(order, blocks)))
-        data.append((f"{name}/N={order.N}/type-b", make_bk_datum_b(order)))
+        data.append((f"{name}/N={order.N}/type-b", BKDatumSkeleton(order)))
     return data
 
 

@@ -1,11 +1,12 @@
 """Datum-skeleton translation, filtration tables and the index ledger.
 
-A BK skeleton is the arithmetic part of one construction's datum: the order,
-a verified defining sequence, and per-level character realisation data.  A
-Yu skeleton is the arithmetic part of the other: twisted-Levi dimensions,
-a depth vector, and per-level realizing elements.  A Yu skeleton translates
-when it is the translation of the datum its realised characters build; BK
-ones always do.  Representation-level objects are out-of-scope markers.
+A BK skeleton is the arithmetic part of one construction's datum: the order
+and a verified defining sequence (none for type (b)); the per-level
+character realisation data is read off that sequence.  A Yu skeleton is
+the arithmetic part of the other: twisted-Levi dimensions, a depth vector,
+and per-level realizing elements.  A Yu skeleton translates when it is the
+translation of the datum its realised characters build; BK ones always do.
+Representation-level objects are out-of-scope markers.
 
 Character statements never touch complex values: a character psi_c is
 trivial on a filtration subgroup exactly when the trace module valuation
@@ -25,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (
     BadLevel, NotMinimalSummand, OracleRequired, OrderMismatch,
-    VerificationFailed, ZeroToPrecision,
+    VerificationError, VerificationFailed, ZeroToPrecision,
 )
 from .minimal import is_minimal
 from .strata import DefiningSeq, OrderDesc, build_defining_sequence, nu_A
@@ -59,17 +60,30 @@ class LogIndex(NamedTuple):
     provenance: str            # "oracle": no entry is made without a model
 
 
-class BKDatumSkeleton(NamedTuple("BKDatumSkeleton", [
-        ("order", OrderDesc), ("kind", str),    # "a" (simple) or "b" (depth 0)
-        ("seq", Optional[DefiningSeq]), ("theta_factors", tuple),
-        ("notes", dict)])):                     # a new dict per skeleton
-    __slots__ = ()
+class BKDatumSkeleton(NamedTuple):
+    """Type (a) (simple) with its verified defining sequence, or type (b)
+    (maximal order, depth-zero slots only) with none."""
+    order: OrderDesc
+    seq: Optional[DefiningSeq] = None
 
-    def __new__(cls, order, kind, seq, theta_factors, notes=None):
-        if notes is None:
-            notes = {"kappa": OUT_OF_SCOPE, "sigma": OUT_OF_SCOPE,
-                     "Lambda": OUT_OF_SCOPE}
-        return super().__new__(cls, order, kind, seq, theta_factors, notes)
+    @property
+    def kind(self) -> str:
+        return "b" if self.seq is None else "a"
+
+    @property
+    def theta_factors(self) -> tuple:
+        """Factor i is phi o det on H^1's factors 0..i and psi_{c_i} beyond
+        them; Case A's terminal factor is phi o det on all of H^1."""
+        if self.seq is None:
+            return ()
+        seq, h1 = self.seq, h_group_table(self.seq)["H1"].factors
+        factors = []
+        for i, (e, depth) in enumerate(zip(seq.entries, seq.depths)):
+            cut = len(h1) if seq.case == "A" and i == seq.s else i + 1
+            factors.append(CharFactor(e.level, e.c,
+                                      Fraction(depth, seq.order.e_A),
+                                      h1[:cut], h1[cut:]))
+        return tuple(factors)
 
 
 class YuDatumSkeleton(NamedTuple):
@@ -78,7 +92,7 @@ class YuDatumSkeleton(NamedTuple):
     depths: tuple              # r_0 < ... < r_{d-1} <= r_d
     characters: tuple          # (level, realizing element or None, depth)
     case: str                  # "A": folded nontrivial top character; "B": trivial
-    rho_slot: str = OUT_OF_SCOPE
+    rho_slot = OUT_OF_SCOPE    # a class constant, not a field
 
     @property
     def d(self) -> int:
@@ -86,27 +100,8 @@ class YuDatumSkeleton(NamedTuple):
 
 
 def make_bk_datum(order: OrderDesc, c_list) -> BKDatumSkeleton:
-    """Type (a) skeleton from blocks; builds, verifies and factors."""
-    return bk_datum_of(build_defining_sequence(order, c_list))
-
-
-def bk_datum_of(seq: DefiningSeq) -> BKDatumSkeleton:
-    """Type (a) skeleton of a verified defining sequence.  Factor i is
-    phi o det on H^1's factors 0..i and psi_{c_i} beyond them, except that
-    Case A's terminal factor is phi o det on all of H^1."""
-    h1 = h_group_table(seq)["H1"].factors
-    factors = []
-    for i, (e, depth) in enumerate(zip(seq.entries, seq.depths)):
-        cut = len(h1) if seq.case == "A" and i == seq.s else i + 1
-        factors.append(CharFactor(e.level, e.c,
-                                  Fraction(depth, seq.order.e_A),
-                                  h1[:cut], h1[cut:]))
-    return BKDatumSkeleton(seq.order, "a", seq, tuple(factors))
-
-
-def make_bk_datum_b(order: OrderDesc) -> BKDatumSkeleton:
-    """Type (b) skeleton: maximal order, depth-zero slots only."""
-    return BKDatumSkeleton(order, "b", None, ())
+    """Type (a) skeleton from blocks; builds and verifies the sequence."""
+    return BKDatumSkeleton(order, build_defining_sequence(order, c_list))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +232,11 @@ def char_module_valuation(c: TameSeries, factor, order: OrderDesc) -> int:
 # ---------------------------------------------------------------------------
 
 def bk_to_yu(bk: BKDatumSkeleton) -> YuDatumSkeleton:
-    order = bk.order
+    order, seq = bk
     tower = order.tower
-    if bk.kind == "b":
+    if seq is None:
         return YuDatumSkeleton(order, (order.N,), (Fraction(0),),
                                ((tower.d, None, Fraction(0)),), "B")
-    seq = bk.seq
-    if seq is None:
-        raise VerificationFailed("type (a) skeleton without a sequence")
     levels = [e.level for e in seq.entries]
     depths = [Fraction(v, order.e_A) for v in seq.depths]
     dims = [order.N // tower.level_degree(lvl) for lvl in levels]
@@ -270,7 +262,7 @@ def yu_to_bk(yu: YuDatumSkeleton) -> BKDatumSkeleton:
         if not is_minimal(c, lvl, low).minimal:
             raise NotMinimalSummand(
                 f"realizing element {i} is not minimal for levels {lvl}/{low}")
-    bk = make_bk_datum(order, c_list) if c_list else make_bk_datum_b(order)
+    bk = make_bk_datum(order, c_list) if c_list else BKDatumSkeleton(order)
     if bk_to_yu(bk) != yu:
         raise VerificationFailed(
             "the Yu datum is not the translation of the datum it builds")
@@ -282,21 +274,14 @@ def skeletons_agree(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def round_trip_agrees(first, second) -> bool:
-    """Whether two more translations give back both skeletons of a datum.
-
-    second is the translation of first (BK to Yu or Yu to BK).  first is
-    compared with its image after two translations, first -> second ->
-    first2, and second with its own, second -> first2 -> second2; neither
-    comparison reuses the skeleton it checks.
-    """
-    first2 = _translate(second)
-    return (skeletons_agree(first, first2)
-            and skeletons_agree(second, _translate(first2)))
-
-
-def _translate(x):
-    return bk_to_yu(x) if isinstance(x, BKDatumSkeleton) else yu_to_bk(x)
+def round_trip_agrees(bk: BKDatumSkeleton, yu: YuDatumSkeleton) -> bool:
+    """Whether yu, the translation of bk, translates back to bk; a raise is
+    a no.  yu -> bk -> yu needs no check of its own: yu_to_bk returns only
+    a datum whose translation is yu."""
+    try:
+        return skeletons_agree(bk, yu_to_bk(yu))
+    except VerificationError:
+        return False
 
 
 # ---------------------------------------------------------------------------

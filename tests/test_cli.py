@@ -130,7 +130,7 @@ def _true_for_one(payload):
     (_rho_slot, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_extra_field, "VerificationFailed", cli.EXIT_VERIFICATION),
     (_unreduced_depth, "VerificationFailed", cli.EXIT_VERIFICATION),
-    (_true_for_one, "VerificationFailed", cli.EXIT_VERIFICATION),
+    (_true_for_one, "ValueError", cli.EXIT_INPUT),
 ], ids=["dims-length", "dims-value", "depths-value", "depths-one-entry",
         "depths-empty", "rho-slot", "extra-field", "depths-unreduced",
         "true-for-one"])
@@ -138,9 +138,9 @@ def test_tampered_yu_document_is_rejected(tmp_path, tamper, error, exit_code):
     # dims and depths must agree with the characters, not only be ordered;
     # every stated field is the one the datum re-emits, so rho_slot is the
     # fixed out-of-scope marker, a depth is a reduced rational and no field
-    # is one emit_yu never writes, nor true where it writes 1; a malformed
-    # rational or an empty depth vector ends in an error document, not a
-    # traceback
+    # is one emit_yu never writes; a coefficient is an int, not true; a
+    # malformed rational or an empty depth vector ends in an error
+    # document, not a traceback
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     yu_doc = cli.emit_yu(translate.bk_to_yu(bk))
     tamper(yu_doc["payload"])
@@ -172,15 +172,17 @@ _BK_TAMPERS = {
 def test_tampered_bk_document_is_rejected(tmp_path, command, tamper):
     # n, r, case and the character factors must be the ones the blocks
     # build; factor i's element is block i's, and an inline tower is stated
-    # in full, each value of the JSON type emit_bk writes
+    # in full, each value of the JSON type emit_bk writes, and a modulus
+    # coefficient of true is bad input before any datum is built
     bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
     bk_doc = cli.emit_bk(bk)
     _BK_TAMPERS[tamper](bk_doc["payload"])
     path = tmp_path / "bk.json"
     path.write_text(json.dumps(bk_doc))
     code, doc = run_cli([command, "--datum", str(path)])
-    assert code == cli.EXIT_VERIFICATION
-    assert doc["payload"]["error"] == "VerificationFailed"
+    assert (code, doc["payload"]["error"]) == (
+        (cli.EXIT_INPUT, "ValueError") if tamper == "true-for-one"
+        else (cli.EXIT_VERIFICATION, "VerificationFailed"))
 
 
 @pytest.mark.parametrize("tamper", [
@@ -290,6 +292,45 @@ def test_rational_of_non_integers_is_an_input_error(tmp_path, pair):
     bk_doc["payload"]["blocks"][0][1]["terms"][0][0] = pair
     code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
     assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+
+
+@pytest.mark.parametrize("entry", [True, False, "1", None, [1]])
+def test_a_coefficient_is_an_int(tmp_path, entry):
+    # in --element, in a bk block, and in a tower file's zeta, stated moduli
+    # and twists: true is not 1, and a string, a null or a list is no entry
+    code, doc = run_cli(["sr", "--tower", "desk5", "--element",
+                         json.dumps([[[-1, 2], [entry, 1]]])])
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+    bk_doc = cli.emit_bk(dict(corpus.datum_corpus())[
+        "desk5/N=4/levels=0-1/base=1"])
+    bk_doc["payload"]["blocks"][0][1]["terms"][0][1][0] = entry
+    code, doc = _run_on(tmp_path, "bk2yu", bk_doc)
+    assert (code, doc["payload"]["error"]) == (cli.EXIT_INPUT, "ValueError")
+    for key in ("zeta", "base_modulus", "residue_modulus", "levels"):
+        tower = cli.emit_tower(corpus.desk_tower_5())
+        vector = tower["payload"][key]
+        if key == "levels":
+            vector = vector[1][1][1]            # the twist of (0, -1)
+        vector[0] = entry
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(tower))
+        code, doc = run_cli(["sr", "--tower", str(path), "--element",
+                             "[[[-1,2],[0,1]]]"])
+        assert (code, doc["payload"]["error"]) == (
+            cli.EXIT_INPUT, "ValueError"), key
+
+
+def test_a_bare_int_coefficient_is_a_constant(tmp_path):
+    _, vector = run_cli(["sr", "--tower", "desk5",
+                         "--element", "[[[-1,2],[3,0]]]"])
+    _, bare = run_cli(["sr", "--tower", "desk5", "--element", "[[[-1,2],3]]"])
+    assert bare == vector and vector["kind"] == "element"
+    tower = cli.emit_tower(corpus.desk_tower_5())
+    tower["payload"]["zeta"] = 1
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower))
+    assert run_cli(["sr", "--tower", str(path),
+                    "--element", "[[[-1,2],[3,0]]]"]) == (cli.EXIT_OK, vector)
 
 
 def test_repeated_exponent_is_an_input_error(tmp_path):
@@ -756,7 +797,8 @@ def test_ledger_on_deep_datum_uses_the_oracle(tmp_path):
 def test_ledger_on_type_b_datum_builds_no_model(tmp_path, monkeypatch):
     order = strata.make_order(corpus.desk_tower_5(), 4)
     path = tmp_path / "bk_b.json"
-    path.write_text(json.dumps(cli.emit_bk(translate.make_bk_datum_b(order))))
+    bk = translate.BKDatumSkeleton(order)
+    path.write_text(json.dumps(cli.emit_bk(bk)))
     _, off = run_cli(["ledger", "--datum", str(path), "--oracle", "off"])
     built = []
     monkeypatch.setattr(oracle, "model_build",
@@ -844,6 +886,21 @@ def test_a_broken_table_normalization_fails_tables_and_corpus(
     assert out["payload"]["suites"] == [
         {"name": "corpus[0]", "passed": False, "detail": "round trip, tables"}]
     assert capsys.readouterr().err == "FAIL corpus[0]: round trip, tables\n"
+
+
+def test_a_broken_round_trip_fails_its_suite_and_the_run_goes_on(
+        monkeypatch, capsys):
+    # yu_to_bk builds from all but the last realised character, and most
+    # such builds raise: each is a failed round trip, not the run's end
+    make = translate.make_bk_datum
+    monkeypatch.setattr(translate, "make_bk_datum",
+                        lambda order, c_list: make(order, c_list[:-1]))
+    code, out = run_cli(["verify", "--suite", "round-trips,monomial-group",
+                         "--oracle", "off"])
+    assert code == cli.EXIT_VERIFICATION
+    assert [(s["name"], s["passed"]) for s in out["payload"]["suites"]] == [
+        ("round-trips", False), ("monomial-group", True)]
+    assert capsys.readouterr().err.startswith("FAIL round-trips: 70 data")
 
 
 def test_a_shifted_single_index_fails_ledger_and_corpus(

@@ -176,6 +176,69 @@ def test_cross_check_reads_are_detected():
     assert _cross_check_reads(tree) == [2, 4, 6]
 
 
+_MUTABLE = ("dict", "list", "set", "Dict", "List", "Set")
+
+
+def _is_named_tuple(node):
+    return (isinstance(node, ast.Name) and node.id == "NamedTuple"
+            or isinstance(node, ast.Attribute) and node.attr == "NamedTuple")
+
+
+def _mutable_annotation(node):
+    """Whether an annotation names a dict, list or set, bare or subscripted."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Name) and node.id in _MUTABLE
+            or isinstance(node, ast.Attribute) and node.attr in _MUTABLE)
+
+
+def _mutable_record_fields(tree):
+    """(line, field) of each NamedTuple field annotated as a dict, list or
+    set, in class form (field: dict) or functional form (("field", dict)):
+    a record shares its fields with every copy, so a mutable one is state
+    every reader of a cached record can change."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(_is_named_tuple,
+                                                      node.bases)):
+            found += [(f.lineno, f.target.id) for f in node.body
+                      if isinstance(f, ast.AnnAssign)
+                      and isinstance(f.target, ast.Name)
+                      and _mutable_annotation(f.annotation)]
+        elif (isinstance(node, ast.Call) and _is_named_tuple(node.func)
+              and len(node.args) > 1
+              and isinstance(node.args[1], (ast.List, ast.Tuple))):
+            found += [(f.lineno, f.elts[0].value) for f in node.args[1].elts
+                      if isinstance(f, ast.Tuple) and len(f.elts) == 2
+                      and isinstance(f.elts[0], ast.Constant)
+                      and _mutable_annotation(f.elts[1])]
+    return found
+
+
+def test_no_record_declares_a_mutable_field():
+    found = [(name, *field) for name in _modules()
+             for field in _mutable_record_fields(_parse(name))]
+    assert not found
+
+
+def test_mutable_record_fields_are_detected():
+    tree = ast.parse("import typing\n"
+                     "class A(NamedTuple):\n"
+                     "    n: int\n"
+                     "    notes: dict\n"
+                     "    rows: typing.List[int]\n"
+                     "    tags: frozenset\n"
+                     "class B(NamedTuple('B', [('order', int),\n"
+                     "                         ('notes', dict)])):\n"
+                     "    __slots__ = ()\n"
+                     "C = typing.NamedTuple('C', (('seen', set[int]),\n"
+                     "                            ('key', tuple)))\n"
+                     "class D:\n"
+                     "    cache: dict\n")
+    assert sorted(_mutable_record_fields(tree)) == [
+        (4, "notes"), (5, "rows"), (8, "notes"), (10, "seen")]
+
+
 # Public names no module of the package reads, each with its reason.  An
 # entry that gains a caller in the package, or whose name is gone, is stale.
 API = {

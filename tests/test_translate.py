@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -61,7 +62,7 @@ def test_bk_to_yu_case_A(desk, order):
 
 
 def test_type_b_round_trip(order):
-    bk = translate.make_bk_datum_b(order)
+    bk = translate.BKDatumSkeleton(order)
     yu = translate.bk_to_yu(bk)
     assert yu.d == 0 and yu.dims == (4,) and yu.depths == (Fraction(0),)
     bk2 = translate.yu_to_bk(yu)
@@ -112,6 +113,66 @@ def test_round_trips_on_corpus():
         assert translate.skeletons_agree(yu, yu2), label
 
 
+def test_a_bk_datum_is_its_order_and_sequence(desk_bk, order):
+    # the kind and the character factors are read off the sequence, so no
+    # copy can state a kind or factors its sequence does not give
+    assert translate.BKDatumSkeleton._fields == ("order", "seq")
+    assert desk_bk == (order, desk_bk.seq) and desk_bk.kind == "a"
+    b = translate.BKDatumSkeleton(order)
+    assert b == (order, None) and (b.kind, b.theta_factors) == ("b", ())
+    for field in ("kind", "theta_factors", "notes"):
+        with pytest.raises(ValueError):
+            desk_bk._replace(**{field: None})
+    assert "rho_slot" not in translate.YuDatumSkeleton._fields
+    assert translate.bk_to_yu(desk_bk).rho_slot == translate.OUT_OF_SCOPE
+
+
+def test_a_round_trip_that_raises_is_a_failed_one(desk_bk):
+    yu = translate.bk_to_yu(desk_bk)
+    bad = yu._replace(case="A" if yu.case == "B" else "B")
+    with pytest.raises(VerificationError):
+        translate.yu_to_bk(bad)
+    assert translate.round_trip_agrees(desk_bk, yu)
+    assert not translate.round_trip_agrees(desk_bk, bad)
+
+
+def _mutable_parts(obj, path, seen):
+    """Paths of the dicts, lists and sets reachable from obj through
+    tuples, frozensets, read-only mappings and object fields, leaving out
+    an order's verified map (a memo that only gains entries)."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (dict, list, set)):
+        return [path]
+    if isinstance(obj, (tuple, frozenset)):
+        items = enumerate(obj)
+    elif isinstance(obj, types.MappingProxyType):
+        items = obj.items()
+    else:
+        names = (getattr(type(obj), "__slots__", None)
+                 or getattr(obj, "__dict__", ()))
+        items = [(name, getattr(obj, name)) for name in names
+                 if not (isinstance(obj, strata.OrderDesc)
+                         and name == "verified")]
+    return [p for key, item in items
+            for p in _mutable_parts(item, f"{path}/{key}", seen)]
+
+
+def test_cached_corpus_data_hold_no_mutable_state():
+    # the corpus is cached for the process, so one reader's edit would
+    # reach every later reader
+    found = []
+    for label, bk in corpus.datum_corpus():
+        found += _mutable_parts(bk, label, set())
+        found += _mutable_parts(translate.bk_to_yu(bk), label + "/yu", set())
+    assert not found
+    bk = dict(corpus.datum_corpus())["desk5/N=4/levels=0-1/base=1"]
+    before = cli.emit_bk(bk)
+    cli.emit_bk(bk)["payload"]["notes"]["kappa"] = "x"
+    assert cli.emit_bk(bk) == before
+
+
 def _with_entry(bk, i, **fields):
     entries = list(bk.seq.entries)
     entries[i] = entries[i]._replace(**fields)
@@ -158,7 +219,7 @@ def test_skeletons_agree_can_say_no(desk, desk_bk):
         _with_character(yu, 0, lvl, None, r),
     ]
     bk_copies = [
-        desk_bk._replace(kind="b"),
+        desk_bk._replace(seq=None),
         desk_bk._replace(order=strata.make_order(desk, 8)),
         desk_bk._replace(seq=seq._replace(n=seq.n + 1)),
         _with_entry(desk_bk, 0, r=e0.r + 1),
