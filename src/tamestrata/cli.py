@@ -100,7 +100,8 @@ def parse_tower(doc) -> tame.Tower:
                       _coeffs(payload.get("residue_modulus"), optional=True))
     zeta = residue.elem(_coeffs(payload["zeta"]))
     levels = tuple(
-        frozenset(tame.GaloisElement(j, residue.elem(_coeffs(coeffs)))
+        frozenset(tame.GaloisElement(_int(j, "Frobenius power"),
+                                     residue.elem(_coeffs(coeffs)))
                   for j, coeffs in H)
         for H in payload["levels"])
     return tame.Tower(tame.TowerSpec(base, payload["e"], payload["f"],
@@ -129,11 +130,16 @@ def parse_series(tower: tame.Tower, payload) -> tame.TameSeries:
     return tower.series(_level(tower, payload.get("level", 0)), terms, prec)
 
 
+def _int(value, name: str) -> int:
+    """A stated int (false is not 0); name names it in the error."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def _level(tower: tame.Tower, level) -> int:
-    """A stated chain level: an int (false is not 0) in the tower's chain."""
-    if type(level) is not int:
-        raise ValueError(f"level {level!r} is not an integer")
-    return tower.check_level(level)
+    """A stated chain level: an int in the tower's chain."""
+    return tower.check_level(_int(level, "level"))
 
 
 def emit_c_list(order, c_list) -> dict:
@@ -490,28 +496,18 @@ def cmd_verify(args):
 
 
 def _verify_user_corpus(args):
-    """Round trip, then tables, then the ledger when there is a model, up
-    to the first check that fails, for each document of a datum list."""
+    """verifysuite.check_datum on each document of a datum list: a datum
+    passes when every check that ran on it does, and its detail names them."""
+    from . import verifysuite
     docs = _read_json(args.corpus)
     if not isinstance(docs, list):
         raise ValueError("a corpus is a list of documents, not a "
                          + type(docs).__name__)
     results = []
     for idx, doc in enumerate(docs):
-        bk, yu = _load_datum(doc)
-        ok = translate.round_trip_agrees(bk, yu)
-        detail = "round trip"
-        if bk.kind == "a":
-            model = strata.oracle_model(args.models, bk.order)
-            ok = ok and all(translate.table_equalities(
-                translate.h_group_table(bk.seq), translate.yu_group_table(yu),
-                model).values())
-            detail += ", tables"
-            if model is not None:
-                ok = ok and translate.ledger_holds(
-                    translate.ledger_indices(bk, yu, model)[1])
-                detail += ", ledger"
-        results.append((f"corpus[{idx}]", ok, detail))
+        checks = verifysuite.check_datum(*_load_datum(doc), args.models)
+        results.append((f"corpus[{idx}]", all(all(v) for _, v in checks),
+                        ", ".join(name for name, _ in checks)))
     return results
 
 
@@ -598,7 +594,8 @@ def _build_parser():
     oracle_opt(p, "check")
     p.add_argument("--corpus", default=None,
                    help="JSON list of datum documents to check instead of "
-                        "the built-in corpus")
+                        "the built-in corpus, by the per-datum checks the "
+                        "suites run")
     return parser
 
 

@@ -5,10 +5,12 @@ name is its key in ALL_SUITES.  models is the run's map from an order
 (orders compare by value) to its matrix model, or None when the oracle is
 off.  Suites get their models from strata.oracle_model, so a run builds
 each order's model once, on first use, and every suite reads that one.
-The suites are exact: every comparison is integer or rational equality,
-and wherever a closed form is checked the comparison target comes from an
-independent route (exhaustive enumeration, Galois differences, or the
-matrix oracle).
+The per-datum checks are one list, CHECKS, which check_datum runs on one
+datum: the five datum suites count one check each over the corpus, and
+verify --corpus runs them all on each document.  The suites are exact:
+every comparison is integer or rational equality, and wherever a closed
+form is checked the comparison target comes from an independent route
+(exhaustive enumeration, Galois differences, or the matrix oracle).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction
 
 from . import corpus, minimal, oracle, strata, tame, translate
-from .errors import VerificationFailed
+from .errors import PrecisionExhausted, VerificationError, VerificationFailed
 
 ORD_RANGE = (-6, -1)
 
@@ -29,41 +31,28 @@ def _enum_towers():
     return towers
 
 
-def _type_a(models):
-    """(datum, model or None) for every type (a) corpus datum."""
-    return [(bk, strata.oracle_model(models, bk.order))
-            for _, bk in corpus.datum_corpus() if bk.kind == "a"]
-
-
-def _level_pairs(tower):
-    return [(u, l) for u in range(tower.d)
-            for l in range(u + 1, tower.d + 1)]
+def _monomial_cases():
+    """(monomial, upper, lower) for each level pair upper < lower of each
+    enumerated tower and each monomial of level upper with ord in ORD_RANGE."""
+    for _, tower in _enum_towers():
+        for upper in range(tower.d):
+            for lower in range(upper + 1, tower.d + 1):
+                for mono in tame.monomials_in_level(tower, upper, *ORD_RANGE):
+                    yield mono, upper, lower
 
 
 def suite_minimal_equivalence(models):
     """Definition, standard-representative and Galois routes agree."""
-    cases = failures = 0
-    for name, tower in _enum_towers():
-        for upper, lower in _level_pairs(tower):
-            for mono in tame.monomials_in_level(tower, upper, *ORD_RANGE):
-                cases += 1
-                if not minimal.is_minimal(mono, upper, lower).consistent:
-                    failures += 1
-    return failures == 0, f"{cases} cases, {failures} disagreements"
+    wrong = [not minimal.is_minimal(*case).consistent
+             for case in _monomial_cases()]
+    return not any(wrong), f"{len(wrong)} cases, {sum(wrong)} disagreements"
 
 
 def suite_generic_iff_minimal(models):
     """GE1 passes exactly on the minimal elements."""
-    cases = failures = 0
-    for name, tower in _enum_towers():
-        for upper, lower in _level_pairs(tower):
-            for mono in tame.monomials_in_level(tower, upper, *ORD_RANGE):
-                cases += 1
-                ge1 = minimal.ge1_check(mono, upper, lower).passed
-                mini = minimal.is_minimal(mono, upper, lower).minimal
-                if ge1 != mini:
-                    failures += 1
-    return failures == 0, f"{cases} cases, {failures} disagreements"
+    wrong = [minimal.ge1_check(*case).passed != minimal.is_minimal(*case).minimal
+             for case in _monomial_cases()]
+    return not any(wrong), f"{len(wrong)} cases, {sum(wrong)} disagreements"
 
 
 def _random_level_element(rng, tower, level):
@@ -113,88 +102,98 @@ def suite_valuation_lemma(models):
                            f"matrix checks, {failures} failures")
 
 
+def _character_depth(bk, yu, model):
+    """psi_c trivial one step above its depth and not at it, on each level,
+    by trace-module valuations that the oracle also finds given a model."""
+    verdicts = []
+    for e in bk.seq.entries:
+        v = -strata.nu_A(bk.order, e.c)
+        hi, lo = (translate.char_module_valuation(e.c, (e.level, m), bk.order)
+                  for m in (v + 1, v))
+        verdicts.append(hi >= 1 > lo and (model is None or [hi, lo] == [
+            oracle.oracle_char_module_min_ord(model, e.c, e.level, m)
+            for m in (v + 1, v)]))
+    return verdicts
+
+
+# name: (scope, check), in the order check_datum runs them; a check runs on
+# "all" data, on type "a" data, or on type (a) data with a "model"
+CHECKS = {
+    "round trip": ("all", lambda bk, yu, model: [
+        translate.round_trip_agrees(bk, yu)]),
+    "tables": ("a", lambda bk, yu, model: list(translate.table_equalities(
+        translate.h_group_table(bk.seq), translate.yu_group_table(yu),
+        model).values())),
+    "k0": ("model", lambda bk, yu, model: [
+        strata.k0_closed(bk.order, e.beta) == oracle.oracle_k0(model, e.beta)
+        for e in bk.seq.entries]),
+    "ledger": ("model", lambda bk, yu, model: [translate.ledger_holds(
+        translate.ledger_indices(bk, yu, model)[1])]),
+    "character depth": ("a", _character_depth),
+}
+
+
+def check_datum(bk, yu, models, names=None):
+    """(name, verdicts) of each check of CHECKS (or of names) that runs on
+    bk and its translation yu, one verdict per case.  Checks past the round
+    trip take the model of bk's order from strata.oracle_model, so a round
+    trip alone builds none.  A check that raises VerificationError or
+    PrecisionExhausted has one failed case, and the next check runs."""
+    results = []
+    for name in names or CHECKS:
+        scope, check = CHECKS[name]
+        if scope != "all" and bk.kind == "b":
+            continue
+        model = None if scope == "all" else strata.oracle_model(models, bk.order)
+        if scope == "model" and model is None:
+            continue
+        try:
+            results.append((name, check(bk, yu, model)))
+        except (VerificationError, PrecisionExhausted):
+            results.append((name, [False]))
+    return results
+
+
+def _runs(name, models):
+    """(cases, failures, runs): the verdicts of the check name counted over
+    runs, its (datum, verdicts) on each corpus datum it runs on."""
+    runs = [(bk, verdicts) for _, bk in corpus.datum_corpus() for _, verdicts
+            in check_datum(bk, translate.bk_to_yu(bk), models, [name])]
+    verdicts = [v for _, run in runs for v in run]
+    return len(verdicts), verdicts.count(False), runs
+
+
+def _counted(check, cases_label, failures_label):
+    """The suite that counts the check's cases and failures on the corpus."""
+    def suite(models):
+        cases, failures, _ = _runs(check, models)
+        return failures == 0, (f"{cases} {cases_label}, "
+                               f"{failures} {failures_label}")
+    return suite
+
+
 def suite_critical_exponent(models):
     """Closed-form k0 equals the commutator-space oracle on every entry
     beta of every type (a) corpus datum within the oracle bound and on
     pi_F^-1 of each such order."""
-    data = [bk for bk, model in _type_a(models) if model is not None]
-    cases = [(bk.order, entry.beta) for bk in data for entry in bk.seq.entries]
-    cases += [(bk.order, bk.order.tower.pi_F() ** -1)
-              for bk in {bk.order: bk for bk in data}.values()]
-    failures = 0
-    for order, beta in cases:
-        if strata.k0_closed(order, beta) != oracle.oracle_k0(
-                strata.oracle_model(models, order), beta):
-            failures += 1
-    return failures == 0, f"{len(cases)} strata, {failures} disagreements"
+    cases, failures, runs = _runs("k0", models)
+    for order in dict.fromkeys(bk.order for bk, _ in runs):
+        beta = order.tower.pi_F() ** -1
+        cases += 1
+        failures += strata.k0_closed(order, beta) != oracle.oracle_k0(
+            strata.oracle_model(models, order), beta)
+    return failures == 0, f"{cases} strata, {failures} disagreements"
 
 
 def suite_filtration_equalities(models):
-    """H1 = Kd+ and J0 = oKd on every type (a) corpus datum, decided by the
-    oracle within its bound: as lattices where the factor sets differ."""
-    cases = with_oracle = failures = 0
-    for bk, model in _type_a(models):
-        equalities = translate.table_equalities(
-            translate.h_group_table(bk.seq),
-            translate.yu_group_table(translate.bk_to_yu(bk)), model)
-        for held in equalities.values():
-            cases += 1
-            with_oracle += model is not None
-            if not held:
-                failures += 1
+    """H1 = Kd+ and J0 = oKd on every type (a) corpus datum, by the oracle
+    within its bound (each corpus pair has one factor set, so one lattice)
+    and by normalization beyond it or with the oracle off."""
+    cases, failures, runs = _runs("tables", models)
+    with_oracle = sum(len(verdicts) for bk, verdicts in runs
+                      if strata.oracle_model(models, bk.order) is not None)
     return failures == 0, (f"{cases} comparisons ({with_oracle} with oracle), "
                            f"{failures} failed")
-
-
-def suite_index_identity(models):
-    """Product identity and even exponents for the index ledger, on every
-    type (a) datum within the oracle bound."""
-    cases = failures = 0
-    for bk, model in _type_a(models):
-        if model is None:
-            continue
-        _, verdicts = translate.ledger_indices(bk, translate.bk_to_yu(bk),
-                                               model)
-        cases += 1
-        if not translate.ledger_holds(verdicts):
-            failures += 1
-    return failures == 0, f"{cases} data, {failures} failed verdicts"
-
-
-def suite_character_depth(models):
-    """psi_c trivial one step above its depth, nontrivial at it; the
-    trace-module valuations are cross-checked against the oracle on every
-    datum within its bound."""
-    cases = failures = 0
-    for bk, model in _type_a(models):
-        for i in range(bk.seq.s + 1):
-            entry = bk.seq.entries[i]
-            v = -strata.nu_A(bk.order, entry.c)
-            cases += 1
-            hi = translate.char_module_valuation(entry.c, (entry.level, v + 1),
-                                                 bk.order)
-            lo = translate.char_module_valuation(entry.c, (entry.level, v),
-                                                 bk.order)
-            if not (hi >= 1 and lo < 1):
-                failures += 1
-            if model is not None:
-                o_hi = oracle.oracle_char_module_min_ord(
-                    model, entry.c, entry.level, v + 1)
-                o_lo = oracle.oracle_char_module_min_ord(
-                    model, entry.c, entry.level, v)
-                if o_hi != hi or o_lo != lo:
-                    failures += 1
-    return failures == 0, f"{cases} levels, {failures} failures"
-
-
-def suite_round_trips(models):
-    """yu_to_bk . bk_to_yu is the identity on every corpus datum."""
-    cases = failures = 0
-    for _, bk in corpus.datum_corpus():
-        cases += 1
-        if not translate.round_trip_agrees(bk, translate.bk_to_yu(bk)):
-            failures += 1
-    return failures == 0, f"{cases} data (>= 50 required), {failures} failures"
 
 
 def suite_monomial_group(models):
@@ -251,9 +250,12 @@ ALL_SUITES = {
     "valuation-lemma": suite_valuation_lemma,
     "critical-exponent": suite_critical_exponent,
     "filtration-equalities": suite_filtration_equalities,
-    "index-identity": suite_index_identity,
-    "character-depth": suite_character_depth,
-    "round-trips": suite_round_trips,
+    # the ledger's product identity, even exponents and singles matching
+    # the oracle, on each type (a) datum within the oracle bound
+    "index-identity": _counted("ledger", "data", "failed verdicts"),
+    "character-depth": _counted("character depth", "levels", "failures"),
+    # yu_to_bk . bk_to_yu is the identity on every corpus datum
+    "round-trips": _counted("round trip", "data (>= 50 required)", "failures"),
     "monomial-group": suite_monomial_group,
 }
 

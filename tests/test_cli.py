@@ -320,6 +320,20 @@ def test_a_coefficient_is_an_int(tmp_path, entry):
             cli.EXIT_INPUT, "ValueError"), key
 
 
+@pytest.mark.parametrize("power", [True, "1"])
+def test_a_frobenius_power_is_an_int(tmp_path, power):
+    # in a tower file's levels: true is not power 1, and "1" is no power
+    tower = cli.emit_tower(corpus.desk_tower_5())
+    tower["payload"]["levels"][2][2][0] = power
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower))
+    code, doc = run_cli(["sr", "--tower", str(path), "--element",
+                         "[[[-1,2],[1,1]]]"])
+    assert (code, doc["payload"]) == (cli.EXIT_INPUT, {
+        "error": "ValueError",
+        "message": f"Frobenius power {power!r} is not an integer"})
+
+
 def test_a_bare_int_coefficient_is_a_constant(tmp_path):
     _, vector = run_cli(["sr", "--tower", "desk5",
                          "--element", "[[[-1,2],[3,0]]]"])
@@ -564,12 +578,16 @@ def test_truncated_block_round_trips(tmp_path):
     docs.write_text(json.dumps([doc]))
     for command in ("bk2yu", "tables"):
         assert run_cli([command, "--datum", str(datum)])[0] == cli.EXIT_OK
-    for mode, detail in (("off", "round trip, tables"),
-                         ("check", "round trip, tables, ledger")):
+    # the oracle's k0 and character valuations raise PrecisionExhausted on
+    # block 0, which lies below the model window: that fails the datum,
+    # and the run goes on
+    for mode, passed, detail in (
+            ("off", True, "round trip, tables, character depth"),
+            ("check", False, "round trip, tables, k0, ledger, character depth")):
         code, out = run_cli(["verify", "--corpus", str(docs), "--oracle", mode])
-        assert code == cli.EXIT_OK, out
+        assert code == (cli.EXIT_OK if passed else cli.EXIT_VERIFICATION), out
         assert out["payload"]["suites"] == [
-            {"name": "corpus[0]", "passed": True, "detail": detail}]
+            {"name": "corpus[0]", "passed": passed, "detail": detail}]
 
 
 def test_tower_file_default_moduli(tmp_path):
@@ -884,8 +902,10 @@ def test_a_broken_table_normalization_fails_tables_and_corpus(
                          "--oracle", "off"])
     assert code == cli.EXIT_VERIFICATION
     assert out["payload"]["suites"] == [
-        {"name": "corpus[0]", "passed": False, "detail": "round trip, tables"}]
-    assert capsys.readouterr().err == "FAIL corpus[0]: round trip, tables\n"
+        {"name": "corpus[0]", "passed": False,
+         "detail": "round trip, tables, character depth"}]
+    assert capsys.readouterr().err == (
+        "FAIL corpus[0]: round trip, tables, character depth\n")
 
 
 def test_a_broken_round_trip_fails_its_suite_and_the_run_goes_on(
@@ -920,9 +940,28 @@ def test_a_shifted_single_index_fails_ledger_and_corpus(
     assert code == cli.EXIT_VERIFICATION
     assert out["payload"]["suites"] == [
         {"name": "corpus[0]", "passed": False,
-         "detail": "round trip, tables, ledger"}]
+         "detail": "round trip, tables, k0, ledger, character depth"}]
     assert capsys.readouterr().err == (
-        "FAIL corpus[0]: round trip, tables, ledger\n")
+        "FAIL corpus[0]: round trip, tables, k0, ledger, character depth\n")
+
+
+@pytest.mark.parametrize("module, name, mode", [
+    (strata, "k0_closed", "check"),
+    (translate, "char_module_valuation", "off"),
+], ids=["k0", "character-depth"])
+def test_a_shifted_closed_form_fails_verify_corpus(tmp_path, monkeypatch,
+                                                   module, name, mode):
+    # verify --corpus runs the suites' per-datum checks, k0 and character
+    # depth included, on each document it is given
+    doc = cli.emit_bk(dict(corpus.datum_corpus())[
+        "desk5/N=4/levels=0-1-2/base=1"])
+    closed = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: (
+        None if (v := closed(*args)) is None else v + 1))
+    code, out = run_cli(["verify", "--corpus", _corpus_of(tmp_path, doc),
+                         "--oracle", mode])
+    assert code == cli.EXIT_VERIFICATION
+    assert [s["passed"] for s in out["payload"]["suites"]] == [False]
 
 
 @pytest.mark.parametrize("args", [

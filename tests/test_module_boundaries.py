@@ -320,3 +320,38 @@ def test_uncalled_public_names_are_detected():
         "b": ast.parse("from .a import Box\nx = Box().get()\n"),
     }
     assert _uncalled(trees) == {"a.unused"}
+
+
+# each per-datum check's closed form or oracle question, by the module that
+# defines it: past that module, only verifysuite's list of checks reads it
+_CHECKED = {"round_trip_agrees": "translate", "oracle_k0": "oracle",
+            "oracle_char_module_min_ord": "oracle",
+            "char_module_valuation": "translate"}
+
+
+def _stray_checks(trees):
+    """(module, name) of each mention of a per-datum check outside the
+    module that defines it and verifysuite."""
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _mentions(tree) & _CHECKED.keys()
+                  if module not in (_CHECKED[name], "verifysuite"))
+
+
+def test_per_datum_checks_are_read_only_by_verifysuite():
+    assert not _stray_checks({name: _parse(name) for name in _modules()})
+
+
+def test_stray_checks_are_detected():
+    trees = {
+        "cli": ast.parse("from . import translate\n"
+                         "ok = translate.round_trip_agrees(bk, yu)\n"),
+        "strata": ast.parse("from .oracle import oracle_k0\n"),
+        "corpus": ast.parse("char_module_valuation = None\n"),
+        "verifysuite": ast.parse(
+            "v = oracle.oracle_char_module_min_ord(m, c, 0, 1)\n"),
+        "oracle": ast.parse("def oracle_k0(model, beta):\n"
+                            "    return oracle_k0(model, -beta)\n"),
+    }
+    assert _stray_checks(trees) == [("cli", "round_trip_agrees"),
+                                    ("corpus", "char_module_valuation"),
+                                    ("strata", "oracle_k0")]
