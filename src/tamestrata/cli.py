@@ -99,11 +99,13 @@ def parse_tower(doc) -> tame.Tower:
     residue = FqField(payload["p"], payload["base_degree"] * payload["f"],
                       _coeffs(payload.get("residue_modulus"), optional=True))
     zeta = residue.elem(_coeffs(payload["zeta"]))
+    if type(payload["levels"]) is not list:
+        raise ValueError(f"levels {payload['levels']!r} is not a list")
     levels = tuple(
         frozenset(tame.GaloisElement(_int(j, "Frobenius power"),
                                      residue.elem(_coeffs(coeffs)))
-                  for j, coeffs in H)
-        for H in payload["levels"])
+                  for j, coeffs in _pairs(H, f"levels[{n}]"))
+        for n, H in enumerate(payload["levels"]))
     return tame.Tower(tame.TowerSpec(base, payload["e"], payload["f"],
                                      residue, zeta, levels))
 
@@ -134,6 +136,18 @@ def _int(value, name: str) -> int:
     """A stated int (false is not 0); name names it in the error."""
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _pairs(value, name: str) -> list:
+    """A stated list of [power, twist] pairs; name names it in the error."""
+    if type(value) is not list:
+        raise ValueError(f"{name} {value!r} is not a list of "
+                         "[power, twist] pairs")
+    for entry in value:
+        if type(entry) is not list or len(entry) != 2:
+            raise ValueError(f"{name} entry {entry!r} is not a "
+                             "[power, twist] pair")
     return value
 
 
@@ -497,7 +511,8 @@ def cmd_verify(args):
 
 def _verify_user_corpus(args):
     """verifysuite.check_datum on each document of a datum list: a datum
-    passes when every check that ran on it does, and its detail names them."""
+    passes when every check that ran on it does.  The detail of a passing
+    datum names the checks that ran, of a failing one those that failed."""
     from . import verifysuite
     docs = _read_json(args.corpus)
     if not isinstance(docs, list):
@@ -506,8 +521,9 @@ def _verify_user_corpus(args):
     results = []
     for idx, doc in enumerate(docs):
         checks = verifysuite.check_datum(*_load_datum(doc), args.models)
-        results.append((f"corpus[{idx}]", all(all(v) for _, v in checks),
-                        ", ".join(name for name, _ in checks)))
+        failed = [name for name, verdicts in checks if not all(verdicts)]
+        results.append((f"corpus[{idx}]", not failed, ", ".join(
+            failed or [name for name, _ in checks])))
     return results
 
 

@@ -786,6 +786,12 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
     Tr(c X) = sum_ab c_ab X_ba is summed from the entries of c and of each
     probe X directly, in k_F coordinates: each entry of c times each
     theta_F^i is looked up once, and no matrix product is formed.
+
+    The probes are the RREF rows of Q_level^exponent in increasing pivot
+    order.  Positions run by non-decreasing block valuation and a pivot is
+    its row's lowest position, so c X lies in P^(vals[pivot] + nu_c), and
+    Tr_{A/F}(P^k) lies in p_F^ceil(k/e_A) (the lemma behind tail_bound):
+    the scan stops at the first row whose bound reaches the least trace.
     """
     cmat = model.elt_to_matrix(c)
     nu_c = model.block_val(cmat)
@@ -797,7 +803,10 @@ def oracle_char_module_min_ord(model: MatrixModel, c: TameSeries,
                         for w2, c2 in ser.items()]
              for (col, r), ser in cmat.items()}
     best = None
-    for row in quot.order_level(level, exponent)._rows.values():
+    for pivot, row in sorted(quot.order_level(level, exponent)._rows.items()):
+        bound = -(-(quot.vals[pivot] + nu_c) // model.e_A)
+        if best is not None and bound >= best:
+            break
         acc = {}
         for pos, x in row.items():
             r, col, w, i = quot.coords[pos]

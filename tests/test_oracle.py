@@ -755,6 +755,13 @@ def test_direct_ad_equals_matrix_products(name):
             assert got == want, (x, (r, c, w, i))
 
 
+def _min_ord_or_raise(model, c, level, exponent):
+    try:
+        return oracle.oracle_char_module_min_ord(model, c, level, exponent)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
 def _char_module_min_ord_by_products(model, c, level, exponent):
     # reference: the full product c * X for each probe X, then its trace
     cmat = model.elt_to_matrix(c.at_level(0))
@@ -786,11 +793,7 @@ def test_char_module_min_ord_equals_product_route(name):
         for c in (pi.inverse(), theta * pi ** -2 + pi.inverse()):
             for step in (0, 1):
                 exponent = -strata.nu_A(order, c) + step
-                try:
-                    got = oracle.oracle_char_module_min_ord(
-                        model, c, level, exponent)
-                except PrecisionExhausted:
-                    got = PrecisionExhausted
+                got = _min_ord_or_raise(model, c, level, exponent)
                 want = _char_module_min_ord_by_products(
                     model, c, level, exponent)
                 assert got == want, (level, c, step)
@@ -800,12 +803,12 @@ def test_char_module_min_ord_equals_product_route(name):
 
 
 def test_char_module_min_ord_equals_kL_sums():
-    # every character case of the N <= 8 corpus, as the character-depth
-    # suite asks it: the trace in k_F coordinates against the trace summed
-    # in k_L
+    # every character case of the corpus, as the character-depth suite
+    # asks it: the trace in k_F coordinates, read until the valuation bound
+    # stops it, against the full scan summed in k_L
     models, cases = {}, 0
     for label, bk in corpus.datum_corpus():
-        if bk.kind != "a" or bk.order.N > 8:
+        if bk.kind != "a":
             continue
         if bk.order not in models:
             models[bk.order] = oracle.model_build(bk.order)
@@ -813,16 +816,32 @@ def test_char_module_min_ord_equals_kL_sums():
         for entry in bk.seq.entries:
             v = -strata.nu_A(bk.order, entry.c)
             for exponent in (v, v + 1):
-                try:
-                    got = oracle.oracle_char_module_min_ord(
-                        model, entry.c, entry.level, exponent)
-                except PrecisionExhausted:
-                    got = PrecisionExhausted
+                got = _min_ord_or_raise(model, entry.c, entry.level, exponent)
                 want = char_module_min_ord_in_kL(
                     model, entry.c, entry.level, exponent)
                 assert got == want, (label, entry.level, exponent)
                 cases += 1
-    assert cases == 2 * 90          # two exponents per entry
+    assert cases == 2 * 122         # two exponents per entry
+
+
+@pytest.mark.parametrize("name", ["desk5", "desk2", "q9e2f2"])
+def test_char_module_min_ord_of_sums_equals_kL_sums(name):
+    # seeded sums of 2 or 3 monomials of one level at the exponents v, v+1
+    # and v+2: in 34 of the 72 cases the scan reads past its first row, and
+    # in 5 a later row lowers the least trace
+    model = _equivalence_model(name)
+    tower, order = model.tower, model.order
+    rng = random.Random(32)
+    for level in range(tower.d + 1):
+        monos = tame.monomials_in_level(tower, level, -2, 0)
+        for _ in range(3):
+            first, *rest = rng.sample(monos, rng.choice((2, 3)))
+            c = sum(rest, first)
+            v = -strata.nu_A(order, c)
+            for exponent in (v, v + 1, v + 2):
+                assert _min_ord_or_raise(model, c, level, exponent) == \
+                    char_module_min_ord_in_kL(model, c, level, exponent), (
+                        level, c, exponent)
 
 
 @pytest.mark.parametrize("name", EQUIVALENCE_ORDERS + CORPUS_ORDERS)
